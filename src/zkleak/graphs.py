@@ -258,10 +258,17 @@ class _CfgBuilder:
         return [SeqStmt(node)], [node], [], [], stmt_end
 
     def _guard_span(self, i: int) -> Tuple[Tuple[int, int], int]:
-        """Span inside the parens of a control clause at *i*; returns (span, close)."""
+        """Span inside the parens of a control clause at *i*; returns (span, close).
+
+        A clause with no ``(`` before the end of its statement (malformed
+        input such as ``while ;``) gets an empty guard that closes at *i*.
+        """
         open_idx = i + 1
-        while open_idx < self.end and self.stream[open_idx].text != "(":
+        while (open_idx < self.end
+               and self.stream[open_idx].text not in ("(", ";", "{", "}")):
             open_idx += 1
+        if open_idx >= self.end or self.stream[open_idx].text != "(":
+            return (i + 1, i + 1), i
         close = self.match_forward(open_idx)
         return (open_idx + 1, close), close
 
@@ -291,18 +298,18 @@ class _CfgBuilder:
         return [LoopStruct(head, body_items, "while")], [head] + brk, [], [], after
 
     def _parse_for(self, i: int, end: int, frontier: List[int]):
-        open_idx = i + 1
-        close = self.match_forward(open_idx)
-        semis = [k for k in range(open_idx + 1, close)
-                 if self.stream[k].text == ";" and self._depth0(open_idx + 1, k)]
+        clause, close = self._guard_span(i)
+        start = clause[0]
+        semis = [k for k in range(start, close)
+                 if self.stream[k].text == ";" and self._depth0(start, k)]
         items: list = []
         if len(semis) >= 2:
-            init_span = (open_idx + 1, semis[0] + 1)
+            init_span = (start, semis[0] + 1)
             cond_span = (semis[0] + 1, semis[1])
             incr_span = (semis[1] + 1, close)
         else:  # malformed; treat the whole clause as the guard
-            init_span = (open_idx + 1, open_idx + 1)
-            cond_span = (open_idx + 1, close)
+            init_span = (start, start)
+            cond_span = clause
             incr_span = (close, close)
         if init_span[0] < init_span[1]:
             node = self.new_node(CfgNodeKind.STATEMENT, init_span, frontier)
@@ -546,12 +553,19 @@ class Fcg:
     external: Set[FuncId] = field(default_factory=set)
     defined: Dict[FuncId, ScopeNode] = field(default_factory=dict)
     warnings: List[Defect] = field(default_factory=list)
+    # caller -> {site token index: callee} in token order, filled by
+    # add_edge so that lookups never scan ``edges``.
+    sites: Dict[FuncId, Dict[int, FuncId]] = field(default_factory=dict)
+
+    def add_edge(self, edge: FcgEdge) -> None:
+        self.edges.append(edge)
+        self.sites.setdefault(edge.caller, {})[edge.site_index] = edge.callee
 
     def call_sites(self, caller: FuncId) -> Dict[int, FuncId]:
-        return {e.site_index: e.callee for e in self.edges if e.caller == caller}
+        return dict(self.sites.get(caller, {}))
 
     def callees(self, caller: FuncId) -> List[FuncId]:
-        return [e.callee for e in self.edges if e.caller == caller]
+        return list(self.sites.get(caller, {}).values())
 
     def callers(self, callee: FuncId) -> List[FuncId]:
         return [e.caller for e in self.edges if e.callee == callee]
@@ -644,7 +658,7 @@ def _scan_calls(fcg: Fcg, by_key, declared, scope: ScopeNode,
         arity = _arity_of(stream, i + 1, close)
         callee = _resolve_call(fcg, by_key, declared, tok, receiver_class,
                                scope.owner_class, arity, caller)
-        fcg.edges.append(FcgEdge(caller, callee, i, tok.line))
+        fcg.add_edge(FcgEdge(caller, callee, i, tok.line))
         fcg.nodes.add(callee)
 
 
@@ -703,6 +717,15 @@ def _resolve_call(fcg: Fcg, by_key, declared, tok: LexToken, receiver_class: str
     return ext
 
 
+def defined_successors(fcg: Fcg) -> Dict[FuncId, List[FuncId]]:
+    """Callees of each defined function, in edge order, among defined ones."""
+    succ: Dict[FuncId, List[FuncId]] = {f: [] for f in fcg.defined}
+    for edge in fcg.edges:
+        if edge.caller in succ and edge.callee in succ:
+            succ[edge.caller].append(edge.callee)
+    return succ
+
+
 def find_rings(fcg: Fcg) -> List[List[FuncId]]:
     """Strongly connected components that form call rings.
 
@@ -710,13 +733,8 @@ def find_rings(fcg: Fcg) -> List[List[FuncId]]:
     calls itself.  Members are returned sorted, rings ordered by their
     first member, so output is deterministic.
     """
-    graph: Dict[FuncId, List[FuncId]] = {f: [] for f in fcg.defined}
-    self_loop: Set[FuncId] = set()
-    for edge in fcg.edges:
-        if edge.caller in graph and edge.callee in graph:
-            graph[edge.caller].append(edge.callee)
-            if edge.caller == edge.callee:
-                self_loop.add(edge.caller)
+    graph = defined_successors(fcg)
+    self_loop = {f for f, callees in graph.items() if f in callees}
 
     index: Dict[FuncId, int] = {}
     low: Dict[FuncId, int] = {}

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .defects import Defect, DefectKind, PathCond
-from .graphs import Cfg, Fcg, FuncId, build_cfg, find_rings
+from .graphs import Cfg, Fcg, FuncId, build_cfg, defined_successors, find_rings
 from .interp import (ExploreOutcome, ExternObj, Interp, RecordedError,
                      ST_ACTIVE, ST_UNKNOWN, Variant, default_call_effect,
                      explore, finish_variants, symbol_index, PATH_BUDGET)
@@ -268,10 +268,8 @@ class SummaryRun:
 
 def _post_order(fcg: Fcg) -> List[FuncId]:
     """Callees before callers; cycles broken by the visited set."""
-    succ: Dict[FuncId, List[FuncId]] = {f: [] for f in fcg.defined}
-    for edge in fcg.edges:
-        if edge.caller in succ and edge.callee in succ:
-            succ[edge.caller].append(edge.callee)
+    succ = {f: sorted(callees)
+            for f, callees in defined_successors(fcg).items()}
     order: List[FuncId] = []
     seen: Set[FuncId] = set()
     for start in sorted(succ):
@@ -281,7 +279,7 @@ def _post_order(fcg: Fcg) -> List[FuncId]:
         seen.add(start)
         while stack:
             node, idx = stack[-1]
-            children = sorted(succ[node])
+            children = succ[node]
             if idx < len(children):
                 stack[-1] = (node, idx + 1)
                 child = children[idx]

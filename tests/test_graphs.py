@@ -215,6 +215,44 @@ def test_call_sites_carry_token_positions():
     assert fcg.callers(edge.callee) == [caller]
 
 
+def _assert_index_matches_edges(fcg):
+    assert fcg.defined
+    for fid in fcg.defined:
+        brute = {e.site_index: e.callee for e in fcg.edges if e.caller == fid}
+        assert list(fcg.call_sites(fid).items()) == list(brute.items()), fid
+        assert fcg.callees(fid) == [e.callee for e in fcg.edges if e.caller == fid]
+    assert fcg.call_sites(FuncId("nowhere.c", "", "nope", 0)) == {}
+
+
+def test_call_site_index_matches_the_edges_on_the_corpus(corpus_paths):
+    fcg = build_fcg([_unit(path.read_text(), str(path)) for path in corpus_paths])
+    assert len(corpus_paths) == 40 and fcg.edges
+    _assert_index_matches_edges(fcg)
+
+
+def test_call_site_index_matches_the_edges_on_the_summary_blueprint():
+    from test_acceptance import _blueprint  # deferred: it imports this module
+
+    for seed in range(60):
+        call_form, _inline_form, _expected = _blueprint(seed)
+        _assert_index_matches_edges(build_fcg([_unit(call_form, f"bp{seed}.c")]))
+
+
+class _UnreadableEdges(list):
+    def __iter__(self):
+        raise AssertionError("the edge list was scanned")
+
+
+def test_call_sites_is_a_lookup_not_an_edge_scan():
+    fcg = build_fcg([_unit(
+        "void g ( ) { }\nvoid f ( ) { g ( ) ; h ( ) ; g ( ) ; }", "idx.c")])
+    caller = fcg.edges[0].caller
+    expected = {e.site_index: e.callee for e in fcg.edges}
+    fcg.edges = _UnreadableEdges(fcg.edges)
+    assert fcg.call_sites(caller) == expected
+    assert [f.func_name for f in fcg.callees(caller)] == ["g", "h", "g"]
+
+
 def test_dump_fcg_is_sorted_and_renders_ids():
     fcg = build_fcg([_unit(
         "void g ( ) { }\nvoid h ( ) { }\nvoid f ( ) { h ( ) ; g ( ) ; }", "d.c")])

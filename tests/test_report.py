@@ -271,6 +271,19 @@ def test_cli_json_and_text_agree_on_the_claims(tmp_path, capsys):
     assert json_kinds == ["MissingRelease", "MissingRelease"] == text_kinds
 
 
+@pytest.mark.parametrize("source", [
+    "void f(int v){ if ;v > 0) { v = 1; } }",
+    "void f(int v){ while ; }",
+    "void f(int v){ for ; }",
+], ids=["if", "while", "for"])
+def test_cli_reports_on_control_headers_without_parens(tmp_path, capsys, source):
+    path = _write(tmp_path, "header.c", source + "\n")
+    assert main(["--format", "json", path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [f["path"] for f in doc["files"]] == [path]
+    assert doc["defects"] == []
+
+
 def test_cli_scans_directories(tmp_path, capsys):
     _write(tmp_path, "one.c", _CLEAN)
     _write(tmp_path, "two.cc", _CLEAN.replace("f (", "g ("))

@@ -7,14 +7,16 @@ the same defect multiset.
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 
-from zkleak.graphs import build_fcg
+from zkleak.graphs import Fcg, FcgEdge, FuncId, build_fcg
 from zkleak.patterns import catalog_patterns
 from zkleak.scopes import build_scope_tree
 from zkleak.summaries import (
     ACTION_UNKNOWN,
     REF_GLOBAL,
+    _post_order,
     dump_summaries,
     update_all,
 )
@@ -211,6 +213,39 @@ def test_functions_outside_the_ring_still_summarize():
     result = run(source)
     assert rendered(result, "mk") == [("return", "alloc(malloc)")]
     assert not summary_of(result, "mk").ring_member
+
+
+def _reference_post_order(defined, edges):
+    """Depth-first post-order, children visited in sorted order."""
+    order, seen = [], set()
+
+    def visit(node):
+        for child in sorted(b for a, b in edges if a == node and b in defined):
+            if child not in seen:
+                seen.add(child)
+                visit(child)
+        order.append(node)
+
+    for start in sorted(defined):
+        if start not in seen:
+            seen.add(start)
+            visit(start)
+    return order
+
+
+def test_post_order_matches_a_recursive_reference_on_random_digraphs():
+    for seed in range(40):
+        rng = random.Random(seed)
+        ids = [FuncId("t.c", "", f"f{i}", 0) for i in range(rng.randint(1, 12))]
+        external = FuncId("", "", "ext", 0)
+        fcg = Fcg()
+        for fid in rng.sample(ids, len(ids)):
+            fcg.defined[fid] = None
+        edges = [(rng.choice(ids), rng.choice(ids + [external]))
+                 for _ in range(rng.randint(0, 3 * len(ids)))]
+        for k, (a, b) in enumerate(edges):
+            fcg.add_edge(FcgEdge(a, b, site_index=k, site_line=k + 1))
+        assert _post_order(fcg) == _reference_post_order(set(ids), edges), seed
 
 
 # ---------------------------------------------------------------------------
