@@ -1,7 +1,7 @@
 """Walk the lexer output for a small translation unit.
 
 The analyzer never builds an AST.  Everything downstream works on this
-doubly linked token list, so the demo pokes at the links directly.
+token list, so the demo pokes at it by index directly.
 """
 
 from zkleak import tokenize
@@ -31,11 +31,12 @@ for tok in stream:
     print(f"{tok.index:>3}  {tok.line:>4}  {tok.kind.name:<11}  {tok.text}")
 print()
 
-# The list is doubly linked: each token knows its neighbours, which is
-# what lets the matcher and the event extractor peek around a hit
-# without re-scanning.
+# Each token knows its own index, so its neighbours are one step away:
+# that is what lets the matcher and the event extractor peek around a
+# hit without re-scanning.  ``get`` answers None past either end.
 t = stream[stream.texts().index("malloc")]
 print("around the malloc token:")
-print("  prev:", t.prev_link.text)
+print("  prev:", stream.get(t.index - 1).text)
 print("  self:", t.text)
-print("  next:", t.next_link.text)
+print("  next:", stream.get(t.index + 1).text)
+print("  before the first token:", stream.get(-1))

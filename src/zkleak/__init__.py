@@ -7,8 +7,7 @@ catalog of defect kinds and the command line surface.
 """
 
 from .defects import Defect, DefectKind, dedup_and_sort
-from .detect import (AnalysisResult, FileUnit, analyze_units, general_check,
-                     load_file, load_source, special_check)
+from .detect import FileUnit, load_source, special_check
 from .graphs import (Cfg, CfgNode, CfgNodeKind, Fcg, FuncId, build_cfg,
                      build_fcg, dump_cfg, dump_fcg, find_rings)
 from .machine import (FREE_MATCH, LEGAL_EDGES, AllocRecord, FreeRecord,
@@ -19,7 +18,7 @@ from .patterns import (BadPatternUnit, DefectPattern, builtin_patterns,
 from .report import (Annotation, DivisionByZeroActual,
                      DivisionByZeroDefects, Metrics, Report,
                      compute_fnr, compute_fpr, parse_annotations, run,
-                     run_paths, score)
+                     score)
 from .scopes import (ClassInfo, ScopeKind, ScopeNode, SymbolEntry,
                      build_scope_tree, collect_class_info, dump_scopes,
                      resolve)
@@ -31,7 +30,7 @@ from .tokens import LexToken, TokenKind, TokenStream, tokenize
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllocRecord", "AnalysisResult", "Annotation", "BadPatternUnit",
+    "AllocRecord", "Annotation", "BadPatternUnit",
     "BehaviorAction", "Cfg", "CfgNode", "CfgNodeKind", "ClassInfo",
     "Defect", "DefectKind", "DefectPattern", "DivisionByZeroActual",
     "DivisionByZeroDefects",
@@ -39,12 +38,12 @@ __all__ = [
     "FREE_MATCH", "LEGAL_EDGES", "LexToken", "Machine", "MachineError",
     "MachineSet", "MemState", "Metrics", "OwnerRef", "Report", "ScopeKind",
     "ScopeNode", "SummaryEntry", "SymbolEntry", "TokenKind", "TokenStream",
-    "analyze_units", "apply_summary", "build_cfg", "build_fcg",
+    "apply_summary", "build_cfg", "build_fcg",
     "build_scope_tree", "builtin_patterns", "collect_class_info",
     "compile_pattern", "compute_fnr", "compute_fpr", "dedup_and_sort",
     "dump_cfg", "dump_fcg", "dump_scopes", "dump_summaries", "find_rings",
-    "general_check", "load_file", "load_pattern_file", "load_source",
+    "load_pattern_file", "load_source",
     "make_call_handler", "match_all", "match_in_range", "parse_annotations",
-    "resolve", "run", "run_paths", "score", "special_check", "tokenize",
+    "resolve", "run", "score", "special_check", "tokenize",
     "update_all",
 ]

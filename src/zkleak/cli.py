@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit status: 0 when no defects were claimed, 1 when at least one defect
-was (warnings never affect the status), 2 on usage or input errors.
+was (warnings never affect the status), 2 on usage or input errors, 3
+when the analysis itself failed (an internal error, reported on stderr).
 """
 
 from __future__ import annotations
@@ -45,8 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--metrics", metavar="ANNOTATIONS",
                         help="'inline' to read EXPECT comments from the "
                              "sources, or a JSON sidecar path")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="parallel workers for the per-file front end")
     parser.add_argument("--strict-table2", action="store_true", dest="strict",
                         help="apply the literal transfer rules (an aliasing "
                              "copy loses the new owner again)")
@@ -101,37 +100,39 @@ def main(argv: Optional[List[str]] = None) -> int:
                       file=sys.stderr)
                 return 2
 
-    report = run(sources, catalog=catalog, strict=args.strict,
-                 jobs=max(args.jobs, 1), annotations=annotations,
-                 inline_annotations=inline)
-    result = report.result
-    assert result is not None
+    try:
+        report = run(sources, catalog=catalog, strict=args.strict,
+                     annotations=annotations, inline_annotations=inline)
+    except Exception as exc:
+        print(f"zkleak: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 3
 
     dumped = False
     if args.dump_scopes:
-        for unit in result.units:
+        for unit in report.units:
             print(f"== {unit.path}")
             print(dump_scopes(unit.root, unit.stream))
         dumped = True
     if args.dump_cfg:
         wanted = args.dump_cfg
         shown = 0
-        for fid in sorted(result.run.cfgs):
+        for fid in sorted(report.summary_run.cfgs):
             qualified = (f"{fid.class_name}::{fid.func_name}"
                          if fid.class_name else fid.func_name)
             if wanted in (fid.func_name, qualified):
                 print(f"== {fid.render()}")
-                print(dump_cfg(result.run.cfgs[fid]))
+                print(dump_cfg(report.summary_run.cfgs[fid]))
                 shown += 1
         if not shown:
             print(f"zkleak: error: no function named {wanted}", file=sys.stderr)
             return 2
         dumped = True
     if args.dump_fcg:
-        print(dump_fcg(result.fcg))
+        print(dump_fcg(report.fcg))
         dumped = True
     if args.dump_summaries:
-        print(dump_summaries(result.run))
+        print(dump_summaries(report.summary_run))
         dumped = True
     if dumped:
         return 0

@@ -1,9 +1,9 @@
-"""Whole-program defect detection.
+"""Per-file front end and the class-shape rules.
 
-``analyze_units`` is the one-stop entry: token streams are scoped,
-linked into a call graph, summarized leaves-first, and every function
-body is walked path-sensitively.  On top of the flow-based verdicts,
-three class-shape rules run directly over the scope tree:
+``load_source`` lexes one file, builds its scope tree and collects its
+class shapes; ``report.run`` feeds the resulting units to the call graph,
+the summaries and the path walk.  Beside the flow-based verdicts, three
+class-shape rules run directly over the scope tree:
 
 * a class used as a base whose destructor is not virtual,
 * a constructor-allocated pointer member the destructor never releases
@@ -15,17 +15,14 @@ three class-shape rules run directly over the scope tree:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .defects import Defect, DefectKind, dedup_and_sort
+from .defects import Defect, DefectKind
 from .events import AllocEvent, FreeEvent, _extract
-from .graphs import Fcg, build_fcg
-from .interp import PATH_BUDGET
 from .machine import FREE_MATCH
-from .patterns import DefectPattern, builtin_patterns, catalog_patterns
+from .patterns import DefectPattern, catalog_patterns
 from .scopes import ClassInfo, ScopeNode, build_scope_tree, collect_class_info
-from .summaries import SummaryRun, update_all
 from .tokens import TokenKind, TokenStream, tokenize
 
 
@@ -37,58 +34,11 @@ class FileUnit:
     classes: List[ClassInfo]
 
 
-@dataclass
-class AnalysisResult:
-    units: List[FileUnit]
-    fcg: Fcg
-    run: SummaryRun
-    defects: List[Defect]
-
-
 def load_source(name: str, text: str) -> FileUnit:
     stream = tokenize(text, name)
     root = build_scope_tree(stream)
     classes = collect_class_info(root, stream)
     return FileUnit(name, stream, root, classes)
-
-
-def load_file(path: str) -> FileUnit:
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        return load_source(path, fh.read())
-
-
-def analyze_units(units: List[FileUnit],
-                  catalog: Optional[Sequence[DefectPattern]] = None,
-                  strict: bool = False,
-                  budget: int = PATH_BUDGET) -> AnalysisResult:
-    catalog = catalog_patterns(catalog)
-    pairs = [(u.root, u.stream) for u in units]
-    fcg = build_fcg(pairs)
-    run = update_all(pairs, fcg, catalog, strict, budget)
-
-    defects = list(run.defects)
-    defects.extend(special_check(units, catalog))
-    defects.extend(fcg.warnings)
-    for unit in units:
-        for diag in unit.stream.diagnostics:
-            if diag.code in ("UnbalancedBraces", "UnbalancedParens"):
-                defects.append(Defect(
-                    kind=DefectKind.UNBALANCED_BRACES_WARNING,
-                    file=unit.path, line=diag.line, func="",
-                    message=diag.message))
-    return AnalysisResult(units, fcg, run, dedup_and_sort(defects))
-
-
-def general_check(units: List[FileUnit],
-                  catalog: Optional[Sequence[DefectPattern]] = None,
-                  strict: bool = False,
-                  budget: int = PATH_BUDGET) -> List[Defect]:
-    """Flow-based verdicts only (no class-shape rules, no warnings)."""
-    catalog = catalog_patterns(catalog)
-    pairs = [(u.root, u.stream) for u in units]
-    fcg = build_fcg(pairs)
-    run = update_all(pairs, fcg, catalog, strict, budget)
-    return dedup_and_sort(run.defects)
 
 
 # ---------------------------------------------------------------------------

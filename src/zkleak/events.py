@@ -92,7 +92,7 @@ Event = object  # union of the dataclasses above; kept loose on purpose
 _PRIORITY = {"alloc": 0, "free": 1, "transfer": 2}
 
 
-def _lhs_ok(tok: LexToken) -> bool:
+def _lhs_ok(stream: TokenStream, tok: LexToken) -> bool:
     """Assignment target guard: plain variable, declarator, or ``this->``.
 
     A ``*`` right before the variable is fine when it belongs to a
@@ -100,18 +100,18 @@ def _lhs_ok(tok: LexToken) -> bool:
     pointer (``*q = ...``); the token in front of the star run tells the
     two apart.
     """
-    prev = tok.prev_link
+    prev = stream.get(tok.index - 1)
     if prev is None:
         return True
     if prev.text == ".":
         return False
     if prev.text == "->":
-        holder = prev.prev_link
+        holder = stream.get(prev.index - 1)
         return holder is not None and holder.text == "this"
     if prev.text == "*":
-        before = prev.prev_link
+        before = stream.get(prev.index - 1)
         while before is not None and before.text in ("*", "const"):
-            before = before.prev_link
+            before = stream.get(before.index - 1)
         if before is None or before.text == "return":
             return False
         if before.text == ",":
@@ -186,18 +186,18 @@ def _to_events(stream: TokenStream, pattern: DefectPattern,
 
     if label in ("alloc.malloc", "alloc.calloc"):
         dst = vars_[0]
-        if not _lhs_ok(dst):
+        if not _lhs_ok(stream, dst):
             return []
         fn = label.split(".")[1]
         return [AllocEvent(m.first_p, dst.line, fn, dst.var_id, dst.text)]
 
     if label == "alloc.realloc":
         dst = vars_[0]
-        if not _lhs_ok(dst):
+        if not _lhs_ok(stream, dst):
             return []
         out: List[Event] = []
         # The old block is the first call argument, just past the "(".
-        src = stream[m.end_p] if m.end_p < len(stream) else None
+        src = stream.get(m.end_p)
         if (src is not None and src.kind is TokenKind.IDENTIFIER
                 and src.var_id > 0
                 and _next_text(stream, m.end_p + 1) in (",", ")")):
@@ -207,7 +207,7 @@ def _to_events(stream: TokenStream, pattern: DefectPattern,
 
     if label in ("alloc.new", "alloc.new_array"):
         dst = vars_[0]
-        if not _lhs_ok(dst):
+        if not _lhs_ok(stream, dst):
             return []
         fn = "new_array" if label.endswith("array") else "new"
         return [AllocEvent(m.first_p, dst.line, fn, dst.var_id, dst.text)]
@@ -227,14 +227,14 @@ def _to_events(stream: TokenStream, pattern: DefectPattern,
         dst, src = vars_[0], vars_[1]
         if after not in (";", ",", ")"):
             return []
-        if not _lhs_ok(dst) or dst.var_id == src.var_id:
+        if not _lhs_ok(stream, dst) or dst.var_id == src.var_id:
             return []
         return [AssignEvent(m.first_p, dst.line, dst.var_id, dst.text,
                             src.var_id, src.text)]
 
     if label == "transfer.null_assign":
         var = vars_[0]
-        if after not in (";", ",", ")") or not _lhs_ok(var):
+        if after not in (";", ",", ")") or not _lhs_ok(stream, var):
             return []
         return [NullAssignEvent(m.first_p, var.line, var.var_id, var.text)]
 
@@ -253,7 +253,7 @@ def _to_events(stream: TokenStream, pattern: DefectPattern,
     # delete [].  Unrecognized tails default to the malloc/free pair.
     if label.startswith("alloc.") and vars_:
         dst = vars_[0]
-        if not _lhs_ok(dst):
+        if not _lhs_ok(stream, dst):
             return []
         fn = _label_family(label[6:], _ALLOC_FAMILIES, "malloc")
         return [AllocEvent(m.first_p, dst.line, fn, dst.var_id, dst.text)]
@@ -296,7 +296,7 @@ def _return_allocs(stream: TokenStream, begin: int, end: int,
                                      RETURN_SLOT, "<return>"))
             covered.update(range(i, nxt + 2))
         elif tok.text == "realloc" and _next_text(stream, nxt + 1) == "(":
-            arg = stream[nxt + 2] if nxt + 2 < len(stream) else None
+            arg = stream.get(nxt + 2)
             if (arg is not None and arg.kind is TokenKind.IDENTIFIER
                     and arg.var_id > 0
                     and _next_text(stream, nxt + 3) in (",", ")")):
@@ -353,11 +353,11 @@ def _call_event(stream: TokenStream, site_idx: int, span_end: int,
 
     dst: Optional[int] = None
     dst_name = ""
-    prev = name_tok.prev_link
+    prev = stream.get(name_tok.index - 1)
     if prev is not None and prev.text == "=":
-        target = prev.prev_link
+        target = stream.get(prev.index - 1)
         if (target is not None and target.kind is TokenKind.IDENTIFIER
-                and target.var_id > 0 and _lhs_ok(target)):
+                and target.var_id > 0 and _lhs_ok(stream, target)):
             dst = target.var_id
             dst_name = target.text
     elif prev is not None and prev.text == "return":

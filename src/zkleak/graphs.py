@@ -44,7 +44,6 @@ class CfgNode:
     succ: List[int] = field(default_factory=list)
     pred: List[int] = field(default_factory=list)
     guard_text: str = ""
-    unreachable: bool = False
 
 
 @dataclass(frozen=True, order=True)
@@ -484,7 +483,6 @@ def build_cfg(func_scope: ScopeNode, stream: TokenStream) -> Cfg:
         structure=items,
         degraded=degraded,
     )
-    _mark_unreachable(cfg)
     return cfg
 
 
@@ -513,19 +511,6 @@ def _linear_chain(builder: _CfgBuilder, begin: int, end: int,
     return items, frontier
 
 
-def _mark_unreachable(cfg: Cfg) -> None:
-    seen = {cfg.entry}
-    work = [cfg.entry]
-    while work:
-        nid = work.pop()
-        for s in cfg.nodes[nid].succ:
-            if s not in seen:
-                seen.add(s)
-                work.append(s)
-    for node in cfg.nodes:
-        node.unreachable = node.id not in seen
-
-
 def dump_cfg(cfg: Cfg) -> str:
     lines = []
     for node in cfg.nodes:
@@ -548,9 +533,7 @@ class FcgEdge:
 
 @dataclass
 class Fcg:
-    nodes: Set[FuncId] = field(default_factory=set)
     edges: List[FcgEdge] = field(default_factory=list)
-    external: Set[FuncId] = field(default_factory=set)
     defined: Dict[FuncId, ScopeNode] = field(default_factory=dict)
     warnings: List[Defect] = field(default_factory=list)
     # caller -> {site token index: callee} in token order, filled by
@@ -590,7 +573,6 @@ def build_fcg(units: List[Tuple[ScopeNode, TokenStream]]) -> Fcg:
         for scope in root.function_scopes:
             fid = func_id_of(scope, stream)
             fcg.defined[fid] = scope
-            fcg.nodes.add(fid)
             by_key.setdefault((scope.owner_class, scope.name, len(scope.params)),
                               []).append(fid)
         for decl in root.declared_funcs:
@@ -620,13 +602,13 @@ def _scan_calls(fcg: Fcg, by_key, declared, scope: ScopeNode,
         tok = stream[i]
         if tok.kind is not TokenKind.IDENTIFIER:
             continue
-        nxt = tok.next_link
+        nxt = stream.get(i + 1)
         if nxt is None or nxt.text != "(":
             continue
-        prev = tok.prev_link
+        prev = stream.get(i - 1)
         receiver_class = ""
         if prev is not None and prev.text == "::":
-            qual = prev.prev_link
+            qual = stream.get(i - 2)
             if qual is not None and qual.text in stream.known_types:
                 receiver_class = qual.text
             else:
@@ -638,7 +620,7 @@ def _scan_calls(fcg: Fcg, by_key, declared, scope: ScopeNode,
                                    or prev.text in _NOT_CALL_PREV):
             continue  # declaration, not a direct call
         elif prev is not None and prev.text in (".", "->"):
-            recv = prev.prev_link
+            recv = stream.get(i - 2)
             if recv is not None and recv.text == "this":
                 receiver_class = scope.owner_class
             elif recv is not None and recv.kind is TokenKind.IDENTIFIER:
@@ -659,7 +641,6 @@ def _scan_calls(fcg: Fcg, by_key, declared, scope: ScopeNode,
         callee = _resolve_call(fcg, by_key, declared, tok, receiver_class,
                                scope.owner_class, arity, caller)
         fcg.add_edge(FcgEdge(caller, callee, i, tok.line))
-        fcg.nodes.add(callee)
 
 
 def _match_paren(stream: TokenStream, open_idx: int, end: int) -> Optional[int]:
@@ -709,12 +690,8 @@ def _resolve_call(fcg: Fcg, by_key, declared, tok: LexToken, receiver_class: str
             ))
             return chosen
         if (cls, tok.text, arity) in declared:
-            ext = declared[(cls, tok.text, arity)]
-            fcg.external.add(ext)
-            return ext
-    ext = FuncId("", receiver_class, tok.text, arity)
-    fcg.external.add(ext)
-    return ext
+            return declared[(cls, tok.text, arity)]
+    return FuncId("", receiver_class, tok.text, arity)
 
 
 def defined_successors(fcg: Fcg) -> Dict[FuncId, List[FuncId]]:

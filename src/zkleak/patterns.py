@@ -148,15 +148,15 @@ def unit_matches(unit: PatternUnit, token: LexToken, stream: TokenStream) -> boo
 
 
 def _try_match(stream: TokenStream, pattern: DefectPattern,
-               anchor: Optional[LexToken]) -> Optional[MatchSpan]:
-    token = anchor
+               anchor: LexToken) -> Optional[MatchSpan]:
+    token: Optional[LexToken] = anchor
     bindings: Dict[int, LexToken] = {}
     consumed = 0
     for idx, unit in enumerate(pattern.units):
         if isinstance(unit, Alternation):
             if token is not None and token.text in unit.choices:
                 consumed += 1
-                token = token.next_link
+                token = stream.get(token.index + 1)
             elif unit.allows_empty:
                 continue
             else:
@@ -167,25 +167,15 @@ def _try_match(stream: TokenStream, pattern: DefectPattern,
             if isinstance(unit, Abstract):
                 bindings[idx] = token
             consumed += 1
-            token = token.next_link
+            token = stream.get(token.index + 1)
     if consumed == 0:
         return None
-    assert anchor is not None
     return MatchSpan(anchor.index, anchor.index + consumed, bindings)
 
 
 def match_all(stream: TokenStream, pattern: DefectPattern) -> List[MatchSpan]:
     """All non-overlapping matches of *pattern*, in stream order."""
-    spans: List[MatchSpan] = []
-    anchor = stream.head
-    while anchor is not None:
-        span = _try_match(stream, pattern, anchor)
-        if span is not None:
-            spans.append(span)
-            anchor = stream[span.end_p] if span.end_p < len(stream) else None
-        else:
-            anchor = anchor.next_link
-    return spans
+    return match_in_range(stream, pattern, 0, len(stream))
 
 
 def match_in_range(stream: TokenStream, pattern: DefectPattern,

@@ -1,8 +1,9 @@
 """End-to-end runs, scoring and serialization.
 
-A run lexes every input (optionally in parallel), links the call graph,
-summarizes and checks, and wraps the verdicts with per-file stats and
-phase timings.  When annotations are supplied the verdict set is scored
+``run`` is the one analysis pipeline: it lexes every input, links the
+call graph, summarizes and checks, and wraps the verdicts with per-file
+stats, phase timings and the intermediate results the inspection dumps
+read.  When annotations are supplied the verdict set is scored
 against them: a claim matches an annotation when file and kind agree
 and the lines differ by at most one.
 
@@ -20,16 +21,15 @@ from __future__ import annotations
 import json
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .defects import Defect, DefectKind, dedup_and_sort
-from .detect import AnalysisResult, FileUnit, load_source, special_check
-from .graphs import build_fcg
+from .detect import FileUnit, load_source, special_check
+from .graphs import Fcg, build_fcg
 from .interp import PATH_BUDGET
-from .patterns import DefectPattern, builtin_patterns, catalog_patterns, load_pattern_file
-from .summaries import update_all
+from .patterns import DefectPattern, catalog_patterns
+from .summaries import SummaryRun, update_all
 
 VERSION = "0.1.0"
 
@@ -161,7 +161,9 @@ class Report:
     metrics: Optional[Metrics]
     phases: Dict[str, float]
     total_ms: float
-    result: Optional[AnalysisResult] = None
+    units: List[FileUnit]
+    fcg: Fcg
+    summary_run: SummaryRun
 
     def to_json(self) -> dict:
         doc = {
@@ -207,7 +209,6 @@ def _defect_json(d: Defect) -> dict:
 def run(sources: Sequence[Tuple[str, str]],
         catalog: Optional[Sequence[DefectPattern]] = None,
         strict: bool = False,
-        jobs: int = 1,
         annotations: Optional[Sequence[Annotation]] = None,
         inline_annotations: bool = False,
         budget: int = PATH_BUDGET) -> Report:
@@ -217,11 +218,7 @@ def run(sources: Sequence[Tuple[str, str]],
     phases: Dict[str, float] = {}
 
     t0 = time.perf_counter()
-    if jobs > 1 and len(sources) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            units = list(pool.map(lambda s: load_source(s[0], s[1]), sources))
-    else:
-        units = [load_source(path, text) for path, text in sources]
+    units = [load_source(path, text) for path, text in sources]
     phases["frontendMs"] = (time.perf_counter() - t0) * 1000
 
     t0 = time.perf_counter()
@@ -253,24 +250,15 @@ def run(sources: Sequence[Tuple[str, str]],
             all_annotations.extend(parse_annotations(text, path))
     metrics = score(defects, all_annotations) if all_annotations else None
 
-    result = AnalysisResult(units, fcg, summary_run,
-                            defects)
     files = [FileStat(u.path, u.stream.loc_count, len(u.stream)) for u in units]
-    report = Report(
+    return Report(
         files=files,
         defects=[d for d in defects if not d.is_warning()],
         warnings=[d for d in defects if d.is_warning()],
         metrics=metrics,
         phases=phases,
         total_ms=(time.perf_counter() - t_start) * 1000,
-        result=result,
+        units=units,
+        fcg=fcg,
+        summary_run=summary_run,
     )
-    return report
-
-
-def run_paths(paths: Sequence[str], **kwargs) -> Report:
-    sources = []
-    for path in paths:
-        with open(path, "r", encoding="utf-8", errors="replace") as fh:
-            sources.append((path, fh.read()))
-    return run(sources, **kwargs)

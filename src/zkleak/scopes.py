@@ -230,7 +230,6 @@ def build_scope_tree(stream: TokenStream) -> ScopeNode:
     _annotate_var_ids(stream, root, scope_by_id)
 
     stream.scoped = True
-    stream.scope_root = root
     return root
 
 
@@ -257,7 +256,7 @@ def _resplit_shift_tokens(stream: TokenStream) -> None:
         if tok.text in (";", "{", "}", ")"):
             pending.clear()
         elif tok.text == "<":
-            prev = tok.prev_link
+            prev = stream.get(i - 1)
             if prev is not None and (prev.kind is TokenKind.IDENTIFIER
                                      or prev.text in TYPE_KEYWORDS):
                 pending.append(i)
@@ -570,11 +569,9 @@ def _scan_declarations(stream: TokenStream, root: ScopeNode,
                 continue
         if tok.text in _STMT_ENDERS:
             stmt_start = True
-        elif tok.text == "(" and tok.prev_link is not None \
-                and tok.prev_link.text == "for":
+        elif tok.text == "(" and i > 0 and stream[i - 1].text == "for":
             stmt_start = True  # for-init declarations
-        elif tok.text == ":" and tok.prev_link is not None \
-                and tok.prev_link.text in _ACCESS_WORDS:
+        elif tok.text == ":" and i > 0 and stream[i - 1].text in _ACCESS_WORDS:
             stmt_start = True
         else:
             stmt_start = False

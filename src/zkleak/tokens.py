@@ -2,9 +2,9 @@
 
 The analyzer never builds an AST; everything downstream (scope discovery,
 pattern matching, control-flow recovery) works directly on the token
-stream produced here.  Tokens form a doubly linked list so that matching
-and annotation passes can walk in either direction, and each token
-records its physical source position.
+stream produced here.  Tokens sit in one list and know their own index, so
+matching and annotation passes step to a neighbour by index arithmetic,
+and each token records its physical source position.
 
 Preprocessing is deliberately shallow: directive lines are skipped whole,
 comments are stripped, and backslash-newline splices are honoured.  Macro
@@ -14,7 +14,7 @@ identifiers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, List, Optional, Set
 
@@ -88,7 +88,7 @@ class Diagnostic:
         return f"{self.file}:{self.line}:{self.column}: {self.code}: {self.message}"
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class LexToken:
     text: str
     kind: TokenKind
@@ -99,59 +99,35 @@ class LexToken:
     scope_id: int = 0
     var_id: int = 0
     index: int = -1
-    prev_link: Optional["LexToken"] = field(default=None, repr=False)
-    next_link: Optional["LexToken"] = field(default=None, repr=False)
 
-    def __repr__(self) -> str:  # keep linked-list reprs readable
+    def __repr__(self) -> str:
         return f"LexToken({self.text!r}, {self.kind.value}, {self.line}:{self.column})"
 
 
 class TokenStream:
-    """Doubly linked token list for one translation unit.
+    """Token list for one translation unit; ``stream[i].index == i``.
 
     The stream is immutable after construction except for the scope pass,
     which may re-split greedy ``>>`` tokens and annotates scope_id/var_id.
-    An index list is kept alongside the links for O(1) positional access.
+    Neighbours are read by index: ``get(tok.index - 1)`` is the previous
+    token, or None at the start of the stream.
     """
 
     def __init__(self, file: str) -> None:
         self.file = file
-        self.head: Optional[LexToken] = None
-        self.tail: Optional[LexToken] = None
         self.loc_count = 0
         self.diagnostics: List[Diagnostic] = []
         # Set by the scope pass.
         self.scoped = False
-        self.scope_root = None
         self.known_types: Set[str] = set()
         self._tokens: List[LexToken] = []
 
     def append(self, token: LexToken) -> None:
         token.index = len(self._tokens)
-        token.prev_link = self.tail
-        if self.tail is not None:
-            self.tail.next_link = token
-        else:
-            self.head = token
-        self.tail = token
         self._tokens.append(token)
 
     def split_token(self, index: int, parts: List[LexToken]) -> None:
         """Replace the token at *index* with *parts* (scope pass only)."""
-        old = self._tokens[index]
-        for prev, cur in zip(parts, parts[1:]):
-            prev.next_link = cur
-            cur.prev_link = prev
-        parts[0].prev_link = old.prev_link
-        parts[-1].next_link = old.next_link
-        if old.prev_link is not None:
-            old.prev_link.next_link = parts[0]
-        else:
-            self.head = parts[0]
-        if old.next_link is not None:
-            old.next_link.prev_link = parts[-1]
-        else:
-            self.tail = parts[-1]
         self._tokens[index:index + 1] = parts
         for i in range(index, len(self._tokens)):
             self._tokens[i].index = i
@@ -164,6 +140,12 @@ class TokenStream:
 
     def __getitem__(self, index: int) -> LexToken:
         return self._tokens[index]
+
+    def get(self, index: int) -> Optional[LexToken]:
+        """The token at *index*, or None outside the stream."""
+        if 0 <= index < len(self._tokens):
+            return self._tokens[index]
+        return None
 
     def texts(self) -> List[str]:
         return [t.text for t in self._tokens]

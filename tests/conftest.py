@@ -4,18 +4,8 @@ import pathlib
 
 import pytest
 
-from zkleak import analyze_units, load_source
-
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 CORPUS = FIXTURES / "corpus"
-
-
-def analyze(source: str, name: str = "unit.c", **kwargs):
-    return analyze_units([load_source(name, source)], **kwargs)
-
-
-def claim_kinds(result) -> list:
-    return [d.kind.value for d in result.defects if not d.is_warning()]
 
 
 @pytest.fixture

@@ -2,17 +2,19 @@
 
 from __future__ import annotations
 
-from zkleak.detect import analyze_units, general_check, load_source, special_check
-from zkleak.defects import DefectKind
+from zkleak.detect import load_source, special_check
+from zkleak.defects import DefectKind, dedup_and_sort
 from zkleak.graphs import build_cfg
 from zkleak.interp import explore, symbol_index
 from zkleak.patterns import catalog_patterns
+from zkleak.report import run
 from zkleak.scopes import build_scope_tree
 from zkleak.tokens import tokenize
 
 
 def flow(source: str, name: str = "f.c", **kwargs):
-    return general_check([load_source(name, source)], **kwargs)
+    """Flow-based verdicts only: no class-shape rules, no warnings."""
+    return dedup_and_sort(run([(name, source)], **kwargs).summary_run.defects)
 
 
 def shapes(source: str, name: str = "s.cc"):
@@ -20,7 +22,7 @@ def shapes(source: str, name: str = "s.cc"):
 
 
 def full(source: str, name: str = "u.cc", **kwargs):
-    return analyze_units([load_source(name, source)], **kwargs)
+    return run([(name, source)], **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +119,8 @@ def test_general_check_skips_class_rules():
         "class Leaky { public: Leaky ( ) { p = malloc ( 2 ) ; } "
         "~ Leaky ( ) { free ( p ) ; } char * p ; } ;\n")
     assert flow(source, "cls.cc") == []
-    # but the same class missing its release shows up in special_check
+    # the class-shape rules live in special_check, which does flag the
+    # same class once its release is missing
     bad = ("class Leaky { public: Leaky ( ) { p = malloc ( 2 ) ; } "
            "~ Leaky ( ) { } char * p ; } ;\n")
     kinds = [d.kind for d in shapes(bad)]
@@ -270,8 +273,8 @@ def test_render_includes_the_path_clause():
 
 def test_unbalanced_braces_surface_as_a_warning():
     result = full("void f ( ) { char * p ; p = malloc ( 4 ) ;", "broken.c")
-    warnings = [d for d in result.defects if d.is_warning()]
-    assert any(d.kind is DefectKind.UNBALANCED_BRACES_WARNING for d in warnings)
+    assert any(d.kind is DefectKind.UNBALANCED_BRACES_WARNING
+               for d in result.warnings)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import zkleak.report
 from zkleak.defects import Defect, DefectKind
 from zkleak.cli import main
 from zkleak.report import (
@@ -214,14 +215,6 @@ def test_render_text_layout():
     assert lines[-1] == "checked 1 file(s), 4 lines: 1 defect(s), 0 warning(s)"
 
 
-def test_parallel_front_end_changes_nothing():
-    sources = [(f"s{i}.c", _LEAKY.replace("f (", f"f{i} (")) for i in range(6)]
-    serial = run(sources, jobs=1)
-    threaded = run(sources, jobs=4)
-    assert ([d.render() for d in serial.defects]
-            == [d.render() for d in threaded.defects])
-
-
 # ---------------------------------------------------------------------------
 # Command line
 # ---------------------------------------------------------------------------
@@ -256,6 +249,29 @@ def test_cli_warnings_do_not_flip_the_exit_code(tmp_path, capsys):
                        "void f ( ) { char * p ; p = malloc ( 4 ) ; free ( p ) ;")
     assert main([truncated]) == 0
     assert "warning" in capsys.readouterr().out.lower()
+
+
+def test_cli_internal_error_has_its_own_exit_code(tmp_path, capsys,
+                                                  monkeypatch):
+    def broken(*_args, **_kwargs):
+        raise RuntimeError("summary pass broke")
+
+    monkeypatch.setattr(zkleak.report, "update_all", broken)
+    assert main([_write(tmp_path, "leaky.c", _LEAKY)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ("zkleak: internal error: RuntimeError: "
+                            "summary pass broke\n")
+    assert captured.out == ""
+
+
+def test_cli_deep_nesting_never_escapes_as_a_traceback(tmp_path, capsys):
+    depth = 1000
+    source = ("void f ( int v ) {" + " if ( v ) {" * depth + " v = 1 ;"
+              + " }" * depth + " }\n")
+    code = main([_write(tmp_path, "deep.c", source)])
+    err = capsys.readouterr().err
+    assert code in (0, 3)
+    assert code == 0 or err.startswith("zkleak: internal error: ")
 
 
 def test_cli_json_and_text_agree_on_the_claims(tmp_path, capsys):

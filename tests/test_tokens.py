@@ -1,7 +1,7 @@
 """Lexer behaviour against a reference character scanner.
 
 The reference scanner below was written first, straight from the token
-classification rules, and works on plain indexes with no linked list.
+classification rules, and works on plain character indexes.
 ``tokenize`` has to agree with it on lexeme text and source position
 over a pile of generated fixture files.
 """
@@ -13,6 +13,7 @@ import re
 
 from hypothesis import given, settings, strategies as st
 
+from zkleak.scopes import build_scope_tree
 from zkleak.tokens import (
     LexToken,
     TokenKind,
@@ -203,7 +204,7 @@ def test_basic_statement_tokens():
 def test_empty_source():
     stream = tokenize("", "empty.c")
     assert len(stream) == 0
-    assert stream.head is None and stream.tail is None
+    assert stream.get(0) is None
 
 
 def test_comment_dropped_after_delete():
@@ -275,17 +276,16 @@ def test_round_trip_whitespace_insensitive(seed):
 
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=60, deadline=None)
-def test_link_integrity(seed):
-    stream = tokenize(generate_source(seed), "li.c")
-    forward = list(stream)
-    backward = []
-    tok = stream.tail
-    while tok is not None:
-        backward.append(tok)
-        tok = tok.prev_link
-    assert forward == backward[::-1]
-    for a, b in zip(forward, forward[1:]):
-        assert a.next_link is b and b.prev_link is a
+def test_index_integrity(seed):
+    # The nested template's ">>" is split in place by the scope pass.
+    stream = tokenize("vector < vector < int >> v ;\n" + generate_source(seed),
+                      "ii.cc")
+    assert all(stream[i].index == i for i in range(len(stream)))
+    build_scope_tree(stream)
+    assert stream.texts()[:8] == ["vector", "<", "vector", "<", "int",
+                                  ">", ">", "v"]
+    assert all(stream[i].index == i for i in range(len(stream)))
+    assert stream.get(-1) is None and stream.get(len(stream)) is None
 
 
 @given(st.integers(min_value=0, max_value=10_000))
