@@ -16,12 +16,12 @@ class-shape rules run directly over the scope tree:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple, Union
 
 from .defects import Defect, DefectKind
 from .events import AllocEvent, FreeEvent, _extract
 from .machine import FREE_MATCH
-from .patterns import DefectPattern, catalog_patterns
+from .patterns import Catalog, DefectPattern, compile_catalog
 from .scopes import ClassInfo, ScopeNode, build_scope_tree, collect_class_info
 from .tokens import TokenKind, TokenStream, tokenize
 
@@ -46,8 +46,9 @@ def load_source(name: str, text: str) -> FileUnit:
 # ---------------------------------------------------------------------------
 
 def special_check(units: List[FileUnit],
-                  catalog: Optional[Sequence[DefectPattern]] = None) -> List[Defect]:
-    catalog = catalog_patterns(catalog)
+                  catalog: Union[Catalog, Sequence[DefectPattern], None] = None
+                  ) -> List[Defect]:
+    catalog = compile_catalog(catalog)
     defects: List[Defect] = []
     for unit in units:
         by_name = {c.name: c for c in unit.classes}
@@ -73,7 +74,7 @@ def special_check(units: List[FileUnit],
 
 
 def _member_events(unit: FileUnit, span: Tuple[int, int],
-                   catalog: Sequence[DefectPattern],
+                   catalog: Catalog,
                    member_ids: Dict[int, str]):
     """(alloc, free) event lists inside *span* that target pointer members."""
     allocs: List[AllocEvent] = []
@@ -87,7 +88,7 @@ def _member_events(unit: FileUnit, span: Tuple[int, int],
 
 
 def _ctor_dtor_rules(unit: FileUnit, cls: ClassInfo,
-                     catalog: Sequence[DefectPattern]) -> List[Defect]:
+                     catalog: Catalog) -> List[Defect]:
     defects: List[Defect] = []
     member_ids = {m.var_id: m.name for m in cls.pointer_members}
     if not member_ids:
@@ -129,7 +130,7 @@ def _ctor_dtor_rules(unit: FileUnit, cls: ClassInfo,
 
 def _shallow_copy_rule(unit: FileUnit, cls: ClassInfo,
                        ctor_allocs: List[AllocEvent],
-                       catalog: Sequence[DefectPattern]) -> List[Defect]:
+                       catalog: Catalog) -> List[Defect]:
     owned_ids = {ev.owner: ev.owner_name for ev in ctor_allocs}
     if cls.copy_ctor is None and cls.assign_op is None:
         names = ", ".join(sorted(set(owned_ids.values())))

@@ -13,10 +13,10 @@ in a return expression.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .graphs import Cfg, CfgNode, FuncId
-from .patterns import DefectPattern, MatchSpan, match_in_range
+from .patterns import Catalog, DefectPattern, MatchSpan, match_in_range
 from .tokens import LexToken, TokenKind, TokenStream
 
 RETURN_SLOT = -1
@@ -128,7 +128,7 @@ def _binding_list(span: MatchSpan) -> List[LexToken]:
     return [span.bindings[k] for k in sorted(span.bindings)]
 
 
-def node_events(cfg: Cfg, node: CfgNode, catalog: Sequence[DefectPattern],
+def node_events(cfg: Cfg, node: CfgNode, catalog: Catalog,
                 site_map: Dict[int, FuncId]) -> List[Event]:
     """Events for one node, cached on the CFG (nodes are walked twice)."""
     cached = cfg.node_events.get(node.id)
@@ -140,17 +140,26 @@ def node_events(cfg: Cfg, node: CfgNode, catalog: Sequence[DefectPattern],
 
 
 def _extract(stream: TokenStream, span: Optional[Tuple[int, int]],
-             catalog: Sequence[DefectPattern],
+             catalog: Catalog,
              site_map: Dict[int, FuncId]) -> List[Event]:
     if span is None or span[0] >= span[1]:
         return []
     begin, end = span
 
+    # One read of the span finds where each anchored pattern could start;
+    # a pattern with no candidate start is not tried at all.
+    starts = catalog.starts(stream, begin, end)
     candidates: Dict[int, Tuple[int, int, DefectPattern, MatchSpan]] = {}
-    for pattern in catalog:
+    for idx, pattern in enumerate(catalog.patterns):
+        if pattern.anchor is None:
+            found = match_in_range(stream, pattern, begin, end)
+        elif idx in starts:
+            found = match_in_range(stream, pattern, begin, end, starts[idx])
+        else:
+            continue
         group = pattern.label.split(".", 1)[0]
         prio = _PRIORITY.get(group, 3)
-        for m in match_in_range(stream, pattern, begin, end):
+        for m in found:
             key = m.first_p
             length = m.end_p - m.first_p
             old = candidates.get(key)

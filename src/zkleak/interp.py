@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .defects import DefectKind, PathCond
 from .events import (AllocEvent, AssignEvent, CallEvent, FreeEvent,
@@ -31,7 +31,7 @@ from .events import (AllocEvent, AssignEvent, CallEvent, FreeEvent,
 from .graphs import (BreakStmt, Cfg, ContinueStmt, FuncId, IfStruct,
                      LoopStruct, ReturnStmt, SeqStmt, SwitchStruct)
 from .machine import Machine, MachineError, MachineSet, MemState
-from .patterns import DefectPattern
+from .patterns import Catalog, DefectPattern, compile_catalog
 from .scopes import ScopeNode, SymbolEntry
 from .tokens import Diagnostic
 
@@ -114,7 +114,7 @@ def symbol_index(root: ScopeNode) -> Dict[int, SymbolEntry]:
 
 
 class Interp:
-    def __init__(self, cfg: Cfg, catalog: Sequence[DefectPattern],
+    def __init__(self, cfg: Cfg, catalog: Catalog,
                  site_map: Dict[int, FuncId],
                  symbols: Dict[int, SymbolEntry],
                  call_handler: Optional[CallHandler] = None,
@@ -461,13 +461,13 @@ def default_call_effect(interp: Interp, variant: Variant, ev: CallEvent) -> None
         interp.repoint(variant, ev.dst, ev.line, "reassigned from a call result")
 
 
-def explore(cfg: Cfg, catalog: Sequence[DefectPattern],
+def explore(cfg: Cfg, catalog: Union[Catalog, Sequence[DefectPattern]],
             site_map: Dict[int, FuncId],
             symbols: Dict[int, SymbolEntry],
             call_handler: Optional[CallHandler] = None,
             strict: bool = False,
             budget: int = PATH_BUDGET) -> ExploreOutcome:
-    return Interp(cfg, catalog, site_map, symbols,
+    return Interp(cfg, compile_catalog(catalog), site_map, symbols,
                   call_handler, strict, budget).run()
 
 

@@ -17,12 +17,22 @@ consume the current token always does.  ``match_all`` scans left to
 right and never returns overlapping spans; after a match it resumes at
 the first token past the match, after a failure it re-anchors one token
 later.
+
+``compile_pattern`` also records the pattern's anchor: a literal,
+character class or non-empty alternation at a fixed token offset (every
+unit before it takes one token), preferring word-like texts, so
+``%var% = malloc (`` is anchored on ``malloc`` at offset 2.  Matches are
+only tried ``offset`` tokens before a token the anchor accepts.  A
+``Catalog`` compiles a pattern list into one table from anchor text to
+(pattern index, offset) and reads a span once to find every pattern's
+starts.  A pattern with no anchor (an optional alternation first, or
+only abstractions) is tried at every position.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from .tokens import LexToken, TokenKind, TokenStream, TYPE_KEYWORDS
 
@@ -72,6 +82,9 @@ class DefectPattern:
     units: Tuple[PatternUnit, ...]
     source: str
     label: str = ""
+    # (offset, texts): the token at *offset* in every match has one of
+    # *texts*.  None makes the matcher try every position.
+    anchor: Optional[Tuple[int, FrozenSet[str]]] = None
 
 
 @dataclass
@@ -103,7 +116,25 @@ def compile_pattern(text: str, label: str = "") -> DefectPattern:
             units.append(Literal(raw))
     if not units:
         raise BadPatternUnit(text, 0)
-    return DefectPattern(tuple(units), text, label)
+    return DefectPattern(tuple(units), text, label, _anchor(units))
+
+
+def _anchor(units: List[PatternUnit]) -> Optional[Tuple[int, FrozenSet[str]]]:
+    """The first word-like fixed-offset unit, else the first one at all."""
+    candidates: List[Tuple[int, FrozenSet[str]]] = []
+    for offset, unit in enumerate(units):
+        if isinstance(unit, Literal):
+            candidates.append((offset, frozenset([unit.text])))
+        elif isinstance(unit, CharClass):
+            candidates.append((offset, unit.chars))
+        elif isinstance(unit, Alternation):
+            if unit.allows_empty:
+                break  # later units sit at a variable offset
+            candidates.append((offset, frozenset(unit.choices)))
+    for offset, texts in candidates:
+        if all(t[0].isalnum() or t[0] == "_" for t in texts):
+            return offset, texts
+    return candidates[0] if candidates else None
 
 
 def unit_matches(unit: PatternUnit, token: LexToken, stream: TokenStream) -> bool:
@@ -148,8 +179,8 @@ def unit_matches(unit: PatternUnit, token: LexToken, stream: TokenStream) -> boo
 
 
 def _try_match(stream: TokenStream, pattern: DefectPattern,
-               anchor: LexToken) -> Optional[MatchSpan]:
-    token: Optional[LexToken] = anchor
+               start: LexToken) -> Optional[MatchSpan]:
+    token: Optional[LexToken] = start
     bindings: Dict[int, LexToken] = {}
     consumed = 0
     for idx, unit in enumerate(pattern.units):
@@ -170,7 +201,7 @@ def _try_match(stream: TokenStream, pattern: DefectPattern,
             token = stream.get(token.index + 1)
     if consumed == 0:
         return None
-    return MatchSpan(anchor.index, anchor.index + consumed, bindings)
+    return MatchSpan(start.index, start.index + consumed, bindings)
 
 
 def match_all(stream: TokenStream, pattern: DefectPattern) -> List[MatchSpan]:
@@ -179,18 +210,57 @@ def match_all(stream: TokenStream, pattern: DefectPattern) -> List[MatchSpan]:
 
 
 def match_in_range(stream: TokenStream, pattern: DefectPattern,
-                   begin: int, end: int) -> List[MatchSpan]:
-    """match_all restricted to token indexes [begin, end)."""
+                   begin: int, end: int,
+                   starts: Optional[Sequence[int]] = None) -> List[MatchSpan]:
+    """match_all restricted to token indexes [begin, end).
+
+    Only the ascending positions *starts* are tried; by default those
+    where the pattern's anchor allows a match, or every position.
+    """
+    if starts is None:
+        starts = (range(begin, end) if pattern.anchor is None
+                  else Catalog([pattern]).starts(stream, begin, end).get(0, []))
     spans: List[MatchSpan] = []
-    i = begin
-    while i < end:
+    resume = begin
+    for i in starts:
+        if i < resume:
+            continue
         span = _try_match(stream, pattern, stream[i])
         if span is not None and span.end_p <= end:
             spans.append(span)
-            i = span.end_p
-        else:
-            i += 1
+            resume = span.end_p
     return spans
+
+
+class Catalog:
+    """A pattern list with its dispatch table, built once per run.
+
+    ``by_text`` maps each anchor text to the (pattern index, offset)
+    pairs anchored on it; patterns without an anchor are not in it.
+    """
+
+    def __init__(self, patterns: Sequence[DefectPattern]) -> None:
+        self.patterns = list(patterns)
+        self.by_text: Dict[str, List[Tuple[int, int]]] = {}
+        for idx, pattern in enumerate(self.patterns):
+            if pattern.anchor is not None:
+                offset, texts = pattern.anchor
+                for text in texts:
+                    self.by_text.setdefault(text, []).append((idx, offset))
+
+    def starts(self, stream: TokenStream, begin: int,
+               end: int) -> Dict[int, List[int]]:
+        """Pattern index -> ascending candidate starts in [begin, end)."""
+        found: Dict[int, List[int]] = {}
+        by_text = self.by_text
+        for tok in stream.window(begin, end):
+            hits = by_text.get(tok.text)
+            if hits is not None:
+                for idx, offset in hits:
+                    start = tok.index - offset
+                    if start >= begin:
+                        found.setdefault(idx, []).append(start)
+        return found
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +304,13 @@ def catalog_patterns(catalog=None) -> List[DefectPattern]:
     if isinstance(catalog, dict):
         return list(catalog.values())
     return list(catalog)
+
+
+def compile_catalog(catalog=None) -> Catalog:
+    """A Catalog from None (built-ins), a mapping, a sequence or a Catalog."""
+    if isinstance(catalog, Catalog):
+        return catalog
+    return Catalog(catalog_patterns(catalog))
 
 
 def load_pattern_file(path: str) -> Dict[str, DefectPattern]:

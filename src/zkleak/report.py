@@ -22,13 +22,13 @@ import json
 import re
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .defects import Defect, DefectKind, dedup_and_sort
 from .detect import FileUnit, load_source, special_check
 from .graphs import Fcg, build_fcg
 from .interp import PATH_BUDGET
-from .patterns import DefectPattern, catalog_patterns
+from .patterns import Catalog, DefectPattern, compile_catalog
 from .summaries import SummaryRun, update_all
 
 VERSION = "0.1.0"
@@ -207,13 +207,13 @@ def _defect_json(d: Defect) -> dict:
 
 
 def run(sources: Sequence[Tuple[str, str]],
-        catalog: Optional[Sequence[DefectPattern]] = None,
+        catalog: Union[Catalog, Sequence[DefectPattern], None] = None,
         strict: bool = False,
         annotations: Optional[Sequence[Annotation]] = None,
         inline_annotations: bool = False,
         budget: int = PATH_BUDGET) -> Report:
     """Analyze (path, text) pairs and assemble a report."""
-    catalog = catalog_patterns(catalog)
+    catalog = compile_catalog(catalog)
     t_start = time.perf_counter()
     phases: Dict[str, float] = {}
 

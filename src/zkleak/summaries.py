@@ -20,7 +20,7 @@ defects but never refined, so the worklist always terminates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .defects import Defect, DefectKind, PathCond
 from .graphs import Cfg, Fcg, FuncId, build_cfg, defined_successors, find_rings
@@ -29,7 +29,7 @@ from .interp import (ExploreOutcome, ExternObj, Interp, RecordedError,
                      explore, finish_variants, symbol_index, PATH_BUDGET)
 from .events import CallEvent, RETURN_SLOT
 from .machine import AllocRecord, Machine, MachineError, MemState
-from .patterns import DefectPattern
+from .patterns import Catalog, DefectPattern, compile_catalog
 from .scopes import ScopeNode, SymbolEntry
 from .tokens import TokenStream
 
@@ -302,9 +302,11 @@ def _to_defect(rec: RecordedError, cfg: Cfg) -> Defect:
 
 
 def update_all(units: List[Tuple[ScopeNode, TokenStream]], fcg: Fcg,
-               catalog: Sequence[DefectPattern], strict: bool = False,
+               catalog: Union[Catalog, Sequence[DefectPattern]],
+               strict: bool = False,
                budget: int = PATH_BUDGET) -> SummaryRun:
     """Summarize every defined function, leaves first, and collect defects."""
+    catalog = compile_catalog(catalog)
     symbols_by_file: Dict[str, Dict[int, SymbolEntry]] = {}
     streams: Dict[str, TokenStream] = {}
     for root, stream in units:

@@ -6,6 +6,12 @@ stream produced here.  Tokens sit in one list and know their own index, so
 matching and annotation passes step to a neighbour by index arithmetic,
 and each token records its physical source position.
 
+Scanning is one compiled master pattern, matched again and again from
+the end of the previous match over the raw text: each match is the
+blanks before one lexeme plus the lexeme, named by its group.  Positions
+are physical lines and columns, kept by counting the line breaks each
+match spans.
+
 Preprocessing is deliberately shallow: directive lines are skipped whole,
 comments are stripped, and backslash-newline splices are honoured.  Macro
 expansion is out of scope; unexpanded macro names simply lex as
@@ -14,6 +20,7 @@ identifiers.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, List, Optional, Set
@@ -68,10 +75,7 @@ _OPERATOR_SET = frozenset(OPERATOR_TEXTS)
 _IDENT_START = frozenset(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"
 )
-_IDENT_CONT = _IDENT_START | frozenset("0123456789")
 _DIGITS = frozenset("0123456789")
-
-_STRING_PREFIXES = frozenset(["L", "u", "U", "u8"])
 
 
 @dataclass
@@ -141,6 +145,10 @@ class TokenStream:
     def __getitem__(self, index: int) -> LexToken:
         return self._tokens[index]
 
+    def window(self, begin: int, end: int) -> List[LexToken]:
+        """The tokens at indexes [begin, end), clipped to the stream."""
+        return self._tokens[begin:end]
+
     def get(self, index: int) -> Optional[LexToken]:
         """The token at *index*, or None outside the stream."""
         if 0 <= index < len(self._tokens):
@@ -187,50 +195,34 @@ def classify_text(text: str) -> TokenKind:
     return TokenKind.OPERATOR
 
 
-class _Scanner:
-    """Character cursor with physical line/column tracking.
-
-    Backslash-newline splices are consumed transparently by advance(), so
-    a token started after a splice carries the physical line of its first
-    real character.
-    """
-
-    def __init__(self, source: str) -> None:
-        self.src = source
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.src)
-
-    def peek(self, offset: int = 0) -> str:
-        i = self.pos + offset
-        return self.src[i] if i < len(self.src) else ""
-
-    def advance(self) -> str:
-        ch = self.src[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return ch
-
-    def splice(self) -> bool:
-        """Consume a backslash-newline pair if present."""
-        if self.peek() == "\\":
-            if self.peek(1) == "\n":
-                self.advance()
-                self.advance()
-                return True
-            if self.peek(1) == "\r" and self.peek(2) == "\n":
-                self.advance()
-                self.advance()
-                self.advance()
-                return True
-        return False
+# The master pattern: leading blanks, then one lexeme named by its group.
+# Alternatives are tried in order, so a prefixed literal wins over its
+# prefix word, comments over "/", numbers over "." and longer operators
+# over their prefixes.  A backslash-newline splice is transparent inside
+# words, numbers, line comments and directives, kept inside literals
+# (CRLF as LF) and a separator anywhere else.  A literal escape takes the
+# next character, a splice or nothing at the end of the text; a bare line
+# break leaves the literal unterminated.
+_SPLICE = r"(?:\\\r?\n)"
+_OPERATORS = "|".join(map(re.escape, OPERATOR_TEXTS))
+_MASTER = re.compile(rf"""[ \t\r\f\v]*(?:
+    (?P<punct>[()\[\]{{}};,])
+  | (?P<literal>(?P<prefix>(?:u{_SPLICE}*8|[LUu]){_SPLICE}*)?(?P<quote>["'])
+        (?:[^"'\\\n]+|\\(?:\r?\n|[^\n])?|(?!(?P=quote))["'])*(?P<close>(?P=quote))?)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*(?:{_SPLICE}+[A-Za-z0-9_]+)*)
+  | (?P<number>\.?[0-9](?:{_SPLICE}*(?:[eEpP](?:{_SPLICE}*[+-])?|[A-Za-z0-9_.]))*)
+  | (?P<nl>\n)
+  | (?P<comment>//(?:[^\\\n]+|{_SPLICE}|\\)*)
+  | (?P<block>/\*)
+  | (?P<op>{_OPERATORS})
+  | (?P<splice>{_SPLICE})
+  | (?P<directive>\#(?:[^\\\n]+|{_SPLICE}|\\)*)
+  | (?P<glyph>[^ \t\r\f\v\n])
+)""", re.VERBOSE)
+_SPLICE_RE = re.compile(_SPLICE)
+# Kinds fixed by the group alone; a word that is reserved is a Keyword.
+_TOKEN_KINDS = {"punct": TokenKind.PUNCTUATOR, "op": TokenKind.OPERATOR,
+                "ident": TokenKind.IDENTIFIER, "number": TokenKind.NUMBER}
 
 
 def tokenize(source: str, file: str = "<memory>") -> TokenStream:
@@ -242,158 +234,70 @@ def tokenize(source: str, file: str = "<memory>") -> TokenStream:
     """
     stream = TokenStream(file)
     stream.loc_count = source.count("\n") + (1 if source and not source.endswith("\n") else 0)
-    sc = _Scanner(source)
-
-    def emit(text: str, kind: TokenKind, line: int, col: int) -> None:
-        stream.append(LexToken(text, kind, file, line, col))
-
-    def warn(code: str, message: str, line: int, col: int) -> None:
-        stream.diagnostics.append(Diagnostic(code, message, file, line, col))
-
+    emit = stream.append
+    diagnostics = stream.diagnostics
+    match = _MASTER.match
+    line = 1
+    line_start = 0  # offset of the first character of the current line
     at_line_start = True
-    while not sc.at_end():
-        if sc.splice():
-            continue
-        ch = sc.peek()
+    m = match(source)
 
-        if ch == "\n":
-            sc.advance()
-            at_line_start = True
-            continue
-        if ch in " \t\r\f\v":
-            sc.advance()
-            continue
-
-        # Comments.
-        if ch == "/" and sc.peek(1) == "/":
-            while not sc.at_end() and sc.peek() != "\n":
-                if not sc.splice():
-                    sc.advance()
-            continue
-        if ch == "/" and sc.peek(1) == "*":
-            line, col = sc.line, sc.col
-            sc.advance()
-            sc.advance()
-            closed = False
-            while not sc.at_end():
-                if sc.peek() == "*" and sc.peek(1) == "/":
-                    sc.advance()
-                    sc.advance()
-                    closed = True
-                    break
-                sc.advance()
-            if not closed:
-                warn("UnterminatedComment", "block comment never closed", line, col)
+    while m is not None:  # None once only blanks are left
+        group = m.lastgroup
+        pos = m.start(group)
+        end = m.end()
+        col = pos - line_start + 1
+        kind = _TOKEN_KINDS.get(group)
+        if kind is not None:
+            text = m.group(group)
+            if "\\" in text:  # a word or number continued over splices
+                text = _SPLICE_RE.sub("", text)
+            if text in KEYWORDS:
+                kind = TokenKind.KEYWORD
+            emit(LexToken(text, kind, file, line, col))
             at_line_start = False
-            continue
+        elif group == "nl":
+            at_line_start = True
+        elif group == "literal":
+            quote_at = m.start("quote")
+            quote = source[quote_at]
+            if m.start("close") < 0:
+                # Reported where the quote sits, after any prefix.
+                q_line = line + source.count("\n", pos, quote_at)
+                q_start = max(line_start, source.rfind("\n", pos, quote_at) + 1)
+                code = "UnterminatedString" if quote == '"' else "UnterminatedCharLiteral"
+                diagnostics.append(Diagnostic(code, f"missing closing {quote}",
+                                              file, q_line, quote_at - q_start + 1))
+            literal = source[quote_at:end].replace("\\\r\n", "\\\n")
+            prefix = _SPLICE_RE.sub("", source[pos:quote_at])
+            emit(LexToken(prefix + literal, TokenKind.STRING_LITERAL if quote == '"'
+                          else TokenKind.CHAR_LITERAL, file, line, col))
+            at_line_start = False
+        elif group == "block":
+            close = source.find("*/", end)
+            if close < 0:
+                diagnostics.append(Diagnostic("UnterminatedComment",
+                                              "block comment never closed",
+                                              file, line, col))
+            end = len(source) if close < 0 else close + 2
+            at_line_start = False
+        elif group == "glyph" or (group == "directive" and not at_line_start):
+            # A stray glyph, or "#" after a token on its line: keep going,
+            # but say so.
+            ch = source[pos]
+            end = pos + 1
+            diagnostics.append(Diagnostic("UnknownGlyph", f"unexpected character {ch!r}",
+                                          file, line, col))
+            emit(LexToken(ch, TokenKind.OPERATOR, file, line, col))
+            at_line_start = False
+        # Splices, line comments and directives are skipped and leave the
+        # line start as it was.
 
-        # Preprocessor directives are skipped whole, including spliced
-        # continuation lines.
-        if ch == "#" and at_line_start:
-            while not sc.at_end() and sc.peek() != "\n":
-                if not sc.splice():
-                    sc.advance()
-            continue
-
-        at_line_start = False
-        line, col = sc.line, sc.col
-
-        # Identifier / keyword, possibly a string prefix.
-        if ch in _IDENT_START:
-            text = sc.advance()
-            while not sc.at_end():
-                if sc.splice():
-                    continue
-                if sc.peek() in _IDENT_CONT:
-                    text += sc.advance()
-                else:
-                    break
-            if text in _STRING_PREFIXES and sc.peek() in "\"'":
-                quote = sc.peek()
-                lit = _scan_quoted(sc, warn)
-                kind = TokenKind.STRING_LITERAL if quote == '"' else TokenKind.CHAR_LITERAL
-                emit(text + lit, kind, line, col)
-                continue
-            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENTIFIER
-            emit(text, kind, line, col)
-            continue
-
-        # Numbers: digit-led, or a dot followed by a digit.  The scan is
-        # pp-number flavoured, which keeps hex, binary, floats, suffixes
-        # and exponent signs in a single token.
-        if ch in _DIGITS or (ch == "." and sc.peek(1) in _DIGITS):
-            text = sc.advance()
-            while not sc.at_end():
-                if sc.splice():
-                    continue
-                nxt = sc.peek()
-                if nxt in _IDENT_CONT or nxt == ".":
-                    text += sc.advance()
-                elif nxt in "+-" and text[-1] in "eEpP" and len(text) > 1:
-                    text += sc.advance()
-                else:
-                    break
-            emit(text, TokenKind.NUMBER, line, col)
-            continue
-
-        # String / char literals.
-        if ch in "\"'":
-            quote = ch
-            lit = _scan_quoted(sc, warn)
-            kind = TokenKind.STRING_LITERAL if quote == '"' else TokenKind.CHAR_LITERAL
-            emit(lit, kind, line, col)
-            continue
-
-        # Operators by maximal munch, then punctuators.
-        matched = None
-        for op in OPERATOR_TEXTS:
-            if sc.src.startswith(op, sc.pos):
-                matched = op
-                break
-        if matched is not None:
-            for _ in matched:
-                sc.advance()
-            emit(matched, TokenKind.OPERATOR, line, col)
-            continue
-        if ch in PUNCTUATOR_TEXTS:
-            sc.advance()
-            emit(ch, TokenKind.PUNCTUATOR, line, col)
-            continue
-
-        # Unknown glyph: keep going, but say so.
-        sc.advance()
-        warn("UnknownGlyph", f"unexpected character {ch!r}", line, col)
-        emit(ch, TokenKind.OPERATOR, line, col)
+        if kind is None or len(text) < end - pos:  # may span lines
+            newlines = source.count("\n", pos, end)
+            if newlines:
+                line += newlines
+                line_start = source.rfind("\n", pos, end) + 1
+        m = match(source, end)
 
     return stream
-
-
-def _scan_quoted(sc: _Scanner, warn) -> str:
-    """Scan a quoted literal starting at the opening quote.
-
-    An unterminated literal ends at the line break and is reported; the
-    escaped-newline form is the only way a literal may span lines.
-    """
-    quote = sc.peek()
-    line, col = sc.line, sc.col
-    text = sc.advance()
-    while not sc.at_end():
-        ch = sc.peek()
-        if ch == "\n":
-            code = "UnterminatedString" if quote == '"' else "UnterminatedCharLiteral"
-            warn(code, f"missing closing {quote}", line, col)
-            return text
-        if ch == "\\":
-            if sc.splice():
-                text += "\\\n"
-                continue
-            text += sc.advance()
-            if not sc.at_end() and sc.peek() != "\n":
-                text += sc.advance()
-            continue
-        text += sc.advance()
-        if ch == quote:
-            return text
-    code = "UnterminatedString" if quote == '"' else "UnterminatedCharLiteral"
-    warn(code, f"missing closing {quote}", line, col)
-    return text

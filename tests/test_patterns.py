@@ -2,32 +2,38 @@
 
 ``oracle_match_all`` below is the brute-force matcher: plain token-list
 indexing, one independent attempt per start position, written from the
-unit table before the production matcher.  The production matcher walks
-the linked list and must produce identical span sets.
+unit table before the production matcher.  The production matcher tries
+only the start positions a pattern's anchor allows and must produce
+identical span sets.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zkleak.events import _extract
 from zkleak.patterns import (
     Abstract,
     Alternation,
     BadPatternUnit,
+    Catalog,
     CharClass,
     DefectPattern,
     Literal,
     MatchSpan,
     builtin_patterns,
     catalog_patterns,
+    compile_catalog,
     compile_pattern,
     match_all,
     match_in_range,
 )
+from zkleak.report import run
 from zkleak.scopes import build_scope_tree
 from zkleak.tokens import TokenKind, tokenize
 
@@ -172,6 +178,24 @@ def all_patterns():
     return pats
 
 
+# Patterns that exercise anchor selection: a literal behind an optional
+# unit (no fixed offset, so no anchor), a character-class anchor,
+# multi-text anchors, and a hand-built pattern that carries no anchor.
+_ANCHOR_PATTERNS = [
+    "int|char| %var% = %num%",
+    "%var% [+-] %num%",
+    "%name% <|>|<=|>= %num%",
+    "( NULL|nullptr|0 )",
+    "free|delete %var% ;",
+]
+
+
+def anchor_patterns():
+    pats = [compile_pattern(text) for text in _ANCHOR_PATTERNS]
+    pats.append(DefectPattern((Abstract("var"), Literal("=")), "%var% =", "hand"))
+    return pats
+
+
 # ---------------------------------------------------------------------------
 # Oracle equivalence
 # ---------------------------------------------------------------------------
@@ -186,6 +210,46 @@ def test_match_all_equals_oracle_on_200_random_streams():
             assert got == want, (seed, pattern.source)
 
 
+def test_anchored_patterns_equal_oracle_on_200_random_streams():
+    patterns = anchor_patterns()
+    for seed in range(200):
+        stream = make_stream(seed)
+        begin, end = 2, max(2, len(stream) - 2)
+        for pattern in patterns:
+            got = _spans_as_tuples(match_all(stream, pattern))
+            want = _oracle_as_tuples(oracle_match_all(stream, pattern))
+            assert got == want, (seed, pattern.source)
+            clipped = [(s.first_p, s.end_p)
+                       for s in match_in_range(stream, pattern, begin, end)]
+            assert clipped == _oracle_in_window(stream, pattern, begin, end)
+
+
+def test_anchor_is_a_fixed_offset_unit_preferring_words():
+    def anchor(text):
+        return compile_pattern(text).anchor
+
+    assert anchor("%var% = malloc (") == (2, frozenset({"malloc"}))
+    assert anchor("%var% = %var%") == (1, frozenset({"="}))
+    assert anchor("%var% = NULL|nullptr|0") == (2, frozenset({"NULL", "nullptr", "0"}))
+    assert anchor("delete [ ] %var%") == (0, frozenset({"delete"}))
+    assert anchor("%var% [+-] %num%") == (1, frozenset({"+", "-"}))
+    assert anchor("int|char| %var% = %num%") is None
+    assert anchor("= int|char| malloc") == (0, frozenset({"="}))
+    assert anchor("%var% %comp% %num%") is None
+    assert anchor_patterns()[-1].anchor is None
+
+
+def test_catalog_table_maps_anchor_texts_to_pattern_offsets():
+    catalog = compile_catalog(None)
+    labels = [p.label for p in catalog.patterns]
+    assert catalog.by_text["malloc"] == [(labels.index("alloc.malloc"), 2)]
+    assert (labels.index("transfer.null_assign"), 2) in catalog.by_text["NULL"]
+    assert sorted(catalog.by_text) == sorted([
+        "malloc", "calloc", "realloc", "new", "free", "delete", "=",
+        "return", "++", "--", "NULL", "nullptr", "0"])
+    assert compile_catalog(catalog) is catalog
+
+
 @given(st.integers(min_value=0, max_value=100_000))
 @settings(max_examples=80, deadline=None)
 def test_match_all_equals_oracle_property(seed):
@@ -194,6 +258,21 @@ def test_match_all_equals_oracle_property(seed):
         got = _spans_as_tuples(match_all(stream, pattern))
         want = _oracle_as_tuples(oracle_match_all(stream, pattern))
         assert got == want
+
+
+def _oracle_in_window(stream, pattern, begin, end):
+    """The oracle scan restricted to [begin, end): clipping re-anchors."""
+    tokens = list(stream)
+    want = []
+    i = begin
+    while i < end:
+        hit = _oracle_attempt(tokens, stream, pattern, i)
+        if hit is not None and hit[1] <= end:
+            want.append((hit[0], hit[1]))
+            i = hit[1]
+        else:
+            i += 1
+    return want
 
 
 def test_match_in_range_is_the_oracle_clipped():
@@ -205,19 +284,30 @@ def test_match_in_range_is_the_oracle_clipped():
     begin, end = 2, n - 2
     for pattern in all_patterns():
         got = [(s.first_p, s.end_p) for s in match_in_range(stream, pattern, begin, end)]
-        full = oracle_match_all(stream, pattern)
-        # Clipping re-anchors: recompute with the oracle on the window.
-        tokens = list(stream)
-        want = []
-        i = begin
-        while i < end:
-            hit = _oracle_attempt(tokens, stream, pattern, i)
-            if hit is not None and hit[1] <= end:
-                want.append((hit[0], hit[1]))
-                i = hit[1]
-            else:
-                i += 1
-        assert got == want
+        assert got == _oracle_in_window(stream, pattern, begin, end)
+
+
+def test_dispatched_extraction_equals_a_full_scan_on_the_corpus(corpus_paths):
+    # Stripping the anchors makes every pattern scan every position, the
+    # way the matcher worked before the dispatch table.
+    dispatched = compile_catalog(None)
+    full_scan = Catalog([dataclasses.replace(p, anchor=None)
+                         for p in dispatched.patterns])
+    report = run([(str(p), p.read_text()) for p in corpus_paths])
+    cases = [(cfg.stream, node.span, report.fcg.call_sites(fid))
+             for fid, cfg in report.summary_run.cfgs.items()
+             for node in cfg.nodes]
+    # The class rules extract events from whole member-function bodies.
+    cases += [(unit.stream, tuple(span), {})
+              for unit in report.units for cls in unit.classes
+              for span in [*cls.ctors, cls.dtor, cls.copy_ctor, cls.assign_op]
+              if span is not None]
+    events = 0
+    for stream, span, site_map in cases:
+        want = _extract(stream, span, full_scan, site_map)
+        assert _extract(stream, span, dispatched, site_map) == want
+        events += len(want)
+    assert len(cases) > 200 and events > 100
 
 
 # ---------------------------------------------------------------------------

@@ -274,6 +274,12 @@ def test_cli_deep_nesting_never_escapes_as_a_traceback(tmp_path, capsys):
     assert code == 0 or err.startswith("zkleak: internal error: ")
 
 
+def test_cli_reports_a_file_ending_in_a_string_prefix_word(tmp_path, capsys):
+    leaky = _write(tmp_path, "leaky.c", _LEAKY + "int L")
+    assert main([leaky]) == 1
+    assert "MissingRelease" in capsys.readouterr().out
+
+
 def test_cli_json_and_text_agree_on_the_claims(tmp_path, capsys):
     leaky = _write(tmp_path, "leaky.c", _LEAKY + "void g ( ) { char * q ; q = malloc ( 2 ) ; }\n")
     assert main(["--format", "json", leaky]) == 1

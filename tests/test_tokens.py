@@ -8,8 +8,11 @@ over a pile of generated fixture files.
 
 from __future__ import annotations
 
+import json
 import random
 import re
+
+import pytest
 
 from hypothesis import given, settings, strategies as st
 
@@ -232,6 +235,44 @@ def test_shift_right_is_one_token():
 def test_loc_count_is_pre_strip_line_count():
     stream = tokenize("int a;\n// gone\nint b;\n", "l.c")
     assert stream.loc_count == 3
+
+
+@pytest.mark.parametrize("source", ["int L", "x = u8", "L", "u\\\n"])
+def test_string_prefix_word_at_end_of_file_is_an_identifier(source):
+    stream = tokenize(source, "eof.c")
+    last = stream[len(stream) - 1]
+    assert last.text in ("L", "u8", "u")
+    assert last.kind is TokenKind.IDENTIFIER
+    assert stream.diagnostics == []
+
+
+# ---------------------------------------------------------------------------
+# Golden snippets
+# ---------------------------------------------------------------------------
+
+def test_tokenize_matches_the_golden_snippets(fixtures_dir):
+    """Exact tokens, kinds, positions, diagnostics and line counts.
+
+    ``lexer_golden.json`` holds 300 seeded snippets of at most 48
+    characters built from the cases ``reference_scan`` leaves out:
+    backslash-newline splices (LF and CRLF) inside and between tokens,
+    CRLF line ends, quotes, ``L``/``u``/``U``/``u8`` prefixes, comment
+    markers, ``#`` on and off the start of a line, and stray glyphs.
+    The expected output was recorded from the character-at-a-time
+    scanner that the master pattern replaced.
+    """
+    golden = json.loads((fixtures_dir / "lexer_golden.json").read_text())
+    assert len(golden["snippets"]) == 300
+    for case in golden["snippets"]:
+        stream = tokenize(case["source"], "g.c")
+        got = {
+            "source": case["source"],
+            "tokens": [[t.text, t.kind.value, t.line, t.column] for t in stream],
+            "diagnostics": [[d.code, d.message, d.line, d.column]
+                            for d in stream.diagnostics],
+            "loc_count": stream.loc_count,
+        }
+        assert got == case
 
 
 # ---------------------------------------------------------------------------
