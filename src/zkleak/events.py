@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from .graphs import Cfg, CfgNode, FuncId
 from .patterns import Catalog, DefectPattern, MatchSpan, match_in_range
+from .scopes import split_top_level
 from .tokens import LexToken, TokenKind, TokenStream
 
 RETURN_SLOT = -1
@@ -177,9 +178,10 @@ def _extract(stream: TokenStream, span: Optional[Tuple[int, int]],
 
     events.extend(_return_allocs(stream, begin, end, covered))
 
-    for site_idx in sorted(site_map):
-        if begin <= site_idx < end and site_idx not in covered:
-            call = _call_event(stream, site_idx, end, site_map[site_idx])
+    for site_idx in range(begin, end):
+        callee = site_map.get(site_idx)
+        if callee is not None and site_idx not in covered:
+            call = _call_event(stream, site_idx, end, callee)
             if call is not None:
                 events.append(call)
 
@@ -329,36 +331,17 @@ def _call_event(stream: TokenStream, site_idx: int, span_end: int,
                 callee: FuncId) -> Optional[CallEvent]:
     name_tok = stream[site_idx]
     open_idx = site_idx + 1
-    depth = 0
-    close = None
-    for k in range(open_idx, min(span_end, len(stream))):
-        t = stream[k].text
-        if t == "(":
-            depth += 1
-        elif t == ")":
-            depth -= 1
-            if depth == 0:
-                close = k
-                break
-    if close is None:
+    close = stream.partner[open_idx]
+    if not 0 <= close < span_end:
         return None
 
     args: List[Optional[int]] = []
     names: List[str] = []
     if close > open_idx + 1:
-        group_start = open_idx + 1
-        depth = 0
-        for k in range(open_idx + 1, close + 1):
-            t = stream[k].text
-            if t in ("(", "[", "{"):
-                depth += 1
-            elif t in (")", "]", "}") and k != close:
-                depth -= 1
-            if (t == "," and depth == 0) or k == close:
-                var_id, name = _plain_var(stream, group_start, k)
-                args.append(var_id)
-                names.append(name)
-                group_start = k + 1
+        for begin, end in split_top_level(stream, open_idx + 1, close):
+            var_id, name = _plain_var(stream, begin, end)
+            args.append(var_id)
+            names.append(name)
 
     dst: Optional[int] = None
     dst_name = ""

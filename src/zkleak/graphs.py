@@ -21,7 +21,7 @@ from enum import Enum
 from typing import Dict, List, Optional, Set, Tuple
 
 from .defects import Defect, DefectKind
-from .scopes import ScopeNode, ScopeKind, resolve
+from .scopes import ScopeNode, resolve, split_top_level, walk_scopes
 from .tokens import Diagnostic, LexToken, TokenKind, TokenStream, TYPE_KEYWORDS
 
 
@@ -134,9 +134,6 @@ class _CfgBuilder:
         self.end = end
         self.nodes: List[CfgNode] = []
 
-    def text(self, i: int) -> str:
-        return self.stream[i].text if i < self.end else ""
-
     def new_node(self, kind: CfgNodeKind, span: Optional[Tuple[int, int]],
                  preds: List[int]) -> int:
         if span is not None and span[0] < span[1]:
@@ -156,19 +153,10 @@ class _CfgBuilder:
             self.nodes[target].pred.append(p)
 
     def match_forward(self, open_idx: int) -> int:
-        pairs = {"(": ")", "[": "]", "{": "}"}
-        open_text = self.stream[open_idx].text
-        close_text = pairs[open_text]
-        depth = 0
-        for i in range(open_idx, self.end):
-            t = self.stream[i].text
-            if t == open_text:
-                depth += 1
-            elif t == close_text:
-                depth -= 1
-                if depth == 0:
-                    return i
-        return self.end - 1
+        """The bracket closing *open_idx*, or the body's last token when
+        it is unmatched or closes past the body."""
+        close = self.stream.partner[open_idx]
+        return close if 0 <= close < self.end else self.end - 1
 
     def statement_end(self, i: int) -> int:
         """Index one past the ``;`` terminating the statement at *i*."""
@@ -299,8 +287,16 @@ class _CfgBuilder:
     def _parse_for(self, i: int, end: int, frontier: List[int]):
         clause, close = self._guard_span(i)
         start = clause[0]
-        semis = [k for k in range(start, close)
-                 if self.stream[k].text == ";" and self._depth0(start, k)]
+        semis: List[int] = []
+        depth = 0  # all bracket kinds counted as one
+        for k in range(start, close):
+            t = self.stream[k].text
+            if t in ("(", "[", "{"):
+                depth += 1
+            elif t in (")", "]", "}"):
+                depth -= 1
+            elif t == ";" and depth == 0:
+                semis.append(k)
         items: list = []
         if len(semis) >= 2:
             init_span = (start, semis[0] + 1)
@@ -417,16 +413,6 @@ class _CfgBuilder:
             brk += brk2
             cont += cont2
         return items, frontier, brk, cont, after
-
-    def _depth0(self, begin: int, at: int) -> bool:
-        depth = 0
-        for k in range(begin, at):
-            t = self.stream[k].text
-            if t in ("(", "[", "{"):
-                depth += 1
-            elif t in (")", "]", "}"):
-                depth -= 1
-        return depth == 0
 
 
 def _first_node(items: list) -> Optional[int]:
@@ -581,17 +567,11 @@ def build_fcg(units: List[Tuple[ScopeNode, TokenStream]]) -> Fcg:
                                             decl.name, decl.arity))
 
     for root, stream in units:
-        scope_by_id = {s.scope_id: s for s in _walk_scopes(root)}
+        scope_by_id = {s.scope_id: s for s in walk_scopes(root)}
         for scope in root.function_scopes:
             caller = func_id_of(scope, stream)
             _scan_calls(fcg, by_key, declared, scope, stream, caller, scope_by_id)
     return fcg
-
-
-def _walk_scopes(node: ScopeNode):
-    yield node
-    for child in node.children:
-        yield from _walk_scopes(child)
 
 
 def _scan_calls(fcg: Fcg, by_key, declared, scope: ScopeNode,
@@ -634,42 +614,13 @@ def _scan_calls(fcg: Fcg, by_key, declared, scope: ScopeNode,
                     continue  # unknown receiver; not resolvable
             else:
                 continue
-        close = _match_paren(stream, i + 1, end)
-        if close is None:
+        close = stream.partner[i + 1]
+        if not 0 <= close <= end:
             continue
-        arity = _arity_of(stream, i + 1, close)
+        arity = 0 if close == i + 2 else len(split_top_level(stream, i + 2, close))
         callee = _resolve_call(fcg, by_key, declared, tok, receiver_class,
                                scope.owner_class, arity, caller)
         fcg.add_edge(FcgEdge(caller, callee, i, tok.line))
-
-
-def _match_paren(stream: TokenStream, open_idx: int, end: int) -> Optional[int]:
-    depth = 0
-    for i in range(open_idx, min(end + 1, len(stream))):
-        t = stream[i].text
-        if t == "(":
-            depth += 1
-        elif t == ")":
-            depth -= 1
-            if depth == 0:
-                return i
-    return None
-
-
-def _arity_of(stream: TokenStream, open_idx: int, close_idx: int) -> int:
-    if close_idx == open_idx + 1:
-        return 0
-    count = 1
-    depth = 0
-    for i in range(open_idx + 1, close_idx):
-        t = stream[i].text
-        if t in ("(", "[", "{"):
-            depth += 1
-        elif t in (")", "]", "}"):
-            depth -= 1
-        elif t == "," and depth == 0:
-            count += 1
-    return count
 
 
 def _resolve_call(fcg: Fcg, by_key, declared, tok: LexToken, receiver_class: str,

@@ -32,7 +32,7 @@ from .graphs import (BreakStmt, Cfg, ContinueStmt, FuncId, IfStruct,
                      LoopStruct, ReturnStmt, SeqStmt, SwitchStruct)
 from .machine import Machine, MachineError, MachineSet, MemState
 from .patterns import Catalog, DefectPattern, compile_catalog
-from .scopes import ScopeNode, SymbolEntry
+from .scopes import ScopeNode, SymbolEntry, walk_scopes
 from .tokens import Diagnostic
 
 PATH_BUDGET = 64
@@ -99,17 +99,12 @@ CallHandler = Callable[["Interp", Variant, CallEvent], None]
 def symbol_index(root: ScopeNode) -> Dict[int, SymbolEntry]:
     """Every declared symbol in the file, keyed by var id."""
     out: Dict[int, SymbolEntry] = {}
-
-    def walk(scope: ScopeNode) -> None:
+    for scope in walk_scopes(root):
         for entries in scope.symbols.values():
             for entry in entries:
                 out[entry.var_id] = entry
         for p in scope.params:
             out[p.var_id] = p
-        for child in scope.children:
-            walk(child)
-
-    walk(root)
     return out
 
 

@@ -1,9 +1,12 @@
 """Scope discovery, symbol tables and class shape extraction.
 
-A single pass over the token stream builds a tree of lexically nested
-scopes (file, namespace, class, function, control-flow bodies), assigns
-every declared variable a unique positive var_id, and annotates each
-token with the scope containing it plus the var_id its text resolves to.
+One walk over the token stream first pairs every bracket into the
+stream's bracket table, where later passes look a bracket's partner up
+instead of scanning for it.  A second walk builds a tree of lexically
+nested scopes (file, namespace, class, function, control-flow bodies)
+and annotates each token with the scope containing it; declarations
+then give every variable a unique positive var_id, and each identifier
+the var_id its text resolves to.
 Downstream passes never look names up again; they read the annotations.
 
 The parsing here is deliberately lexical.  There is no type checking and
@@ -14,9 +17,10 @@ builtin type word or a name already known to be a class or typedef.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .tokens import (
     Diagnostic,
@@ -176,37 +180,39 @@ def resolve(name: str, scope: ScopeNode) -> Optional[SymbolEntry]:
 def build_scope_tree(stream: TokenStream) -> ScopeNode:
     """Build and annotate the scope tree for *stream*.
 
-    On return every token carries scope_id, identifiers additionally a
-    var_id when they resolve, and the stream's known_types registry holds
-    class and typedef names.  Brace imbalance is recovered from by closing
-    whatever remains open at end of stream and leaving a diagnostic.
+    On return ``stream.partner`` holds the bracket table, every token
+    carries scope_id, identifiers additionally a var_id when they
+    resolve, and the stream's known_types registry holds class and
+    typedef names.  Brace imbalance is recovered from by closing whatever
+    remains open at end of stream and leaving a diagnostic.
     """
-    _resplit_shift_tokens(stream)
-    open_to_close, close_to_open = _match_brackets(stream, "{", "}", "UnbalancedBraces")
-    paren_close_to_open = _match_brackets(stream, "(", ")", "UnbalancedParens")[1]
+    _pair_brackets(stream)
 
     counter = _Counter()
     root = ScopeNode(ScopeKind.GLOBAL, "", None, 0, len(stream), counter.next_scope())
     scope_by_id = {root.scope_id: root}
 
-    _collect_types(stream, open_to_close, root)
+    _collect_types(stream, root)
 
-    # Scope creation walk.
+    # Scope creation walk; each token takes the innermost scope open at it.
     stack = [(root, len(stream))]
     for i, tok in enumerate(stream):
         while i >= stack[-1][1]:
             stack.pop()
-        if tok.text != "{" or i not in open_to_close:
+        tok.scope_id = stack[-1][0].scope_id
+        if tok.text != "{":
             continue
         parent = stack[-1][0]
-        info = _classify_open(stream, i, parent, paren_close_to_open)
+        info = _classify_open(stream, i, parent)
         if info is None:
             continue  # initializer braces open no scope
         kind, name, meta = info
-        node = ScopeNode(kind, name, parent, i, open_to_close[i] + 1, counter.next_scope())
+        close = stream.partner[i] if stream.partner[i] >= 0 else len(stream) - 1
+        node = ScopeNode(kind, name, parent, i, close + 1, counter.next_scope())
         scope_by_id[node.scope_id] = node
         parent.children.append(node)
         stack.append((node, node.token_end))
+        tok.scope_id = node.scope_id
         if kind in _CLASSY and name:
             root.class_scopes.setdefault(name, node)
         if kind is ScopeKind.FUNCTION:
@@ -225,7 +231,6 @@ def build_scope_tree(stream: TokenStream) -> ScopeNode:
             node.header_index = meta["header_index"]
             node.name_index = meta["name_index"]
 
-    _annotate_scope_ids(root, stream)
     _scan_declarations(stream, root, scope_by_id, counter)
     _annotate_var_ids(stream, root, scope_by_id)
 
@@ -247,60 +252,72 @@ class _Counter:
         return self._var
 
 
-def _resplit_shift_tokens(stream: TokenStream) -> None:
-    """Split ``>>`` back into two ``>`` where it closes nested templates."""
-    pending: List[int] = []
-    i = 0
-    while i < len(stream):
-        tok = stream[i]
-        if tok.text in (";", "{", "}", ")"):
-            pending.clear()
-        elif tok.text == "<":
-            prev = stream.get(i - 1)
+# Bracket text -> (kind, opens).  Each kind is matched with its own stack.
+_BRACKETS = {"(": (0, True), ")": (0, False), "[": (1, True), "]": (1, False),
+             "{": (2, True), "}": (2, False)}
+
+
+def _pair_brackets(stream: TokenStream) -> None:
+    """Split template-closing ``>>`` tokens and fill ``stream.partner``.
+
+    One walk rebuilds the token list, splitting each ``>>`` that closes
+    two templates opened after a name, and pairs the brackets of each
+    kind on a stack of their own.  Unmatched braces and parens become
+    diagnostics: braces first, then parens; within a kind, unmatched
+    closes in token order, then the opens left on the stack, bottom up.
+    """
+    tokens: List[LexToken] = []
+    partner = array("i", [-1]) * len(stream)
+    stacks: Tuple[List[int], ...] = ([], [], [])
+    strays: Tuple[List[LexToken], ...] = ([], [], [])
+    templates = 0  # template "<"s open since the last ";", "{", "}" or ")"
+    prev: Optional[LexToken] = None
+    for tok in stream:
+        text = tok.text
+        bracket = _BRACKETS.get(text)
+        if bracket is not None:
+            kind, opens = bracket
+            if opens:
+                stacks[kind].append(len(tokens))
+            elif stacks[kind]:
+                j = stacks[kind].pop()
+                partner[j] = len(tokens)
+                partner[len(tokens)] = j
+            else:
+                strays[kind].append(tok)
+            if text in ("{", "}", ")"):
+                templates = 0
+        elif text == ";":
+            templates = 0
+        elif text == "<":
             if prev is not None and (prev.kind is TokenKind.IDENTIFIER
                                      or prev.text in TYPE_KEYWORDS):
-                pending.append(i)
-        elif tok.text == ">" and pending:
-            pending.pop()
-        elif tok.text == ">>" and len(pending) >= 2:
-            pending.pop()
-            pending.pop()
+                templates += 1
+        elif text == ">":
+            if templates:
+                templates -= 1
+        elif text == ">>" and templates >= 2:
+            templates -= 2
             first = LexToken(">", TokenKind.OPERATOR, tok.file, tok.line, tok.column)
-            second = LexToken(">", TokenKind.OPERATOR, tok.file, tok.line, tok.column + 1)
-            stream.split_token(i, [first, second])
-            i += 1
-        i += 1
-
-
-def _match_brackets(stream: TokenStream, open_text: str, close_text: str,
-                    code: str) -> Tuple[Dict[int, int], Dict[int, int]]:
-    opens: List[int] = []
-    open_to_close: Dict[int, int] = {}
-    close_to_open: Dict[int, int] = {}
-    for i, tok in enumerate(stream):
-        if tok.text == open_text:
-            opens.append(i)
-        elif tok.text == close_text:
-            if opens:
-                j = opens.pop()
-                open_to_close[j] = i
-                close_to_open[i] = j
-            else:
-                stream.diagnostics.append(Diagnostic(
-                    code, f"unmatched {close_text!r}", tok.file, tok.line, tok.column))
-    for j in opens:
-        tok = stream[j]
-        stream.diagnostics.append(Diagnostic(
-            code, f"unmatched {open_text!r}", tok.file, tok.line, tok.column))
-        open_to_close[j] = len(stream) - 1
-    return open_to_close, close_to_open
+            first.index = len(tokens)
+            tokens.append(first)
+            partner.append(-1)
+            tok = LexToken(">", TokenKind.OPERATOR, tok.file, tok.line, tok.column + 1)
+        tok.index = len(tokens)
+        tokens.append(tok)
+        prev = tok
+    stream.replace(tokens)
+    stream.partner = partner
+    for kind, code in ((2, "UnbalancedBraces"), (0, "UnbalancedParens")):
+        for tok in strays[kind] + [tokens[j] for j in stacks[kind]]:
+            stream.diagnostics.append(Diagnostic(
+                code, f"unmatched {tok.text!r}", tok.file, tok.line, tok.column))
 
 
 _INITIALIZER_PRECEDERS = frozenset(["=", ",", "(", "{", "return"])
 
 
-def _classify_open(stream: TokenStream, i: int, parent: ScopeNode,
-                   paren_rev: Dict[int, int]):
+def _classify_open(stream: TokenStream, i: int, parent: ScopeNode):
     """Decide what scope (if any) the ``{`` at index *i* opens.
 
     Returns (kind, name, meta) or None for initializer braces.
@@ -321,8 +338,8 @@ def _classify_open(stream: TokenStream, i: int, parent: ScopeNode,
 
     if prev.text == ")":
         close = i - 1
-        open_idx = paren_rev.get(close)
-        if open_idx is None:
+        open_idx = stream.partner[close]
+        if open_idx < 0:
             return ScopeKind.BLOCK, "", {}
         before = stream[open_idx - 1] if open_idx > 0 else None
         control = {
@@ -333,7 +350,7 @@ def _classify_open(stream: TokenStream, i: int, parent: ScopeNode,
             return control[before.text], "", {}
         if parent.enclosing(ScopeKind.FUNCTION) is not None:
             return ScopeKind.BLOCK, "", {}  # no nested functions in C/C++
-        header = _function_header(stream, close, paren_rev)
+        header = _function_header(stream, close)
         if header is None:
             return ScopeKind.BLOCK, "", {}
         return ScopeKind.FUNCTION, header["name"], header
@@ -378,8 +395,7 @@ def _class_header(stream: TokenStream, brace_idx: int):
     return None
 
 
-def _function_header(stream: TokenStream, close_paren: int,
-                     paren_rev: Dict[int, int]):
+def _function_header(stream: TokenStream, close_paren: int):
     """Resolve a ``... ) {`` prefix to a function header.
 
     Walks back through constructor initializer lists (``: a(x), b(y)``)
@@ -388,8 +404,8 @@ def _function_header(stream: TokenStream, close_paren: int,
     """
     close = close_paren
     for _ in range(32):  # init lists are short; bound the walk
-        open_idx = paren_rev.get(close)
-        if open_idx is None or open_idx == 0:
+        open_idx = stream.partner[close]
+        if open_idx <= 0:
             return None
         j = open_idx - 1
         tok = stream[j]
@@ -444,9 +460,8 @@ def _virtual_in_specifiers(stream: TokenStream, name_start: int) -> bool:
 
 def _parse_parameters(stream: TokenStream, open_idx: int, close_idx: int,
                       func: ScopeNode, counter: _Counter) -> None:
-    groups = _split_top_level(stream, open_idx + 1, close_idx)
-    for group in groups:
-        tokens = [stream[k] for k in range(group[0], group[1])]
+    for begin, end in split_top_level(stream, open_idx + 1, close_idx):
+        tokens = stream.window(begin, end)
         if not tokens or (len(tokens) == 1 and tokens[0].text == "void"):
             continue
         eq_at = next((n for n, t in enumerate(tokens) if t.text == "="), len(tokens))
@@ -468,8 +483,12 @@ def _parse_parameters(stream: TokenStream, open_idx: int, close_idx: int,
             func.add_symbol(entry)
 
 
-def _split_top_level(stream: TokenStream, begin: int, end: int) -> List[Tuple[int, int]]:
-    """Comma-separated groups within [begin, end), ignoring nested brackets."""
+def split_top_level(stream: TokenStream, begin: int, end: int) -> List[Tuple[int, int]]:
+    """Comma-separated groups within [begin, end), empty ones included.
+
+    Commas inside brackets do not split.  The depth counts all bracket
+    kinds as one, so malformed nesting such as ``( ]`` still balances.
+    """
     groups: List[Tuple[int, int]] = []
     depth = 0
     start = begin
@@ -483,23 +502,10 @@ def _split_top_level(stream: TokenStream, begin: int, end: int) -> List[Tuple[in
             groups.append((start, i))
             start = i + 1
     groups.append((start, end))
-    return [g for g in groups if g[0] < g[1]]
+    return groups
 
 
-def _annotate_scope_ids(root: ScopeNode, stream: TokenStream) -> None:
-    def paint(node: ScopeNode) -> None:
-        for i in range(node.token_begin, node.token_end):
-            stream[i].scope_id = node.scope_id
-        for child in node.children:
-            paint(child)
-    for i in range(len(stream)):
-        stream[i].scope_id = root.scope_id
-    for child in root.children:
-        paint(child)
-
-
-def _collect_types(stream: TokenStream, open_to_close: Dict[int, int],
-                   root: ScopeNode) -> None:
+def _collect_types(stream: TokenStream, root: ScopeNode) -> None:
     """Register class/struct/union, typedef and using names up front."""
     types: Set[str] = set()
     pointer_typedefs: Set[str] = set()
@@ -517,8 +523,8 @@ def _collect_types(stream: TokenStream, open_to_close: Dict[int, int],
             j = i + 1
             saw_star = False
             while j < n and stream[j].text != ";":
-                if stream[j].text == "{" and j in open_to_close:
-                    j = open_to_close[j]
+                if stream[j].text == "{":
+                    j = stream.partner[j] if stream.partner[j] >= 0 else n - 1
                 if stream[j].text == "*":
                     saw_star = True
                 j += 1
@@ -651,8 +657,8 @@ def _parse_declaration(stream: TokenStream, start: int, scope: ScopeNode,
 
         if i < n and stream[i].text == "(":
             # Function declarator: record a prototype, declare nothing.
-            close = _skip_balanced(stream, i)
-            if close is None:
+            close = stream.partner[i]
+            if close < 0:
                 return None
             arity = _count_args(stream, i, close)
             j = close + 1
@@ -691,10 +697,9 @@ def _parse_declaration(stream: TokenStream, start: int, scope: ScopeNode,
 
         # Array suffixes, then an optional initializer.
         while i < n and stream[i].text == "[":
-            close = _skip_balanced(stream, i)
-            if close is None:
+            if stream.partner[i] < 0:
                 return None
-            i = close + 1
+            i = stream.partner[i] + 1
         if i < n and stream[i].text == "=":
             depth = 0
             i += 1
@@ -712,7 +717,6 @@ def _parse_declaration(stream: TokenStream, start: int, scope: ScopeNode,
         if i >= n:
             return None
         if stream[i].text == ",":
-            declared_any = True
             i += 1
             continue
         if stream[i].text == ";":
@@ -727,28 +731,13 @@ def text_at(stream: TokenStream, i: int) -> str:
     return stream[i].text if 0 <= i < len(stream) else ""
 
 
-def _skip_balanced(stream: TokenStream, open_idx: int) -> Optional[int]:
-    pairs = {"(": ")", "[": "]", "{": "}"}
-    close_text = pairs[stream[open_idx].text]
-    open_text = stream[open_idx].text
-    depth = 0
-    for i in range(open_idx, len(stream)):
-        text = stream[i].text
-        if text == open_text:
-            depth += 1
-        elif text == close_text:
-            depth -= 1
-            if depth == 0:
-                return i
-    return None
-
-
 def _count_args(stream: TokenStream, open_idx: int, close_idx: int) -> int:
     if close_idx == open_idx + 1:
         return 0
     if close_idx == open_idx + 2 and stream[open_idx + 1].text == "void":
         return 0
-    return len(_split_top_level(stream, open_idx + 1, close_idx))
+    return sum(1 for begin, end in split_top_level(stream, open_idx + 1, close_idx)
+               if begin < end)
 
 
 def _annotate_var_ids(stream: TokenStream, root: ScopeNode,
@@ -773,7 +762,8 @@ _NO_BODY = (-1, -1)
 def collect_class_info(root: ScopeNode, stream: TokenStream) -> List[ClassInfo]:
     """One ClassInfo per class/struct scope, in source order."""
     infos: List[ClassInfo] = []
-    class_scopes = [s for s in _walk(root) if s.kind in (ScopeKind.CLASS, ScopeKind.STRUCT)]
+    class_scopes = [s for s in walk_scopes(root)
+                    if s.kind in (ScopeKind.CLASS, ScopeKind.STRUCT)]
     for scope in class_scopes:
         if not scope.name:
             continue
@@ -851,10 +841,13 @@ def _parse_bases(stream: TokenStream, scope: ScopeNode) -> List[str]:
     return bases
 
 
-def _walk(node: ScopeNode):
-    yield node
-    for child in node.children:
-        yield from _walk(child)
+def walk_scopes(root: ScopeNode) -> Iterator[ScopeNode]:
+    """*root* and every scope under it, in pre-order (source order)."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children))
 
 
 def dump_scopes(root: ScopeNode, stream: TokenStream) -> str:

@@ -21,6 +21,7 @@ identifiers.
 from __future__ import annotations
 
 import re
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, List, Optional, Set
@@ -112,9 +113,12 @@ class TokenStream:
     """Token list for one translation unit; ``stream[i].index == i``.
 
     The stream is immutable after construction except for the scope pass,
-    which may re-split greedy ``>>`` tokens and annotates scope_id/var_id.
-    Neighbours are read by index: ``get(tok.index - 1)`` is the previous
-    token, or None at the start of the stream.
+    which splits ``>>`` where it closes two templates, annotates
+    scope_id/var_id and fills ``partner``: per token, the index of the
+    matching bracket for ``()``, ``[]`` and ``{}``, or -1 for any other
+    token and for a bracket left unmatched.  Neighbours are read by index:
+    ``get(tok.index - 1)`` is the previous token, or None at the start of
+    the stream.
     """
 
     def __init__(self, file: str) -> None:
@@ -124,17 +128,17 @@ class TokenStream:
         # Set by the scope pass.
         self.scoped = False
         self.known_types: Set[str] = set()
+        self.partner = array("i")
         self._tokens: List[LexToken] = []
 
     def append(self, token: LexToken) -> None:
         token.index = len(self._tokens)
         self._tokens.append(token)
 
-    def split_token(self, index: int, parts: List[LexToken]) -> None:
-        """Replace the token at *index* with *parts* (scope pass only)."""
-        self._tokens[index:index + 1] = parts
-        for i in range(index, len(self._tokens)):
-            self._tokens[i].index = i
+    def replace(self, tokens: List[LexToken]) -> None:
+        """Swap in a re-split token list that keeps ``tokens[i].index == i``
+        (scope pass only)."""
+        self._tokens = tokens
 
     def __len__(self) -> int:
         return len(self._tokens)

@@ -310,6 +310,27 @@ def test_dispatched_extraction_equals_a_full_scan_on_the_corpus(corpus_paths):
     assert len(cases) > 200 and events > 100
 
 
+class _UnscannableSites(dict):
+    def __iter__(self):
+        raise AssertionError("the call-site map was scanned")
+
+    keys = items = __iter__
+
+
+def test_call_events_look_sites_up_instead_of_scanning_the_map():
+    report = run([("sites.c", "void g ( char * p ) { }\n"
+                               "void f ( ) { char * q ; g ( q ) ; h ( ) ; g ( q ) ; }")])
+    cfg = next(cfg for fid, cfg in report.summary_run.cfgs.items()
+               if fid.func_name == "f")
+    catalog = compile_catalog(None)
+    site_map = report.fcg.call_sites(cfg.func)
+    want = [_extract(cfg.stream, node.span, catalog, site_map) for node in cfg.nodes]
+    unscannable = _UnscannableSites(site_map)
+    assert [_extract(cfg.stream, node.span, catalog, unscannable)
+            for node in cfg.nodes] == want
+    assert sum(len(events) for events in want) == 3
+
+
 # ---------------------------------------------------------------------------
 # compile_pattern
 # ---------------------------------------------------------------------------
