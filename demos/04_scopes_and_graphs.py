@@ -46,7 +46,7 @@ print()
 
 spin = next(s for s in root.children if s.name == "spin")
 cfg = build_cfg(spin, stream)
-print("cfg for spin (note the loop back edge):")
+print("cfg for spin (the loop body is nested under its head):")
 print(dump_cfg(cfg))
 print()
 

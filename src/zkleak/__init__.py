@@ -8,8 +8,8 @@ catalog of defect kinds and the command line surface.
 
 from .defects import Defect, DefectKind, dedup_and_sort
 from .detect import FileUnit, load_source, special_check
-from .graphs import (Cfg, CfgNode, CfgNodeKind, Fcg, FuncId, build_cfg,
-                     build_fcg, dump_cfg, dump_fcg, find_rings)
+from .graphs import (Cfg, CfgNode, Fcg, FuncId, build_cfg, build_fcg,
+                     dump_cfg, dump_fcg, find_rings)
 from .machine import (FREE_MATCH, LEGAL_EDGES, AllocRecord, FreeRecord,
                       Machine, MachineError, MachineSet, MemState)
 from .patterns import (BadPatternUnit, DefectPattern, builtin_patterns,
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AllocRecord", "Annotation", "BadPatternUnit",
-    "BehaviorAction", "Cfg", "CfgNode", "CfgNodeKind", "ClassInfo",
+    "BehaviorAction", "Cfg", "CfgNode", "ClassInfo",
     "Defect", "DefectKind", "DefectPattern", "DivisionByZeroActual",
     "DivisionByZeroDefects",
     "Fcg", "FileUnit", "FreeRecord", "FuncId", "FunctionSummary",

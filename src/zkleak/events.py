@@ -140,10 +140,9 @@ def node_events(cfg: Cfg, node: CfgNode, catalog: Catalog,
     return events
 
 
-def _extract(stream: TokenStream, span: Optional[Tuple[int, int]],
-             catalog: Catalog,
+def _extract(stream: TokenStream, span: Tuple[int, int], catalog: Catalog,
              site_map: Dict[int, FuncId]) -> List[Event]:
-    if span is None or span[0] >= span[1]:
+    if span[0] >= span[1]:
         return []
     begin, end = span
 

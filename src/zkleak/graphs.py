@@ -1,48 +1,34 @@
 """Control-flow and function-call graphs.
 
-The CFG is recovered per function by structural scanning of the token
-stream: if/else, loops, switch and return produce dedicated node kinds,
-everything else becomes a Statement node whose span is later pattern
-matched for memory events.  Guard feasibility is never evaluated, so
+The CFG of a function is its structure plan, recovered per function by
+structural scanning of the token stream: a sequence of items in which
+if/else, switch and try/catch become branches with one item list per
+arm, loops carry their body (and a ``for`` increment as a trailer), and
+every other statement is a leaf.  Each item names the nodes it runs: a
+node is a token span that is later pattern matched for memory events,
+and a branch or loop head also keeps its guard text.  The path-sensitive
+interpreter walks the plan.  Guard feasibility is never evaluated, so
 both arms of every branch count as reachable.
 
-Alongside the node/edge graph the builder emits a structure plan (nested
-sequence/branch/loop items) that the path-sensitive interpreter walks;
-both views come from the same recursive descent, so they cannot drift.
-
-``goto`` or a label in a body degrades that function to a linear chain
-of Statement nodes with a diagnostic.
+``goto`` in a body degrades that function to a linear chain of
+statement nodes with a diagnostic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from .defects import Defect, DefectKind
 from .scopes import ScopeNode, resolve, split_top_level, walk_scopes
 from .tokens import Diagnostic, LexToken, TokenKind, TokenStream, TYPE_KEYWORDS
 
 
-class CfgNodeKind(Enum):
-    ENTRY = "Entry"
-    EXIT = "Exit"
-    STATEMENT = "Statement"
-    BRANCH = "Branch"
-    JOIN = "Join"
-    LOOP_HEAD = "LoopHead"
-    RETURN = "Return"
-
-
 @dataclass
 class CfgNode:
     id: int
-    kind: CfgNodeKind
-    span: Optional[Tuple[int, int]]  # half-open token index range
+    span: Tuple[int, int]  # half-open token index range
     line: int
-    succ: List[int] = field(default_factory=list)
-    pred: List[int] = field(default_factory=list)
     guard_text: str = ""
 
 
@@ -83,7 +69,6 @@ class ContinueStmt:
 class IfStruct:
     branch: int
     arms: List[Tuple[str, list]]
-    join: int
 
 
 @dataclass
@@ -98,7 +83,6 @@ class LoopStruct:
 class SwitchStruct:
     branch: int
     arms: List[Tuple[str, list]]
-    join: int
     has_default: bool
 
 
@@ -108,10 +92,9 @@ class Cfg:
     func_scope: ScopeNode
     stream: TokenStream
     nodes: List[CfgNode]
-    entry: int
-    exit: int
+    entry_line: int
+    exit_line: int
     structure: list
-    degraded: bool = False
     # Per-node memory event cache, filled lazily by the event extractor.
     node_events: Dict[int, list] = field(default_factory=dict)
 
@@ -127,30 +110,34 @@ def func_id_of(scope: ScopeNode, stream: TokenStream) -> FuncId:
 # CFG construction
 # ---------------------------------------------------------------------------
 
+_LEAF_KINDS = {"return": ReturnStmt, "break": BreakStmt, "continue": ContinueStmt}
+
+
 class _CfgBuilder:
-    def __init__(self, stream: TokenStream, begin: int, end: int) -> None:
+    def __init__(self, stream: TokenStream, end: int, entry_line: int) -> None:
         self.stream = stream
-        self.begin = begin
         self.end = end
+        self.entry_line = entry_line
         self.nodes: List[CfgNode] = []
 
-    def new_node(self, kind: CfgNodeKind, span: Optional[Tuple[int, int]],
-                 preds: List[int]) -> int:
-        if span is not None and span[0] < span[1]:
+    def new_node(self, span: Tuple[int, int]) -> int:
+        """A node for *span*; an empty span takes the previous node's line,
+        or the line of the function's ``{``."""
+        if span[0] < span[1]:
             line = self.stream[span[0]].line
         elif self.nodes:
             line = self.nodes[-1].line
         else:
-            line = self.stream[self.begin].line if self.begin < len(self.stream) else 1
-        node = CfgNode(len(self.nodes), kind, span, line)
-        self.nodes.append(node)
-        self.connect(preds, node.id)
-        return node.id
+            line = self.entry_line
+        self.nodes.append(CfgNode(len(self.nodes), span, line))
+        return len(self.nodes) - 1
 
-    def connect(self, preds: List[int], target: int) -> None:
-        for p in preds:
-            self.nodes[p].succ.append(target)
-            self.nodes[target].pred.append(p)
+    def new_head(self, span: Tuple[int, int], prefix: str = "") -> int:
+        """A branch or loop-head node that keeps its guard text."""
+        node = self.new_node(span)
+        self.nodes[node].guard_text = prefix + " ".join(
+            self.stream[k].text for k in range(span[0], span[1]))
+        return node
 
     def match_forward(self, open_idx: int) -> int:
         """The bracket closing *open_idx*, or the body's last token when
@@ -175,74 +162,51 @@ class _CfgBuilder:
             j += 1
         return self.end
 
-    def guard_text(self, span: Tuple[int, int]) -> str:
-        return " ".join(self.stream[k].text for k in range(span[0], span[1]))
-
     # -- statement parsing ---------------------------------------------------
 
-    def parse_region(self, i: int, end: int, frontier: List[int]):
-        """Parse statements in [i, end); returns (items, frontier, breaks, continues)."""
+    def parse_region(self, i: int, end: int) -> list:
+        """The plan items of the statements in [i, end)."""
         items: list = []
-        breaks: List[int] = []
-        continues: List[int] = []
         while i < end:
-            tok = self.stream[i]
-            if tok.text == ";":
+            if self.stream[i].text == ";":
                 i += 1
                 continue
-            sub, frontier, brk, cont, i = self.parse_one(i, end, frontier)
+            sub, i = self.parse_one(i, end)
             items.extend(sub)
-            breaks.extend(brk)
-            continues.extend(cont)
-        return items, frontier, breaks, continues
+        return items
 
-    def parse_one(self, i: int, end: int, frontier: List[int]):
+    def parse_one(self, i: int, end: int):
         """Parse a single statement (possibly compound) starting at *i*.
 
-        Returns (items, frontier, breaks, continues, next_index).
+        Returns (items, next_index).
         """
-        stream = self.stream
-        text = stream[i].text
+        text = self.stream[i].text
 
         if text == "{":
             close = self.match_forward(i)
-            items, frontier, brk, cont = self.parse_region(i + 1, close, frontier)
-            return items, frontier, brk, cont, close + 1
+            return self.parse_region(i + 1, close), close + 1
 
         if text == ";":
-            return [], frontier, [], [], i + 1
+            return [], i + 1
 
         if text == "if":
-            return self._parse_if(i, end, frontier)
-        if text in ("while",):
-            return self._parse_while(i, end, frontier)
+            return self._parse_if(i, end)
+        if text == "while":
+            return self._parse_while(i, end)
         if text == "for":
-            return self._parse_for(i, end, frontier)
+            return self._parse_for(i, end)
         if text == "do":
-            return self._parse_do(i, end, frontier)
+            return self._parse_do(i, end)
         if text == "switch":
-            return self._parse_switch(i, end, frontier)
+            return self._parse_switch(i, end)
         if text == "try":
             # The try body runs unconditionally; catch arms conservatively
             # fork like an if whose guard never constrains anything.
-            return self._parse_try(i, end, frontier)
-        if text == "return":
-            stmt_end = self.statement_end(i)
-            node = self.new_node(CfgNodeKind.RETURN, (i, stmt_end), frontier)
-            return [ReturnStmt(node)], [], [], [], stmt_end
-
-        if text == "break":
-            stmt_end = self.statement_end(i)
-            node = self.new_node(CfgNodeKind.STATEMENT, (i, stmt_end), frontier)
-            return [BreakStmt(node)], [], [node], [], stmt_end
-        if text == "continue":
-            stmt_end = self.statement_end(i)
-            node = self.new_node(CfgNodeKind.STATEMENT, (i, stmt_end), frontier)
-            return [ContinueStmt(node)], [], [], [node], stmt_end
+            return self._parse_try(i, end)
 
         stmt_end = self.statement_end(i)
-        node = self.new_node(CfgNodeKind.STATEMENT, (i, stmt_end), frontier)
-        return [SeqStmt(node)], [node], [], [], stmt_end
+        node = self.new_node((i, stmt_end))
+        return [_LEAF_KINDS.get(text, SeqStmt)(node)], stmt_end
 
     def _guard_span(self, i: int) -> Tuple[Tuple[int, int], int]:
         """Span inside the parens of a control clause at *i*; returns (span, close).
@@ -259,32 +223,22 @@ class _CfgBuilder:
         close = self.match_forward(open_idx)
         return (open_idx + 1, close), close
 
-    def _parse_if(self, i: int, end: int, frontier: List[int]):
+    def _parse_if(self, i: int, end: int):
         span, close = self._guard_span(i)
-        branch = self.new_node(CfgNodeKind.BRANCH, span, frontier)
-        self.nodes[branch].guard_text = self.guard_text(span)
-
-        then_items, then_fr, brk, cont, after = self.parse_one(close + 1, end, [branch])
-        arms: List[Tuple[str, list]] = [("then", then_items)]
-        else_fr: List[int] = [branch]
+        branch = self.new_head(span)
+        then_items, after = self.parse_one(close + 1, end)
         else_items: list = []
         if after < end and self.stream[after].text == "else":
-            else_items, else_fr, brk2, cont2, after = self.parse_one(after + 1, end, [branch])
-            brk += brk2
-            cont += cont2
-        arms.append(("else", else_items))
-        join = self.new_node(CfgNodeKind.JOIN, None, then_fr + else_fr)
-        return [IfStruct(branch, arms, join)], [join], brk, cont, after
+            else_items, after = self.parse_one(after + 1, end)
+        return [IfStruct(branch, [("then", then_items), ("else", else_items)])], after
 
-    def _parse_while(self, i: int, end: int, frontier: List[int]):
+    def _parse_while(self, i: int, end: int):
         span, close = self._guard_span(i)
-        head = self.new_node(CfgNodeKind.LOOP_HEAD, span, frontier)
-        self.nodes[head].guard_text = self.guard_text(span)
-        body_items, body_fr, brk, cont, after = self.parse_one(close + 1, end, [head])
-        self.connect(body_fr + cont, head)  # back edges
-        return [LoopStruct(head, body_items, "while")], [head] + brk, [], [], after
+        head = self.new_head(span)
+        body_items, after = self.parse_one(close + 1, end)
+        return [LoopStruct(head, body_items, "while")], after
 
-    def _parse_for(self, i: int, end: int, frontier: List[int]):
+    def _parse_for(self, i: int, end: int):
         clause, close = self._guard_span(i)
         start = clause[0]
         semis: List[int] = []
@@ -307,51 +261,32 @@ class _CfgBuilder:
             cond_span = clause
             incr_span = (close, close)
         if init_span[0] < init_span[1]:
-            node = self.new_node(CfgNodeKind.STATEMENT, init_span, frontier)
-            items.append(SeqStmt(node))
-            frontier = [node]
-        head = self.new_node(CfgNodeKind.LOOP_HEAD, cond_span, frontier)
-        self.nodes[head].guard_text = self.guard_text(cond_span)
-        body_items, body_fr, brk, cont, after = self.parse_one(close + 1, end, [head])
+            items.append(SeqStmt(self.new_node(init_span)))
+        head = self.new_head(cond_span)
+        body_items, after = self.parse_one(close + 1, end)
         trailer: list = []
-        incr_preds = body_fr + cont
         if incr_span[0] < incr_span[1]:
-            incr_node = self.new_node(CfgNodeKind.STATEMENT, incr_span, incr_preds)
-            trailer.append(SeqStmt(incr_node))
-            self.connect([incr_node], head)
-        else:
-            self.connect(incr_preds, head)
-        loop = LoopStruct(head, body_items, "for", trailer)
-        items.append(loop)
-        exits = brk + ([head] if cond_span[0] < cond_span[1] else [])
-        return items, exits, [], [], after
+            trailer.append(SeqStmt(self.new_node(incr_span)))
+        items.append(LoopStruct(head, body_items, "for", trailer))
+        return items, after
 
-    def _parse_do(self, i: int, end: int, frontier: List[int]):
-        body_items, body_fr, brk, cont, after = self.parse_one(i + 1, end, frontier)
+    def _parse_do(self, i: int, end: int):
+        body_items, after = self.parse_one(i + 1, end)
         # after points at "while"
         head_span = (i + 1, i + 1)
         close = after
         if after < end and self.stream[after].text == "while":
             head_span, close = self._guard_span(after)
-        head = self.new_node(CfgNodeKind.LOOP_HEAD, head_span, body_fr + cont)
-        self.nodes[head].guard_text = self.guard_text(head_span)
-        first = _first_node(body_items)
-        if first is not None:
-            self.connect([head], first)  # back edge
-        stmt_end = self.statement_end(close)
-        return ([LoopStruct(head, body_items, "dowhile")],
-                [head] + brk, [], [], stmt_end)
+        head = self.new_head(head_span)
+        return [LoopStruct(head, body_items, "dowhile")], self.statement_end(close)
 
-    def _parse_switch(self, i: int, end: int, frontier: List[int]):
+    def _parse_switch(self, i: int, end: int):
         span, close = self._guard_span(i)
-        branch = self.new_node(CfgNodeKind.BRANCH, span, frontier)
-        self.nodes[branch].guard_text = self.guard_text(span)
+        branch = self.new_head(span)
         if close + 1 >= end or self.stream[close + 1].text != "{":
             # braceless switch: treat the lone statement as a "then" arm
-            items, fr, brk, cont, after = self.parse_one(close + 1, end, [branch])
-            join = self.new_node(CfgNodeKind.JOIN, None, fr + brk + [branch])
-            return ([SwitchStruct(branch, [("case:0", items)], join, False)],
-                    [join], [], cont, after)
+            items, after = self.parse_one(close + 1, end)
+            return [SwitchStruct(branch, [("case:0", items)], False)], after
         body_open = close + 1
         body_close = self.match_forward(body_open)
 
@@ -378,102 +313,45 @@ class _CfgBuilder:
             k += 1
 
         arms: List[Tuple[str, list]] = []
-        breaks: List[int] = []
-        continues: List[int] = []
-        fall_fr: List[int] = []
-        for idx, (label_start, tag, body_start) in enumerate(labels):
+        for idx, (_label_start, tag, body_start) in enumerate(labels):
             seg_end = labels[idx + 1][0] if idx + 1 < len(labels) else body_close
-            entry_preds = [branch] + fall_fr
-            items, fr, brk, cont, _ = self._parse_segment(body_start, seg_end, entry_preds)
-            arms.append((tag, items))
-            breaks.extend(brk)
-            continues.extend(cont)
-            fall_fr = fr
+            arms.append((tag, self.parse_region(body_start, seg_end)))
         has_default = any(tag == "default" for _start, tag, _body in labels)
-        join_preds = breaks + fall_fr + ([] if has_default else [branch])
-        join = self.new_node(CfgNodeKind.JOIN, None, join_preds)
-        return ([SwitchStruct(branch, arms, join, has_default)],
-                [join], [], continues, body_close + 1)
+        return [SwitchStruct(branch, arms, has_default)], body_close + 1
 
-    def _parse_segment(self, i: int, end: int, frontier: List[int]):
-        items, frontier, brk, cont = self.parse_region(i, end, frontier)
-        return items, frontier, brk, cont, end
-
-    def _parse_try(self, i: int, end: int, frontier: List[int]):
-        body_items, frontier, brk, cont, after = self.parse_one(i + 1, end, frontier)
-        items = list(body_items)
+    def _parse_try(self, i: int, end: int):
+        items, after = self.parse_one(i + 1, end)
         while after < end and self.stream[after].text == "catch":
             span, close = self._guard_span(after)
-            branch = self.new_node(CfgNodeKind.BRANCH, span, frontier)
-            self.nodes[branch].guard_text = "catch " + self.guard_text(span)
-            catch_items, catch_fr, brk2, cont2, after = self.parse_one(close + 1, end, [branch])
-            join = self.new_node(CfgNodeKind.JOIN, None, catch_fr + [branch])
-            items.append(IfStruct(branch, [("then", catch_items), ("else", [])], join))
-            frontier = [join]
-            brk += brk2
-            cont += cont2
-        return items, frontier, brk, cont, after
-
-
-def _first_node(items: list) -> Optional[int]:
-    for item in items:
-        if isinstance(item, (SeqStmt, ReturnStmt, BreakStmt, ContinueStmt)):
-            return item.node
-        if isinstance(item, IfStruct):
-            return item.branch
-        if isinstance(item, LoopStruct):
-            if item.style == "dowhile":
-                sub = _first_node(item.body)
-                return sub if sub is not None else item.head
-            return item.head
-        if isinstance(item, SwitchStruct):
-            return item.branch
-    return None
+            branch = self.new_head(span, "catch ")
+            catch_items, after = self.parse_one(close + 1, end)
+            items.append(IfStruct(branch, [("then", catch_items), ("else", [])]))
+        return items, after
 
 
 def build_cfg(func_scope: ScopeNode, stream: TokenStream) -> Cfg:
-    """Build the CFG (graph plus structure plan) for one function body."""
+    """Build the structure plan and its nodes for one function body."""
     begin = func_scope.token_begin + 1
     end = max(begin, func_scope.token_end - 1)
-    builder = _CfgBuilder(stream, begin, end)
-    entry = builder.new_node(CfgNodeKind.ENTRY, None, [])
-    builder.nodes[entry].line = stream[func_scope.token_begin].line
+    entry_line = stream[func_scope.token_begin].line
+    exit_line = (stream[func_scope.token_end - 1].line
+                 if func_scope.token_end - 1 < len(stream) else entry_line)
+    builder = _CfgBuilder(stream, end, entry_line)
 
-    degraded = any(stream[k].text == "goto"
-                   for k in range(begin, min(end, len(stream))))
-    if degraded:
+    if any(stream[k].text == "goto" for k in range(begin, min(end, len(stream)))):
         stream.diagnostics.append(Diagnostic(
             "MalformedControlFlow", "goto present; control flow degraded to a chain",
-            stream.file, builder.nodes[entry].line, 1))
-        items, frontier = _linear_chain(builder, begin, end, [entry])
-        breaks: List[int] = []
-        continues: List[int] = []
+            stream.file, entry_line, 1))
+        items = _linear_chain(builder, begin, end)
     else:
-        items, frontier, breaks, continues = builder.parse_region(begin, end, [entry])
+        items = builder.parse_region(begin, end)
 
-    exit_id = builder.new_node(CfgNodeKind.EXIT, None, frontier + breaks + continues)
-    builder.nodes[exit_id].line = (stream[func_scope.token_end - 1].line
-                                   if func_scope.token_end - 1 < len(stream)
-                                   else builder.nodes[entry].line)
-    for node in builder.nodes:
-        if node.kind is CfgNodeKind.RETURN and exit_id not in node.succ:
-            builder.connect([node.id], exit_id)
-
-    cfg = Cfg(
-        func=func_id_of(func_scope, stream),
-        func_scope=func_scope,
-        stream=stream,
-        nodes=builder.nodes,
-        entry=entry,
-        exit=exit_id,
-        structure=items,
-        degraded=degraded,
-    )
-    return cfg
+    return Cfg(func=func_id_of(func_scope, stream), func_scope=func_scope,
+               stream=stream, nodes=builder.nodes, entry_line=entry_line,
+               exit_line=exit_line, structure=items)
 
 
-def _linear_chain(builder: _CfgBuilder, begin: int, end: int,
-                  frontier: List[int]):
+def _linear_chain(builder: _CfgBuilder, begin: int, end: int) -> list:
     """Degraded mode: every statement in order, control keywords inert."""
     items: list = []
     i = begin
@@ -484,24 +362,46 @@ def _linear_chain(builder: _CfgBuilder, begin: int, end: int,
             continue
         if text in ("if", "while", "for", "switch", "catch"):
             _span, close = builder._guard_span(i)
-            node = builder.new_node(CfgNodeKind.STATEMENT, (i, close + 1), frontier)
-            items.append(SeqStmt(node))
-            frontier = [node]
-            i = close + 1
-            continue
-        stmt_end = builder.statement_end(i)
-        node = builder.new_node(CfgNodeKind.STATEMENT, (i, stmt_end), frontier)
-        items.append(SeqStmt(node))
-        frontier = [node]
+            stmt_end = close + 1
+        else:
+            stmt_end = builder.statement_end(i)
+        items.append(SeqStmt(builder.new_node((i, stmt_end))))
         i = stmt_end
-    return items, frontier
+    return items
+
+
+_LEAF_NAMES = {SeqStmt: "Statement", ReturnStmt: "Return", BreakStmt: "Break",
+               ContinueStmt: "Continue"}
 
 
 def dump_cfg(cfg: Cfg) -> str:
-    lines = []
-    for node in cfg.nodes:
-        succ = ",".join(str(s) for s in node.succ) or "-"
-        lines.append(f"{node.id} {node.kind.value} {node.line} -> {succ}")
+    """The plan as indented rows, ``line kind (guard)``, between an Entry
+    and an Exit row; arms are headed by their tag, loops by ``body:`` and
+    ``trailer:``."""
+    lines = [f"Entry {cfg.entry_line}"]
+    stack: list = [(0, item) for item in reversed(cfg.structure)]
+    while stack:
+        depth, item = stack.pop()
+        pad = "  " * depth
+        if isinstance(item, str):
+            lines.append(f"{pad}{item}:")
+            continue
+        if type(item) in _LEAF_NAMES:
+            lines.append(f"{pad}{cfg.node(item.node).line} {_LEAF_NAMES[type(item)]}")
+            continue
+        if isinstance(item, LoopStruct):
+            head, kind = cfg.node(item.head), f"Loop {item.style}"
+            parts = [("body", item.body)] + ([("trailer", item.trailer)]
+                                             if item.trailer else [])
+        else:
+            head = cfg.node(item.branch)
+            kind = "If" if isinstance(item, IfStruct) else "Switch"
+            parts = item.arms
+        lines.append(f"{pad}{head.line} {kind} ({head.guard_text})")
+        for tag, sub in reversed(parts):
+            stack.extend((depth + 2, x) for x in reversed(sub))
+            stack.append((depth + 1, tag))
+    lines.append(f"Exit {cfg.exit_line}")
     return "\n".join(lines)
 
 
@@ -535,9 +435,6 @@ class Fcg:
 
     def callees(self, caller: FuncId) -> List[FuncId]:
         return list(self.sites.get(caller, {}).values())
-
-    def callers(self, callee: FuncId) -> List[FuncId]:
-        return [e.caller for e in self.edges if e.callee == callee]
 
 
 _NOT_CALL_PREV = frozenset(["*", "&", "::"])
@@ -647,11 +544,11 @@ def _resolve_call(fcg: Fcg, by_key, declared, tok: LexToken, receiver_class: str
 
 def defined_successors(fcg: Fcg) -> Dict[FuncId, List[FuncId]]:
     """Callees of each defined function, in edge order, among defined ones."""
-    succ: Dict[FuncId, List[FuncId]] = {f: [] for f in fcg.defined}
+    callees: Dict[FuncId, List[FuncId]] = {f: [] for f in fcg.defined}
     for edge in fcg.edges:
-        if edge.caller in succ and edge.callee in succ:
-            succ[edge.caller].append(edge.callee)
-    return succ
+        if edge.caller in callees and edge.callee in callees:
+            callees[edge.caller].append(edge.callee)
+    return callees
 
 
 def find_rings(fcg: Fcg) -> List[List[FuncId]]:
@@ -680,17 +577,17 @@ def find_rings(fcg: Fcg) -> List[List[FuncId]]:
         while work:
             node, it = work[-1]
             advanced = False
-            for succ in it:
-                if succ not in index:
-                    index[succ] = low[succ] = counter[0]
+            for callee in it:
+                if callee not in index:
+                    index[callee] = low[callee] = counter[0]
                     counter[0] += 1
-                    stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, iter(graph[succ])))
+                    stack.append(callee)
+                    on_stack.add(callee)
+                    work.append((callee, iter(graph[callee])))
                     advanced = True
                     break
-                if succ in on_stack:
-                    low[node] = min(low[node], index[succ])
+                if callee in on_stack:
+                    low[node] = min(low[node], index[callee])
             if advanced:
                 continue
             work.pop()

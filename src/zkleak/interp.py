@@ -9,7 +9,7 @@ live) and a diagnostic marks the function as partially path-insensitive
 from there on.
 
 Loop bodies run twice so second-iteration effects (double release,
-pointer reuse) surface, then the back edge is cut.  Code after a
+pointer reuse) surface, then the walk leaves the loop.  Code after a
 ``return`` is still scanned with a fresh variant so defects in
 unreachable tails are not silently skipped.
 
@@ -165,17 +165,16 @@ class Interp:
     def run(self) -> ExploreOutcome:
         start = self._fresh_variant([])
         flow, brk, cont, fin = self._run_seq(self.cfg.structure, [start])
-        exit_line = self.cfg.node(self.cfg.exit).line
         if self.path_insensitive:
             self.cfg.stream.diagnostics.append(Diagnostic(
                 "PathBudgetExceeded",
                 f"variant budget ({self.budget}) exceeded in "
                 f"{self.cfg.func.func_name}; merged paths pessimistically",
-                self.cfg.stream.file, self.cfg.node(self.cfg.entry).line, 1))
+                self.cfg.stream.file, self.cfg.entry_line, 1))
         # stray break/continue outside a loop just fall off the end
         variants = fin + flow + brk + cont
         return ExploreOutcome(variants, list(self.mid_errors.values()),
-                              self.path_insensitive, exit_line)
+                              self.path_insensitive, self.cfg.exit_line)
 
     # -- structure walk -------------------------------------------------------
 

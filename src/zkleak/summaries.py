@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .defects import Defect, DefectKind, PathCond
 from .graphs import Cfg, Fcg, FuncId, build_cfg, defined_successors, find_rings
-from .interp import (ExploreOutcome, ExternObj, Interp, RecordedError,
+from .interp import (ExploreOutcome, Interp, RecordedError,
                      ST_ACTIVE, ST_UNKNOWN, Variant, default_call_effect,
                      explore, finish_variants, symbol_index, PATH_BUDGET)
 from .events import CallEvent, RETURN_SLOT
@@ -268,18 +268,18 @@ class SummaryRun:
 
 def _post_order(fcg: Fcg) -> List[FuncId]:
     """Callees before callers; cycles broken by the visited set."""
-    succ = {f: sorted(callees)
-            for f, callees in defined_successors(fcg).items()}
+    graph = {f: sorted(callees)
+             for f, callees in defined_successors(fcg).items()}
     order: List[FuncId] = []
     seen: Set[FuncId] = set()
-    for start in sorted(succ):
+    for start in sorted(graph):
         if start in seen:
             continue
         stack: List[Tuple[FuncId, int]] = [(start, 0)]
         seen.add(start)
         while stack:
             node, idx = stack[-1]
-            children = succ[node]
+            children = graph[node]
             if idx < len(children):
                 stack[-1] = (node, idx + 1)
                 child = children[idx]
@@ -331,7 +331,7 @@ def update_all(units: List[Tuple[ScopeNode, TokenStream]], fcg: Fcg,
         defects.append(Defect(
             kind=DefectKind.RECURSIVE_CALL_RING,
             file=head.file_name,
-            line=cfgs[head].node(cfgs[head].entry).line,
+            line=cfgs[head].entry_line,
             func=(f"{head.class_name}::{head.func_name}"
                   if head.class_name else head.func_name),
             message=f"call ring never summarized precisely: {cycle}"))

@@ -1,21 +1,39 @@
-"""Control-flow graphs, the call graph, and ring detection.
+"""Control-flow plans, the call graph, and ring detection.
 
-The CFG manifest below was annotated by hand from the construction
-rules: one Statement node per simple statement, Branch/Join pairs for
-conditionals, a LoopHead with the back edge for loops, Return wired to
-Exit.  Ring detection is checked against exhaustive simple-cycle
-enumeration on random digraphs.
+The CFG of a function is its structure plan: nested sequences, branches
+and loops whose leaves are statement nodes.  The manifest below was
+annotated by hand from the construction rules: one statement node per
+simple statement, a branch node per conditional or switch, a head node
+per loop with the body nested under it, and a `for` increment as the
+loop's trailer.  ``fixtures/plan_golden.json`` pins the plan of every
+function in the corpus, the manifest, the scaling inputs and the
+bracket-damaged files.  Ring detection is checked against exhaustive
+simple-cycle enumeration on random digraphs.
+
+Regenerate the golden file only from a commit whose plans are known
+good:
+
+    PYTHONPATH=src python tests/test_graphs.py
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
+from pathlib import Path
 
 from zkleak.graphs import (
-    CfgNodeKind,
+    BreakStmt,
+    ContinueStmt,
     FcgEdge,
     Fcg,
     FuncId,
+    IfStruct,
+    LoopStruct,
+    ReturnStmt,
+    SeqStmt,
+    SwitchStruct,
     build_cfg,
     build_fcg,
     dump_cfg,
@@ -24,6 +42,9 @@ from zkleak.graphs import (
 )
 from zkleak.scopes import build_scope_tree
 from zkleak.tokens import tokenize
+
+FIXTURES = Path(__file__).parent / "fixtures"
+PLAN_GOLDEN = FIXTURES / "plan_golden.json"
 
 
 def _unit(source: str, name: str):
@@ -37,109 +58,252 @@ def _cfg(source: str, name: str = "cfg.c", which: int = 0):
 
 
 # ---------------------------------------------------------------------------
-# Node/edge-count manifest
+# Plan shapes
 # ---------------------------------------------------------------------------
 
-# (source, node count, edge count); edges counted over successor lists.
+_LEAVES = {SeqStmt: "s", ReturnStmt: "ret", BreakStmt: "brk", ContinueStmt: "cont"}
+
+
+def _shape(items: list) -> list:
+    """The plan with node ids dropped: leaves by kind, an if as
+    ("if", then, else), a loop as (style, body[, trailer]) and a switch as
+    ("switch", {tag: arm})."""
+    out = []
+    for item in items:
+        if type(item) in _LEAVES:
+            out.append(_LEAVES[type(item)])
+        elif isinstance(item, IfStruct):
+            (_, then), (_, other) = item.arms
+            out.append(("if", _shape(then), _shape(other)))
+        elif isinstance(item, LoopStruct):
+            trailer = (_shape(item.trailer),) if item.trailer else ()
+            out.append((item.style, _shape(item.body)) + trailer)
+        else:
+            out.append(("switch", {tag: _shape(arm) for tag, arm in item.arms}))
+    return out
+
+
+# (source, plan shape)
 _CFG_MANIFEST = [
-    ("void f ( ) { }", 2, 1),
-    ("void f ( ) { int a ; }", 3, 2),
-    ("void f ( ) { int a ; a = 1 ; a = 2 ; }", 5, 4),
-    ("void f ( int c ) { if ( c ) { c = 1 ; } c = 2 ; }", 6, 6),
-    ("void f ( int c ) { if ( c ) { c = 1 ; } else { c = 2 ; } }", 6, 6),
-    ("void f ( int c ) { if ( c ) { } else { } }", 4, 4),
-    ("void f ( int c ) { if ( c ) { if ( c ) { c = 1 ; } } }", 7, 8),
-    ("void f ( int c ) { if ( c ) { c = 1 ; } else if ( c ) { c = 2 ; } else { c = 3 ; } }", 9, 10),
-    ("void f ( int c ) { while ( c ) { c -- ; } }", 4, 4),
-    ("void f ( int c ) { do { c -- ; } while ( c ) ; }", 4, 4),
-    ("void f ( ) { for ( int i = 0 ; i < 3 ; i ++ ) { i = i ; } }", 6, 6),
-    ("void f ( int c ) { while ( c ) { c -- ; } while ( c ) { c ++ ; } }", 6, 7),
-    ("void f ( int c ) { while ( c ) { if ( c ) { c = 1 ; } else { c = 2 ; } } }", 7, 8),
-    ("void f ( int c ) { while ( c ) { if ( c ) { break ; } c -- ; } }", 7, 8),
-    ("void f ( int c ) { while ( c ) { if ( c ) { continue ; } c -- ; } }", 7, 8),
-    ("void f ( int c ) { switch ( c ) { case 1 : c = 0 ; break ; default : c = 9 ; } }", 7, 7),
-    ("void f ( int c ) { switch ( c ) { case 1 : c = 0 ; break ; case 2 : c = 5 ; break ; } }", 8, 9),
-    ("void f ( int c ) { if ( c ) { return ; } c = 1 ; }", 6, 6),
-    ("int f ( int c ) { c = 1 ; return c ; }", 4, 3),
-    ("int f ( ) { return 0 ; int a ; }", 4, 3),
+    ("void f ( ) { }", []),
+    ("void f ( ) { int a ; }", ["s"]),
+    ("void f ( ) { int a ; a = 1 ; a = 2 ; }", ["s", "s", "s"]),
+    ("void f ( int c ) { if ( c ) { c = 1 ; } c = 2 ; }", [("if", ["s"], []), "s"]),
+    ("void f ( int c ) { if ( c ) { c = 1 ; } else { c = 2 ; } }", [("if", ["s"], ["s"])]),
+    ("void f ( int c ) { if ( c ) { } else { } }", [("if", [], [])]),
+    ("void f ( int c ) { if ( c ) { if ( c ) { c = 1 ; } } }",
+     [("if", [("if", ["s"], [])], [])]),
+    ("void f ( int c ) { if ( c ) { c = 1 ; } else if ( c ) { c = 2 ; } else { c = 3 ; } }",
+     [("if", ["s"], [("if", ["s"], ["s"])])]),
+    ("void f ( int c ) { while ( c ) { c -- ; } }", [("while", ["s"])]),
+    ("void f ( int c ) { do { c -- ; } while ( c ) ; }", [("dowhile", ["s"])]),
+    ("void f ( ) { for ( int i = 0 ; i < 3 ; i ++ ) { i = i ; } }",
+     ["s", ("for", ["s"], ["s"])]),
+    ("void f ( int c ) { while ( c ) { c -- ; } while ( c ) { c ++ ; } }",
+     [("while", ["s"]), ("while", ["s"])]),
+    ("void f ( int c ) { while ( c ) { if ( c ) { c = 1 ; } else { c = 2 ; } } }",
+     [("while", [("if", ["s"], ["s"])])]),
+    ("void f ( int c ) { while ( c ) { if ( c ) { break ; } c -- ; } }",
+     [("while", [("if", ["brk"], []), "s"])]),
+    ("void f ( int c ) { while ( c ) { if ( c ) { continue ; } c -- ; } }",
+     [("while", [("if", ["cont"], []), "s"])]),
+    ("void f ( int c ) { switch ( c ) { case 1 : c = 0 ; break ; default : c = 9 ; } }",
+     [("switch", {"case:1": ["s", "brk"], "default": ["s"]})]),
+    ("void f ( int c ) { switch ( c ) { case 1 : c = 0 ; break ; case 2 : c = 5 ; break ; } }",
+     [("switch", {"case:1": ["s", "brk"], "case:2": ["s", "brk"]})]),
+    ("void f ( int c ) { if ( c ) { return ; } c = 1 ; }", [("if", ["ret"], []), "s"]),
+    ("int f ( int c ) { c = 1 ; return c ; }", ["s", "ret"]),
+    ("int f ( ) { return 0 ; int a ; }", ["ret", "s"]),
 ]
 
 
-def test_manifest_node_and_edge_counts():
+def test_manifest_plan_shapes():
     assert len(_CFG_MANIFEST) == 20
-    for source, nodes, edges in _CFG_MANIFEST:
-        cfg = _cfg(source)
-        got_edges = sum(len(n.succ) for n in cfg.nodes)
-        assert (len(cfg.nodes), got_edges) == (nodes, edges), source
+    for source, shape in _CFG_MANIFEST:
+        assert _shape(_cfg(source).structure) == shape, source
 
 
-def test_manifest_structural_invariants():
-    for source, _, _ in _CFG_MANIFEST:
-        cfg = _cfg(source)
-        entry, exit_ = cfg.node(cfg.entry), cfg.node(cfg.exit)
-        assert entry.kind is CfgNodeKind.ENTRY and entry.pred == []
-        assert exit_.kind is CfgNodeKind.EXIT and exit_.succ == []
-        assert sum(1 for n in cfg.nodes if n.kind is CfgNodeKind.ENTRY) == 1
-        assert sum(1 for n in cfg.nodes if n.kind is CfgNodeKind.EXIT) == 1
-        for node in cfg.nodes:
-            if node.kind in (CfgNodeKind.BRANCH, CfgNodeKind.LOOP_HEAD):
-                assert len(node.succ) >= 2, source
-            for s in node.succ:
-                assert node.id in cfg.node(s).pred
-            for p in node.pred:
-                assert node.id in cfg.node(p).succ
-        assert not cfg.degraded
+def _plan_nodes(items: list):
+    """(node id, is a guard) for every node the plan names, in plan order."""
+    work = list(reversed(items))
+    while work:
+        item = work.pop()
+        if type(item) in _LEAVES:
+            yield item.node, False
+        elif isinstance(item, LoopStruct):
+            yield item.head, True
+            work.extend(reversed(item.body + item.trailer))
+        else:
+            yield item.branch, True
+            work.extend(reversed([x for _tag, arm in item.arms for x in arm]))
+
+
+def _assert_plan_invariants(cfg) -> None:
+    stream, scope = cfg.stream, cfg.func_scope
+    named = list(_plan_nodes(cfg.structure))
+    assert sorted(node for node, _guard in named) == list(range(len(cfg.nodes)))
+    assert [node.id for node in cfg.nodes] == list(range(len(cfg.nodes)))
+    spans = sorted(node.span for node in cfg.nodes)
+    assert all(scope.token_begin < lo <= hi <= scope.token_end - 1 for lo, hi in spans)
+    assert all(a[1] <= b[0] for a, b in zip(spans, spans[1:])), spans
+    for node_id, is_guard in named:
+        node = cfg.nodes[node_id]
+        text = " ".join(stream[k].text for k in range(*node.span))
+        if not is_guard:
+            assert node.guard_text == ""
+        elif node.guard_text.startswith("catch "):
+            assert node.guard_text == "catch " + text
+        else:
+            assert node.guard_text == text
+
+
+def test_manifest_structural_invariants(corpus_paths):
+    for source, _shape_ in _CFG_MANIFEST:
+        stream = tokenize(source, "inv.c")
+        cfg = build_cfg(build_scope_tree(stream).function_scopes[0], stream)
+        _assert_plan_invariants(cfg)
+        assert not any(d.code == "MalformedControlFlow" for d in stream.diagnostics)
+    for path in corpus_paths:
+        root, stream = _unit(path.read_text(encoding="utf-8"), path.name)
+        for scope in root.function_scopes:
+            _assert_plan_invariants(build_cfg(scope, stream))
 
 
 def test_straight_line_shape():
-    cfg = _cfg("void f ( ) { int a ; a = 1 ; a = 2 ; }")
-    kinds = [n.kind for n in cfg.nodes]
-    assert kinds == [
-        CfgNodeKind.ENTRY,
-        CfgNodeKind.STATEMENT,
-        CfgNodeKind.STATEMENT,
-        CfgNodeKind.STATEMENT,
-        CfgNodeKind.EXIT,
-    ]
-    assert [n.succ for n in cfg.nodes] == [[1], [2], [3], [4], []]
+    cfg = _cfg("void f ( ) {\n int a ;\n a = 1 ;\n a = 2 ;\n}")
+    assert cfg.structure == [SeqStmt(0), SeqStmt(1), SeqStmt(2)]
+    assert [(n.span, n.line) for n in cfg.nodes] == [((5, 8), 2), ((8, 12), 3),
+                                                      ((12, 16), 4)]
+    assert (cfg.entry_line, cfg.exit_line) == (1, 5)
 
 
 def test_if_else_shape_and_guard():
     cfg = _cfg("void f ( int c ) { if ( c < 3 ) { c = 1 ; } else { c = 2 ; } }")
     assert dump_cfg(cfg) == (
-        "0 Entry 1 -> 1\n"
-        "1 Branch 1 -> 2,3\n"
-        "2 Statement 1 -> 4\n"
-        "3 Statement 1 -> 4\n"
-        "4 Join 1 -> 5\n"
-        "5 Exit 1 -> -"
+        "Entry 1\n"
+        "1 If (c < 3)\n"
+        "  then:\n"
+        "    1 Statement\n"
+        "  else:\n"
+        "    1 Statement\n"
+        "Exit 1"
     )
-    assert cfg.node(1).guard_text == "c < 3"
+    assert cfg.node(0).guard_text == "c < 3"
+    # A catch forks like an if with an empty else arm.
+    cfg = _cfg("void f ( ) {\n try { g ( ) ; }\n catch ( E e ) { h ( ) ; }\n}")
+    assert cfg.structure == [SeqStmt(0), IfStruct(1, [("then", [SeqStmt(2)]), ("else", [])])]
+    assert [(n.span, n.line, n.guard_text) for n in cfg.nodes] == [
+        ((7, 11), 2, ""), ((14, 16), 3, "catch E e"), ((18, 22), 3, "")]
 
 
-def test_loop_has_back_edge():
+def test_loop_body_is_nested_under_its_head():
     cfg = _cfg("void f ( int c ) { while ( c ) { c -- ; } }")
-    (head,) = [n for n in cfg.nodes if n.kind is CfgNodeKind.LOOP_HEAD]
-    body_preds = [p for p in head.pred if p != cfg.entry]
-    assert body_preds, "loop head needs a back edge"
-    assert cfg.exit in head.succ or any(
-        cfg.node(s).kind is not CfgNodeKind.STATEMENT for s in head.succ)
+    assert cfg.structure == [LoopStruct(0, [SeqStmt(1)], "while")]
+    assert cfg.node(0).guard_text == "c"
+    cfg = _cfg("void f ( ) {\n for ( int i = 0 ; i < 3 ; i ++ ) {\n  i = i ;\n }\n}")
+    assert cfg.structure == [SeqStmt(0), LoopStruct(1, [SeqStmt(2)], "for", [SeqStmt(3)])]
+    assert dump_cfg(cfg) == (
+        "Entry 1\n"
+        "2 Statement\n"
+        "2 Loop for (i < 3)\n"
+        "  body:\n"
+        "    3 Statement\n"
+        "  trailer:\n"
+        "    2 Statement\n"
+        "Exit 5"
+    )
 
 
-def test_return_connects_to_exit():
-    cfg = _cfg("void f ( int c ) { if ( c ) { return ; } c = 1 ; }")
-    (ret,) = [n for n in cfg.nodes if n.kind is CfgNodeKind.RETURN]
-    assert ret.succ == [cfg.exit]
+def test_return_in_the_then_arm_and_the_exit_line():
+    cfg = _cfg("void f ( int c ) {\n if ( c ) { return ; }\n c = 1 ;\n}")
+    assert cfg.structure == [IfStruct(0, [("then", [ReturnStmt(1)]), ("else", [])]),
+                             SeqStmt(2)]
+    assert [n.line for n in cfg.nodes] == [2, 2, 3]
+    assert (cfg.entry_line, cfg.exit_line) == (1, 4)
+    # An unclosed body runs to the last token, which gives the exit line.
+    cfg = _cfg("int g ;\nvoid f ( ) {\n return ;")
+    assert cfg.structure == [ReturnStmt(0)]
+    assert (cfg.entry_line, cfg.exit_line) == (2, 3)
 
 
 def test_goto_degrades_to_a_chain():
-    source = "void f ( ) { goto out ; out : ; }"
+    source = "void f ( int c ) { if ( c ) goto out ; c = 1 ; out : ; }"
     stream = tokenize(source, "g.c")
     root = build_scope_tree(stream)
     cfg = build_cfg(root.function_scopes[0], stream)
-    assert cfg.degraded
-    assert all(len(n.succ) <= 1 for n in cfg.nodes)
+    assert _shape(cfg.structure) == ["s"] * 4
+    assert all(isinstance(item, SeqStmt) for item in cfg.structure)
     assert any(d.code == "MalformedControlFlow" for d in stream.diagnostics)
+
+
+# ---------------------------------------------------------------------------
+# Golden plans
+# ---------------------------------------------------------------------------
+
+def _row(cfg, node_id: int, guard: bool = False) -> list:
+    node = cfg.nodes[node_id]
+    return [node.span[0], node.span[1], node.line] + ([node.guard_text] if guard else [])
+
+
+def _golden_plan(cfg, items: list) -> list:
+    """The plan with each node written as [span begin, span end, line] and
+    a guard node's text appended."""
+    out: list = []
+    for item in items:
+        if type(item) in _LEAVES:
+            out.append([_LEAVES[type(item)], _row(cfg, item.node)])
+        elif isinstance(item, IfStruct):
+            out.append(["if", _row(cfg, item.branch, True),
+                        [[tag, _golden_plan(cfg, arm)] for tag, arm in item.arms]])
+        elif isinstance(item, LoopStruct):
+            out.append(["loop", item.style, _row(cfg, item.head, True),
+                        _golden_plan(cfg, item.body), _golden_plan(cfg, item.trailer)])
+        else:
+            out.append(["switch", _row(cfg, item.branch, True), item.has_default,
+                        [[tag, _golden_plan(cfg, arm)] for tag, arm in item.arms]])
+    return out
+
+
+def plan_inputs() -> list:
+    """(name, source): the corpus, the manifest, the scaling inputs at
+    N = 250 and the bracket-damaged files."""
+    from test_brackets import CORPUS, mutated_cases
+    from test_scaling import many_calls, nested_templates, open_prototypes
+
+    cases = [(p.name, p.read_text(encoding="utf-8")) for p in sorted(CORPUS.iterdir())]
+    cases += [(f"manifest{k}.c", entry[0]) for k, entry in enumerate(_CFG_MANIFEST)]
+    cases += [(f"{make.__name__}.cc", make(250))
+              for make in (nested_templates, many_calls, open_prototypes)]
+    return cases + mutated_cases()
+
+
+def _golden_case(name: str, source: str) -> dict:
+    root, stream = _unit(source, name)
+    functions = []
+    for scope in root.function_scopes:
+        cfg = build_cfg(scope, stream)
+        functions.append({"func": scope.name, "entry": cfg.entry_line,
+                          "exit": cfg.exit_line,
+                          "plan": _golden_plan(cfg, cfg.structure)})
+    digest = hashlib.sha256(source.encode("utf-8")).hexdigest()[:16]
+    return {"input": name, "sha256": digest, "functions": functions}
+
+
+def test_plans_match_the_golden_file():
+    golden = json.loads(PLAN_GOLDEN.read_text(encoding="utf-8"))
+    cases = [_golden_case(name, source) for name, source in plan_inputs()]
+    assert [(c["input"], c["sha256"]) for c in golden] == \
+        [(c["input"], c["sha256"]) for c in cases]
+    assert sum(len(c["functions"]) for c in cases) > 200
+    for want, got in zip(golden, cases):
+        assert got == want, want["input"]
+
+
+def write_plan_golden() -> int:
+    cases = [_golden_case(name, source) for name, source in plan_inputs()]
+    PLAN_GOLDEN.write_text("[\n" + ",\n".join(json.dumps(c) for c in cases) + "\n]\n",
+                           encoding="utf-8")
+    return len(cases)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +367,6 @@ def test_call_sites_carry_token_positions():
     caller = edge.caller
     assert fcg.call_sites(caller) == {edge.site_index: edge.callee}
     assert fcg.callees(caller) == [edge.callee]
-    assert fcg.callers(edge.callee) == [caller]
 
 
 def _assert_index_matches_edges(fcg):
@@ -348,3 +511,7 @@ def test_rings_match_simple_cycle_enumeration_on_random_digraphs():
 
         assert rings == sorted(rings, key=lambda r: r[0])
         assert all(ring == sorted(ring) for ring in rings)
+
+
+if __name__ == "__main__":
+    print(f"wrote {write_plan_golden()} cases to {PLAN_GOLDEN}")

@@ -307,7 +307,9 @@ def test_dispatched_extraction_equals_a_full_scan_on_the_corpus(corpus_paths):
         want = _extract(stream, span, full_scan, site_map)
         assert _extract(stream, span, dispatched, site_map) == want
         events += len(want)
-    assert len(cases) > 200 and events > 100
+    # Cases with a non-empty span: 106 CFG nodes and 22 member bodies.
+    assert sum(lo < hi for _stream, (lo, hi), _sites in cases) == 128
+    assert events > 100
 
 
 class _UnscannableSites(dict):
