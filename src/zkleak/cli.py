@@ -117,12 +117,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.dump_cfg:
         wanted = args.dump_cfg
         shown = 0
-        for fid in sorted(report.summary_run.cfgs):
+        # Every body with that name, same-id twins in source order.
+        for cfg in sorted(report.summary_run.cfgs, key=lambda c: c.func):
+            fid = cfg.func
             qualified = (f"{fid.class_name}::{fid.func_name}"
                          if fid.class_name else fid.func_name)
             if wanted in (fid.func_name, qualified):
                 print(f"== {fid.render()}")
-                print(dump_cfg(report.summary_run.cfgs[fid]))
+                print(dump_cfg(cfg))
                 shown += 1
         if not shown:
             print(f"zkleak: error: no function named {wanted}", file=sys.stderr)

@@ -3,7 +3,9 @@
 ``load_source`` lexes one file, builds its scope tree and collects its
 class shapes; ``report.run`` feeds the resulting units to the call graph,
 the summaries and the path walk.  Beside the flow-based verdicts, three
-class-shape rules run directly over the scope tree:
+class-shape rules run over the class shapes and the allocation and
+release events that the walk extracted from each member function's CFG
+nodes:
 
 * a class used as a base whose destructor is not virtual,
 * a constructor-allocated pointer member the destructor never releases
@@ -16,10 +18,11 @@ class-shape rules run directly over the scope tree:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .defects import Defect, DefectKind
-from .events import AllocEvent, FreeEvent, _extract
+from .events import AllocEvent, FreeEvent, node_events
+from .graphs import Cfg
 from .machine import FREE_MATCH
 from .patterns import Catalog, DefectPattern, compile_catalog
 from .scopes import ClassInfo, ScopeNode, build_scope_tree, collect_class_info
@@ -45,10 +48,19 @@ def load_source(name: str, text: str) -> FileUnit:
 # Class-shape rules
 # ---------------------------------------------------------------------------
 
-def special_check(units: List[FileUnit],
+# The walked CFG of each function body in one file, by its token span.
+_Bodies = Dict[Tuple[int, int], Cfg]
+
+
+def special_check(units: List[FileUnit], cfgs: List[Cfg],
                   catalog: Union[Catalog, Sequence[DefectPattern], None] = None
                   ) -> List[Defect]:
+    """The class-shape rules; *cfgs* holds the walked CFG of every body."""
     catalog = compile_catalog(catalog)
+    bodies_of: Dict[TokenStream, _Bodies] = {}
+    for cfg in cfgs:
+        span = (cfg.func_scope.token_begin, cfg.func_scope.token_end)
+        bodies_of.setdefault(cfg.stream, {})[span] = cfg
     defects: List[Defect] = []
     for unit in units:
         by_name = {c.name: c for c in unit.classes}
@@ -68,27 +80,30 @@ def special_check(units: List[FileUnit],
                 message=(f"class {base_name} is inherited by {heirs} "
                          f"but its destructor is not virtual")))
 
+        bodies = bodies_of.get(unit.stream, {})
         for cls in unit.classes:
-            defects.extend(_ctor_dtor_rules(unit, cls, catalog))
+            defects.extend(_ctor_dtor_rules(unit, cls, bodies, catalog))
     return defects
 
 
-def _member_events(unit: FileUnit, span: Tuple[int, int],
-                   catalog: Catalog,
+def _member_events(body: Optional[Cfg], catalog: Catalog,
                    member_ids: Dict[int, str]):
-    """(alloc, free) event lists inside *span* that target pointer members."""
+    """(alloc, free) events of the body's CFG nodes that target members."""
     allocs: List[AllocEvent] = []
     frees: List[FreeEvent] = []
-    for ev in _extract(unit.stream, span, catalog, {}):
-        if isinstance(ev, AllocEvent) and ev.owner in member_ids:
-            allocs.append(ev)
-        elif isinstance(ev, FreeEvent) and ev.var in member_ids:
-            frees.append(ev)
+    for node in body.nodes if body is not None else ():
+        # Alloc and free events do not depend on the call-site map, so a
+        # node the walk never applied is extracted without one.
+        for ev in node_events(body, node, catalog, {}):
+            if isinstance(ev, AllocEvent) and ev.owner in member_ids:
+                allocs.append(ev)
+            elif isinstance(ev, FreeEvent) and ev.var in member_ids:
+                frees.append(ev)
     return allocs, frees
 
 
 def _ctor_dtor_rules(unit: FileUnit, cls: ClassInfo,
-                     catalog: Catalog) -> List[Defect]:
+                     bodies: _Bodies, catalog: Catalog) -> List[Defect]:
     defects: List[Defect] = []
     member_ids = {m.var_id: m.name for m in cls.pointer_members}
     if not member_ids:
@@ -96,14 +111,13 @@ def _ctor_dtor_rules(unit: FileUnit, cls: ClassInfo,
 
     ctor_allocs: List[AllocEvent] = []
     for span in cls.ctors:
-        allocs, _ = _member_events(unit, (span[0], span[1]), catalog, member_ids)
+        allocs, _ = _member_events(bodies.get(span), catalog, member_ids)
         ctor_allocs.extend(allocs)
 
     dtor_frees: Dict[int, FreeEvent] = {}
-    if cls.dtor is not None:
-        _, frees = _member_events(unit, cls.dtor, catalog, member_ids)
-        for ev in frees:
-            dtor_frees.setdefault(ev.var, ev)
+    _, frees = _member_events(bodies.get(cls.dtor), catalog, member_ids)
+    for ev in frees:
+        dtor_frees.setdefault(ev.var, ev)
 
     qualified = f"{cls.name}::{cls.name}"
     for ev in ctor_allocs:
@@ -124,13 +138,14 @@ def _ctor_dtor_rules(unit: FileUnit, cls: ClassInfo,
                          f"the destructor of {cls.name}")))
 
     if ctor_allocs:
-        defects.extend(_shallow_copy_rule(unit, cls, ctor_allocs, catalog))
+        defects.extend(_shallow_copy_rule(unit, cls, ctor_allocs, bodies,
+                                          catalog))
     return defects
 
 
 def _shallow_copy_rule(unit: FileUnit, cls: ClassInfo,
                        ctor_allocs: List[AllocEvent],
-                       catalog: Catalog) -> List[Defect]:
+                       bodies: _Bodies, catalog: Catalog) -> List[Defect]:
     owned_ids = {ev.owner: ev.owner_name for ev in ctor_allocs}
     if cls.copy_ctor is None and cls.assign_op is None:
         names = ", ".join(sorted(set(owned_ids.values())))
@@ -145,7 +160,7 @@ def _shallow_copy_rule(unit: FileUnit, cls: ClassInfo,
     for span in (cls.copy_ctor, cls.assign_op):
         if span is None:
             continue
-        allocs, _ = _member_events(unit, span, catalog, owned_ids)
+        allocs, _ = _member_events(bodies.get(span), catalog, owned_ids)
         realloced = {ev.owner for ev in allocs}
         for line, var, name in _shallow_assignments(unit.stream, span, owned_ids):
             if var in realloced:

@@ -1,10 +1,11 @@
 """Memory events recovered from CFG node spans.
 
-Each Statement/Branch/LoopHead/Return span is pattern matched against
-the release/allocation/transfer catalog; hits become typed events the
-interpreter feeds to ownership machines.  Adjacency guards keep the
-fuzzy patterns from firing on lookalikes (``q = p + 1`` is not an
-ownership copy, ``free(a[i])`` does not release ``a``).
+Each CFG node span is pattern matched against the release/allocation/
+transfer catalog; hits become typed events, cached per node, that the
+interpreter feeds to ownership machines and the class rules read back.
+Adjacency guards keep the fuzzy patterns from firing on lookalikes
+(``q = p + 1`` is not an ownership copy, ``free(a[i])`` does not
+release ``a``).
 
 ``RETURN_SLOT`` is a pseudo variable id owning blocks allocated directly
 in a return expression.
@@ -46,9 +47,7 @@ class AssignEvent:
     pos: int
     line: int
     dst: int
-    dst_name: str
     src: int
-    src_name: str
 
 
 @dataclass(frozen=True)
@@ -56,7 +55,6 @@ class NullAssignEvent:
     pos: int
     line: int
     var: int
-    var_name: str
 
 
 @dataclass(frozen=True)
@@ -64,7 +62,6 @@ class PtrArithEvent:
     pos: int
     line: int
     var: int
-    var_name: str
 
 
 @dataclass(frozen=True)
@@ -72,7 +69,6 @@ class ReturnVarEvent:
     pos: int
     line: int
     var: int
-    var_name: str
 
 
 @dataclass(frozen=True)
@@ -80,11 +76,8 @@ class CallEvent:
     pos: int
     line: int
     callee: FuncId
-    site_index: int
     args: Tuple[Optional[int], ...]
-    arg_names: Tuple[str, ...]
     dst: Optional[int]
-    dst_name: str
 
 
 Event = object  # union of the dataclasses above; kept loose on purpose
@@ -239,24 +232,23 @@ def _to_events(stream: TokenStream, pattern: DefectPattern,
             return []
         if not _lhs_ok(stream, dst) or dst.var_id == src.var_id:
             return []
-        return [AssignEvent(m.first_p, dst.line, dst.var_id, dst.text,
-                            src.var_id, src.text)]
+        return [AssignEvent(m.first_p, dst.line, dst.var_id, src.var_id)]
 
     if label == "transfer.null_assign":
         var = vars_[0]
         if after not in (";", ",", ")") or not _lhs_ok(stream, var):
             return []
-        return [NullAssignEvent(m.first_p, var.line, var.var_id, var.text)]
+        return [NullAssignEvent(m.first_p, var.line, var.var_id)]
 
     if label == "transfer.return":
         var = vars_[0]
         if after != ";":
             return []
-        return [ReturnVarEvent(m.first_p, var.line, var.var_id, var.text)]
+        return [ReturnVarEvent(m.first_p, var.line, var.var_id)]
 
     if label.startswith("transfer.incr") or label.startswith("transfer.decr"):
         var = vars_[0]
-        return [PtrArithEvent(m.first_p, var.line, var.var_id, var.text)]
+        return [PtrArithEvent(m.first_p, var.line, var.var_id)]
 
     # User catalog entries: the label tail picks the pairing family, so
     # "alloc.xmalloc" tracks as a malloc and "free.op_delete_array" as a
@@ -335,34 +327,27 @@ def _call_event(stream: TokenStream, site_idx: int, span_end: int,
         return None
 
     args: List[Optional[int]] = []
-    names: List[str] = []
     if close > open_idx + 1:
-        for begin, end in split_top_level(stream, open_idx + 1, close):
-            var_id, name = _plain_var(stream, begin, end)
-            args.append(var_id)
-            names.append(name)
+        args = [_plain_var(stream, begin, end)
+                for begin, end in split_top_level(stream, open_idx + 1, close)]
 
     dst: Optional[int] = None
-    dst_name = ""
     prev = stream.get(name_tok.index - 1)
     if prev is not None and prev.text == "=":
         target = stream.get(prev.index - 1)
         if (target is not None and target.kind is TokenKind.IDENTIFIER
                 and target.var_id > 0 and _lhs_ok(stream, target)):
             dst = target.var_id
-            dst_name = target.text
     elif prev is not None and prev.text == "return":
         dst = RETURN_SLOT
-        dst_name = "<return>"
-    return CallEvent(site_idx, name_tok.line, callee, site_idx,
-                     tuple(args), tuple(names), dst, dst_name)
+    return CallEvent(site_idx, name_tok.line, callee, tuple(args), dst)
 
 
-def _plain_var(stream: TokenStream, begin: int, end: int) -> Tuple[Optional[int], str]:
+def _plain_var(stream: TokenStream, begin: int, end: int) -> Optional[int]:
     """Var id when an argument is a bare variable or ``&var``; else None."""
     toks = [stream[k] for k in range(begin, end)]
     if len(toks) == 2 and toks[0].text == "&":
         toks = toks[1:]
     if len(toks) == 1 and toks[0].kind is TokenKind.IDENTIFIER and toks[0].var_id > 0:
-        return toks[0].var_id, toks[0].text
-    return None, ""
+        return toks[0].var_id
+    return None

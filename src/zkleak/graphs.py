@@ -112,6 +112,17 @@ def func_id_of(scope: ScopeNode, stream: TokenStream) -> FuncId:
 
 _LEAF_KINDS = {"return": ReturnStmt, "break": BreakStmt, "continue": ContinueStmt}
 
+# Deepest statement nesting the builder follows; a deeper body becomes a
+# linear chain.  The builder spends at most three frames per level (a
+# switch nested in a switch arm: parse_one, _parse_switch, parse_region)
+# and the interpreter three per plan level, so both walks stay far inside
+# Python's default recursion limit of 1,000 frames.
+MAX_NESTING = 250
+
+
+class _Degraded(Exception):
+    """Why a body is read as a linear chain instead of a plan."""
+
 
 class _CfgBuilder:
     def __init__(self, stream: TokenStream, end: int, entry_line: int) -> None:
@@ -119,6 +130,7 @@ class _CfgBuilder:
         self.end = end
         self.entry_line = entry_line
         self.nodes: List[CfgNode] = []
+        self.depth = 0  # parse_one calls open on the Python stack
 
     def new_node(self, span: Tuple[int, int]) -> int:
         """A node for *span*; an empty span takes the previous node's line,
@@ -180,33 +192,39 @@ class _CfgBuilder:
 
         Returns (items, next_index).
         """
-        text = self.stream[i].text
+        if self.depth == MAX_NESTING:
+            raise _Degraded(f"statements nested deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        try:
+            text = self.stream[i].text
 
-        if text == "{":
-            close = self.match_forward(i)
-            return self.parse_region(i + 1, close), close + 1
+            if text == "{":
+                close = self.match_forward(i)
+                return self.parse_region(i + 1, close), close + 1
 
-        if text == ";":
-            return [], i + 1
+            if text == ";":
+                return [], i + 1
 
-        if text == "if":
-            return self._parse_if(i, end)
-        if text == "while":
-            return self._parse_while(i, end)
-        if text == "for":
-            return self._parse_for(i, end)
-        if text == "do":
-            return self._parse_do(i, end)
-        if text == "switch":
-            return self._parse_switch(i, end)
-        if text == "try":
-            # The try body runs unconditionally; catch arms conservatively
-            # fork like an if whose guard never constrains anything.
-            return self._parse_try(i, end)
+            if text == "if":
+                return self._parse_if(i, end)
+            if text == "while":
+                return self._parse_while(i, end)
+            if text == "for":
+                return self._parse_for(i, end)
+            if text == "do":
+                return self._parse_do(i, end)
+            if text == "switch":
+                return self._parse_switch(i, end)
+            if text == "try":
+                # The try body runs unconditionally; catch arms conservatively
+                # fork like an if whose guard never constrains anything.
+                return self._parse_try(i, end)
 
-        stmt_end = self.statement_end(i)
-        node = self.new_node((i, stmt_end))
-        return [_LEAF_KINDS.get(text, SeqStmt)(node)], stmt_end
+            stmt_end = self.statement_end(i)
+            node = self.new_node((i, stmt_end))
+            return [_LEAF_KINDS.get(text, SeqStmt)(node)], stmt_end
+        finally:
+            self.depth -= 1
 
     def _guard_span(self, i: int) -> Tuple[Tuple[int, int], int]:
         """Span inside the parens of a control clause at *i*; returns (span, close).
@@ -338,13 +356,16 @@ def build_cfg(func_scope: ScopeNode, stream: TokenStream) -> Cfg:
                  if func_scope.token_end - 1 < len(stream) else entry_line)
     builder = _CfgBuilder(stream, end, entry_line)
 
-    if any(stream[k].text == "goto" for k in range(begin, min(end, len(stream)))):
-        stream.diagnostics.append(Diagnostic(
-            "MalformedControlFlow", "goto present; control flow degraded to a chain",
-            stream.file, entry_line, 1))
-        items = _linear_chain(builder, begin, end)
-    else:
+    try:
+        if any(stream[k].text == "goto" for k in range(begin, min(end, len(stream)))):
+            raise _Degraded("goto present")
         items = builder.parse_region(begin, end)
+    except _Degraded as why:
+        stream.diagnostics.append(Diagnostic(
+            "MalformedControlFlow", f"{why}; control flow degraded to a chain",
+            stream.file, entry_line, 1))
+        builder = _CfgBuilder(stream, end, entry_line)
+        items = _linear_chain(builder, begin, end)
 
     return Cfg(func=func_id_of(func_scope, stream), func_scope=func_scope,
                stream=stream, nodes=builder.nodes, entry_line=entry_line,

@@ -64,7 +64,6 @@ class Variant:
     path: List[PathCond]
     order: int = 0
     returned_var: Optional[int] = None
-    has_returned: bool = False
 
     def clone(self, order: int) -> "Variant":
         twins: Dict[int, ExternObj] = {}
@@ -74,14 +73,13 @@ class Variant:
                 twins[obj.key] = obj.clone()
             ext[var] = twins[obj.key]
         return Variant(self.machines.clone(), ext, list(self.path), order,
-                       self.returned_var, self.has_returned)
+                       self.returned_var)
 
 
 @dataclass
 class RecordedError:
     error: MachineError
     path: List[PathCond]
-    machine_id: Optional[int] = None
     trace: List[str] = field(default_factory=list)
 
 
@@ -134,15 +132,10 @@ class Interp:
         return next(self._machine_ids)
 
     def record(self, err: Optional[MachineError], variant: Variant,
-               machine_id: Optional[int] = None,
                trace: Optional[List[str]] = None) -> None:
-        if err is None:
-            return
-        key = (err.kind, err.line)
-        if key not in self.mid_errors:
-            self.mid_errors[key] = RecordedError(
-                err, list(variant.path), machine_id,
-                list(trace) if trace else [])
+        if err is not None and (err.kind, err.line) not in self.mid_errors:
+            self.mid_errors[err.kind, err.line] = RecordedError(
+                err, list(variant.path), list(trace) if trace else [])
 
     def _fresh_variant(self, path: List[PathCond]) -> Variant:
         v = Variant(MachineSet(), {}, list(path), next(self._orders))
@@ -206,7 +199,6 @@ class Interp:
         if isinstance(item, ReturnStmt):
             for v in variants:
                 self._apply_node(v, item.node)
-                v.has_returned = True
             return [], [], [], variants
         if isinstance(item, BreakStmt):
             return [], variants, [], []
@@ -346,13 +338,13 @@ class Interp:
         node = self.cfg.node(node_id)
         for ev in node_events(self.cfg, node, self.catalog, self.site_map):
             if isinstance(ev, AllocEvent):
-                self._do_alloc(variant, ev)
+                self.allocate(variant, ev.owner, ev.fn, ev.line)
             elif isinstance(ev, FreeEvent):
                 self._do_free(variant, ev)
             elif isinstance(ev, AssignEvent):
                 self._do_assign(variant, ev)
             elif isinstance(ev, NullAssignEvent):
-                self._do_null(variant, ev)
+                self.repoint(variant, ev.var, ev.line, "set to null")
             elif isinstance(ev, PtrArithEvent):
                 self._do_arith(variant, ev)
             elif isinstance(ev, ReturnVarEvent):
@@ -361,24 +353,26 @@ class Interp:
                 handler = self.call_handler or default_call_effect
                 handler(self, variant, ev)
 
-    def _do_alloc(self, variant: Variant, ev: AllocEvent) -> None:
+    def allocate(self, variant: Variant, owner: int, fn: str,
+                 line: int) -> None:
+        """A new block owned by *owner*, allocated here or by a callee."""
         machine, errors = variant.machines.on_alloc(
-            self.new_machine_id(), ev.owner, ev.fn, ev.line)
+            self.new_machine_id(), owner, fn, line)
         for err in errors:
             self.record(err, variant)
-        if ev.owner == RETURN_SLOT:
+        if owner == RETURN_SLOT:
             machine.mark_escaped()
         else:
-            variant.extern.pop(ev.owner, None)
-            sym = self.symbols.get(ev.owner)
+            variant.extern.pop(owner, None)
+            sym = self.symbols.get(owner)
             if sym is not None and (sym.is_member or sym.is_global_or_static):
-                machine.mark_escaped("stored beyond the function")
+                machine.mark_escaped()  # stored beyond the function
 
     def _do_free(self, variant: Variant, ev: FreeEvent) -> None:
         owners = variant.machines.owning(ev.var)
         if owners:
             for m in owners:
-                self.record(m.release(ev.fn, ev.line), variant, m.id, m.trace)
+                self.record(m.release(ev.fn, ev.line), variant, m.trace)
             return
         obj = self._extern_obj(variant, ev.var)
         if obj is None or obj.status != ST_ACTIVE:
@@ -393,24 +387,18 @@ class Interp:
     def _do_assign(self, variant: Variant, ev: AssignEvent) -> None:
         for m in variant.machines.live():
             self.record(m.assign(ev.dst, ev.src, ev.line, self.strict),
-                        variant, m.id, m.trace)
+                        variant, m.trace)
         variant.extern.pop(ev.dst, None)
         if not variant.machines.owning(ev.src):
             src_obj = self._extern_obj(variant, ev.src)
             if src_obj is not None:
                 variant.extern[ev.dst] = src_obj
 
-    def _do_null(self, variant: Variant, ev: NullAssignEvent) -> None:
-        for m in variant.machines.owning(ev.var):
-            self.record(m.drop_owner(ev.var, ev.line, "set to null"),
-                        variant, m.id, m.trace)
-        variant.extern.pop(ev.var, None)
-
     def _do_arith(self, variant: Variant, ev: PtrArithEvent) -> None:
         for m in variant.machines.owning(ev.var):
             self.record(m.drop_owner(ev.var, ev.line,
                                      "advanced by pointer arithmetic"),
-                        variant, m.id, m.trace)
+                        variant, m.trace)
         obj = self._extern_obj(variant, ev.var)
         if obj is not None:
             obj.status = ST_UNKNOWN
@@ -432,9 +420,9 @@ class Interp:
         return None
 
     def repoint(self, variant: Variant, var: int, line: int, cause: str) -> None:
-        """The variable now holds an unrelated value (call result etc.)."""
+        """The variable now holds an unrelated value (null, a call result)."""
         for m in variant.machines.owning(var):
-            self.record(m.drop_owner(var, line, cause), variant, m.id, m.trace)
+            self.record(m.drop_owner(var, line, cause), variant, m.trace)
         variant.extern.pop(var, None)
 
 
@@ -492,16 +480,14 @@ def finish_variants(outcome: ExploreOutcome) -> List[RecordedError]:
         first_v, first_m, first_e = min(leaks, key=lambda t: t[0].order)
         if first_e.kind is DefectKind.PATH_MISSING_RELEASE:
             path = list(first_m.partial_path or [])
-            results.append(RecordedError(first_e, path, mid,
-                                          list(first_m.trace)))
+            results.append(RecordedError(first_e, path, list(first_m.trace)))
         elif len(leaks) == len(entries):
-            results.append(RecordedError(first_e, [], mid,
-                                          list(first_m.trace)))
+            results.append(RecordedError(first_e, [], list(first_m.trace)))
         else:
             err = MachineError(
                 DefectKind.PATH_MISSING_RELEASE, first_e.line,
                 f"block allocated at line {first_e.line} is released on "
                 f"some paths but not on all")
-            results.append(RecordedError(err, list(first_v.path), mid,
+            results.append(RecordedError(err, list(first_v.path),
                                           list(first_m.trace)))
     return results

@@ -164,7 +164,7 @@ class Machine:
             return err
         return None
 
-    def mark_escaped(self, note: str = "returned") -> None:
+    def mark_escaped(self) -> None:
         if not self.settled():
             self.escaped = True
 

@@ -232,7 +232,7 @@ def run(sources: Sequence[Tuple[str, str]],
 
     t0 = time.perf_counter()
     defects = list(summary_run.defects)
-    defects.extend(special_check(units, catalog))
+    defects.extend(special_check(units, summary_run.cfgs, catalog))
     defects.extend(fcg.warnings)
     for unit in units:
         for diag in unit.stream.diagnostics:

@@ -68,7 +68,6 @@ class SymbolEntry:
     var_id: int
     type_text: str
     is_pointer: bool
-    decl_scope: "ScopeNode"
     is_member: bool = False
     is_global_or_static: bool = False
     decl_index: int = -1
@@ -85,7 +84,6 @@ class DeclaredFunc:
     arity: int
     class_name: str
     file: str
-    line: int
     is_virtual: bool = False
     param_text: str = ""
 
@@ -146,7 +144,6 @@ class ClassInfo:
     has_dtor_decl: bool = False
     copy_ctor: Optional[Tuple[int, int]] = None
     assign_op: Optional[Tuple[int, int]] = None
-    scope: Optional[ScopeNode] = None
 
 
 def resolve(name: str, scope: ScopeNode) -> Optional[SymbolEntry]:
@@ -475,7 +472,6 @@ def _parse_parameters(stream: TokenStream, open_idx: int, close_idx: int,
             var_id=counter.next_var(),
             type_text=type_text,
             is_pointer=is_pointer,
-            decl_scope=func,
             decl_index=name_tok.index if name_tok else open_idx,
         )
         func.params.append(entry)
@@ -674,7 +670,7 @@ def _parse_declaration(stream: TokenStream, start: int, scope: ScopeNode,
                 params = " ".join(stream[k].text for k in range(i + 1, close))
                 root.declared_funcs.append(DeclaredFunc(
                     name=name, arity=arity, class_name=class_name,
-                    file=stream.file, line=name_tok.line,
+                    file=stream.file,
                     is_virtual=virtual_seen, param_text=params))
                 return j + 1
             return None
@@ -688,7 +684,6 @@ def _parse_declaration(stream: TokenStream, start: int, scope: ScopeNode,
             var_id=counter.next_var(),
             type_text=" ".join(type_tokens) + (" " + "*" * stars if stars else ""),
             is_pointer=is_pointer,
-            decl_scope=scope,
             is_member=is_member,
             is_global_or_static=is_global,
             decl_index=name_tok.index,
@@ -768,7 +763,7 @@ def collect_class_info(root: ScopeNode, stream: TokenStream) -> List[ClassInfo]:
         if not scope.name:
             continue
         header_tok = stream[scope.header_index] if scope.header_index >= 0 else stream[scope.token_begin]
-        info = ClassInfo(name=scope.name, line=header_tok.line, scope=scope)
+        info = ClassInfo(name=scope.name, line=header_tok.line)
         info.bases = _parse_bases(stream, scope)
         for entries in scope.symbols.values():
             for entry in entries:
@@ -859,13 +854,12 @@ def dump_scopes(root: ScopeNode, stream: TokenStream) -> str:
             return stream[index].line
         return stream[-1].line if len(stream) else 1
 
-    def emit(node: ScopeNode, depth: int) -> None:
+    stack = [(root, 0)]
+    while stack:
+        node, depth = stack.pop()
         begin = 1 if node.parent is None else line_of(node.token_begin)
         end = stream.loc_count if node.parent is None else line_of(node.token_end - 1)
         name = node.name or "-"
         lines.append(f"{'  ' * depth}{node.kind.value} {name} [{begin}..{end}]")
-        for child in node.children:
-            emit(child, depth + 1)
-
-    emit(root, 0)
+        stack.extend((child, depth + 1) for child in reversed(node.children))
     return "\n".join(lines)

@@ -15,6 +15,10 @@ the path-conditional leak kind carrying the callee's path.
 Call rings (mutual or self recursion) are summarized as all-Unknown up
 front and reported once per ring; members are still scanned for local
 defects but never refined, so the worklist always terminates.
+
+Every function body is walked, also when several share one ``FuncId``
+(``#ifdef``/``#else`` twins, same-arity overloads): each reports its own
+defects, and callers see the summary of the body ``fcg.defined`` keeps.
 """
 
 from __future__ import annotations
@@ -111,13 +115,7 @@ def apply_summary(interp: Interp, variant: Variant, ev: CallEvent,
             _apply_to_var(interp, variant, ev, var, entry)
         elif ref.kind == REF_RETURN and action.kind == ACTION_ALLOC:
             if ev.dst is not None:
-                machine, errors = variant.machines.on_alloc(
-                    interp.new_machine_id(), ev.dst, action.fn, ev.line)
-                for err in errors:
-                    interp.record(err, variant)
-                if ev.dst == RETURN_SLOT:
-                    machine.mark_escaped()
-                variant.extern.pop(ev.dst, None)
+                interp.allocate(variant, ev.dst, action.fn, ev.line)
                 dst_handled = True
             else:
                 # result dropped on the floor: block with no owner at all
@@ -132,7 +130,7 @@ def apply_summary(interp: Interp, variant: Variant, ev: CallEvent,
                     interp.new_machine_id(), ref.index, action.fn, ev.line)
                 for err in errors:
                     interp.record(err, variant)
-                machine.mark_escaped("held by a global")
+                machine.mark_escaped()  # held by a global
             else:
                 _apply_to_var(interp, variant, ev, ref.index, entry)
     if ev.dst is not None and ev.dst != RETURN_SLOT and not dst_handled:
@@ -155,8 +153,7 @@ def _apply_to_var(interp: Interp, variant: Variant, ev: CallEvent,
     if machines:
         for m in machines:
             if action.complete:
-                interp.record(m.release(action.fn, ev.line), variant,
-                              m.id, m.trace)
+                interp.record(m.release(action.fn, ev.line), variant, m.trace)
             elif m.state is MemState.ALLOCED and m.partial_path is None:
                 m.partial_path = list(entry.path)
         return
@@ -196,7 +193,6 @@ def extract_entries(cfg: Cfg, outcome: ExploreOutcome,
     alloc_refs: Dict[OwnerRef, str] = {}
     freed_by_variant: List[Dict[OwnerRef, str]] = []
     unknown_refs: Set[OwnerRef] = set()
-    miss_path: Dict[OwnerRef, List[PathCond]] = {}
 
     for variant in variants:
         freed: Dict[OwnerRef, str] = {}
@@ -263,7 +259,7 @@ class SummaryRun:
     summaries: Dict[FuncId, FunctionSummary]
     defects: List[Defect]
     rings: List[List[FuncId]]
-    cfgs: Dict[FuncId, Cfg]
+    cfgs: List[Cfg]  # one per function body, in source order
 
 
 def _post_order(fcg: Fcg) -> List[FuncId]:
@@ -305,17 +301,17 @@ def update_all(units: List[Tuple[ScopeNode, TokenStream]], fcg: Fcg,
                catalog: Union[Catalog, Sequence[DefectPattern]],
                strict: bool = False,
                budget: int = PATH_BUDGET) -> SummaryRun:
-    """Summarize every defined function, leaves first, and collect defects."""
+    """Walk every function body, callees first, and collect defects; the
+    bodies that share a ``FuncId`` are walked at its post-order position."""
     catalog = compile_catalog(catalog)
-    symbols_by_file: Dict[str, Dict[int, SymbolEntry]] = {}
-    streams: Dict[str, TokenStream] = {}
+    cfgs: List[Cfg] = []
+    bodies: Dict[FuncId, List[Tuple[Cfg, Dict[int, SymbolEntry]]]] = {}
     for root, stream in units:
-        symbols_by_file[stream.file] = symbol_index(root)
-        streams[stream.file] = stream
-
-    cfgs: Dict[FuncId, Cfg] = {}
-    for fid, scope in fcg.defined.items():
-        cfgs[fid] = build_cfg(scope, streams[fid.file_name])
+        symbols = symbol_index(root)
+        for scope in root.function_scopes:
+            cfg = build_cfg(scope, stream)
+            cfgs.append(cfg)
+            bodies.setdefault(cfg.func, []).append((cfg, symbols))
 
     summaries: Dict[FuncId, FunctionSummary] = {}
     defects: List[Defect] = []
@@ -331,22 +327,22 @@ def update_all(units: List[Tuple[ScopeNode, TokenStream]], fcg: Fcg,
         defects.append(Defect(
             kind=DefectKind.RECURSIVE_CALL_RING,
             file=head.file_name,
-            line=cfgs[head].entry_line,
+            line=next(cfg.entry_line for cfg, _symbols in bodies[head]
+                      if cfg.func_scope is fcg.defined[head]),
             func=(f"{head.class_name}::{head.func_name}"
                   if head.class_name else head.func_name),
             message=f"call ring never summarized precisely: {cycle}"))
 
     handler = make_call_handler(summaries)
     for fid in _post_order(fcg):
-        cfg = cfgs[fid]
-        symbols = symbols_by_file[fid.file_name]
-        outcome = explore(cfg, catalog, fcg.call_sites(fid), symbols,
-                          handler, strict, budget)
-        if fid not in ring_members:
-            entries = extract_entries(cfg, outcome, symbols)
-            summaries[fid] = FunctionSummary(fid, entries)
-        for rec in outcome.mid_errors + finish_variants(outcome):
-            defects.append(_to_defect(rec, cfg))
+        for cfg, symbols in bodies[fid]:
+            outcome = explore(cfg, catalog, fcg.call_sites(fid), symbols,
+                              handler, strict, budget)
+            if fid not in ring_members and cfg.func_scope is fcg.defined[fid]:
+                entries = extract_entries(cfg, outcome, symbols)
+                summaries[fid] = FunctionSummary(fid, entries)
+            for rec in outcome.mid_errors + finish_variants(outcome):
+                defects.append(_to_defect(rec, cfg))
 
     return SummaryRun(summaries, defects, rings, cfgs)
 

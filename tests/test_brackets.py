@@ -120,8 +120,8 @@ def test_stray_close_reports_the_brace_first():
 # ---------------------------------------------------------------------------
 
 def _cfg_of(report, name: str):
-    return next(cfg for fid, cfg in report.summary_run.cfgs.items()
-                if fid.func_name == name)
+    return next(cfg for cfg in report.summary_run.cfgs
+                if cfg.func.func_name == name)
 
 
 def test_a_guard_closing_past_the_body_is_clipped_to_it():

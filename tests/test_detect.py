@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from zkleak.detect import load_source, special_check
+from zkleak.detect import special_check
 from zkleak.defects import DefectKind, dedup_and_sort
 from zkleak.graphs import build_cfg
 from zkleak.interp import explore, symbol_index
@@ -18,7 +18,8 @@ def flow(source: str, name: str = "f.c", **kwargs):
 
 
 def shapes(source: str, name: str = "s.cc"):
-    return special_check([load_source(name, source)])
+    report = run([(name, source)])
+    return special_check(report.units, report.summary_run.cfgs)
 
 
 def full(source: str, name: str = "u.cc", **kwargs):
@@ -125,6 +126,42 @@ def test_general_check_skips_class_rules():
            "~ Leaky ( ) { } char * p ; } ;\n")
     kinds = [d.kind for d in shapes(bad)]
     assert DefectKind.CTOR_DTOR_MISMATCH in kinds
+
+
+def test_both_ifdef_twins_are_walked():
+    source = ("#ifdef FAST\n"
+              "void f ( int n ) { char * p = malloc ( n ) ; }\n"
+              "#else\n"
+              "void f ( int n ) { char * p = malloc ( n ) ; free ( p ) ; }\n"
+              "#endif\n")
+    (d,) = flow(source)
+    assert (d.kind, d.line) == (DefectKind.MISSING_RELEASE, 2)
+
+
+def test_same_arity_overloads_are_both_walked_in_either_order():
+    leaky = "void f ( int n ) { char * p = malloc ( n ) ; }\n"
+    clean = "void f ( char * s ) { char * p = malloc ( 4 ) ; free ( p ) ; }\n"
+    for source, line in ((leaky + clean, 1), (clean + leaky, 2)):
+        (d,) = flow(source, "o.cc")
+        assert (d.kind, d.line) == (DefectKind.MISSING_RELEASE, line)
+
+
+def test_a_wrapper_result_stored_in_a_global_escapes():
+    wrapper = "char * mk ( ) { return malloc ( 4 ) ; }\n"
+    assert flow("char * g ;\n" + wrapper + "void f ( ) { g = mk ( ) ; }\n") == []
+    # The same store as a direct allocation was always clean.
+    assert flow("char * g ;\nvoid f ( ) { g = malloc ( 4 ) ; }\n") == []
+
+
+def test_a_wrapper_result_stored_in_a_member_escapes():
+    source = ("char * mk ( int n ) { return malloc ( n ) ; }\n"
+              "class Buf {\n"
+              "  char * data ;\n"
+              "public:\n"
+              "  Buf ( int n ) { data = mk ( n ) ; }\n"
+              "  ~Buf ( ) { free ( data ) ; }\n"
+              "};\n")
+    assert full(source, "b.cc").defects == []
 
 
 # ---------------------------------------------------------------------------

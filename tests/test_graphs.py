@@ -24,6 +24,7 @@ import random
 from pathlib import Path
 
 from zkleak.graphs import (
+    MAX_NESTING,
     BreakStmt,
     ContinueStmt,
     FcgEdge,
@@ -40,6 +41,7 @@ from zkleak.graphs import (
     dump_fcg,
     find_rings,
 )
+from zkleak.report import run
 from zkleak.scopes import build_scope_tree
 from zkleak.tokens import tokenize
 
@@ -234,6 +236,39 @@ def test_goto_degrades_to_a_chain():
     assert _shape(cfg.structure) == ["s"] * 4
     assert all(isinstance(item, SeqStmt) for item in cfg.structure)
     assert any(d.code == "MalformedControlFlow" for d in stream.diagnostics)
+
+
+# The function body is not a statement, so the innermost statement of an
+# ``if`` plus k blocks sits at depth k + 2, and of k nested switches at
+# depth k + 1.  Three builder frames per level make the switch the deepest
+# Python stack for a given depth.
+_AT_THE_BOUND = {
+    "blocks": ("if ( n ) " + "{ " * (MAX_NESTING - 2) + "free ( p ) ; "
+               + "} " * (MAX_NESTING - 2)),
+    "switch": ("switch ( n ) { case 1 : " * (MAX_NESTING - 1) + "free ( p ) ; "
+               + "} " * (MAX_NESTING - 1)),
+}
+
+
+def test_nesting_at_the_bound_keeps_its_path_verdict():
+    for name, body in _AT_THE_BOUND.items():
+        source = "void f ( int n ) { char * p ; p = malloc ( 4 ) ; " + body + "}\n"
+        report = run([("deep.c", source)])
+        assert [d.kind.value for d in report.defects] == ["PathMissingRelease"], name
+        assert not report.units[0].stream.diagnostics, name
+
+
+def test_nesting_past_the_bound_degrades_to_a_chain():
+    source = ("void f ( int n ) { char * p ; p = malloc ( 4 ) ; "
+              + "{ " * MAX_NESTING + "free ( p ) ; " + "} " * MAX_NESTING + "}\n")
+    stream = tokenize(source, "deep.c")
+    cfg = build_cfg(build_scope_tree(stream).function_scopes[0], stream)
+    assert _shape(cfg.structure) == ["s"] * 3
+    (diag,) = stream.diagnostics
+    assert diag.code == "MalformedControlFlow"
+    assert f"deeper than {MAX_NESTING} levels" in diag.message
+    # On the chain the free is unconditional, so the block is released.
+    assert run([("deep.c", source)]).defects == []
 
 
 # ---------------------------------------------------------------------------

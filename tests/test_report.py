@@ -274,6 +274,40 @@ def test_cli_deep_nesting_never_escapes_as_a_traceback(tmp_path, capsys):
     assert code == 0 or err.startswith("zkleak: internal error: ")
 
 
+_NESTED = {
+    "if": ("if ( v ) { ", "} "),
+    "else-if": ("if ( v == 0 ) { } else ", ""),
+    "while": ("while ( v ) { ", "} "),
+    "do": ("do { ", "} while ( v ) ; "),
+    "switch": ("switch ( v ) { case 1 : ", "} "),
+    "try": ("try { ", "} catch ( ... ) { } "),
+}
+
+
+@pytest.mark.parametrize("construct", sorted(_NESTED))
+def test_cli_reports_on_a_thousand_levels_of_each_construct(tmp_path, capsys,
+                                                            construct):
+    opener, closer = _NESTED[construct]
+    source = ("void f ( int v ) { char * p ; p = malloc ( 4 ) ; "
+              + opener * 1000 + "{ free ( p ) ; } " + closer * 1000 + "}\n")
+    assert main([_write(tmp_path, "deep.cc", source)]) in (0, 1)
+    captured = capsys.readouterr()
+    assert "checked 1 file(s)" in captured.out
+    assert captured.err == ""
+
+
+def test_cli_dump_scopes_on_deep_nesting(tmp_path, capsys):
+    depth = 1200
+    source = ("void f ( int v ) {" + " if ( v ) {" * depth + " v = 1 ;"
+              + " }" * depth + " }\n")
+    assert main(["--dump-scopes", _write(tmp_path, "deep.c", source)]) == 0
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 3 + depth  # file header, file, function, the ifs
+    assert lines[-1] == "  " * (depth + 1) + "eIf - [1..1]"
+    assert captured.err == ""
+
+
 def test_cli_reports_a_file_ending_in_a_string_prefix_word(tmp_path, capsys):
     leaky = _write(tmp_path, "leaky.c", _LEAKY + "int L")
     assert main([leaky]) == 1
@@ -372,6 +406,16 @@ def test_cli_dump_summaries(tmp_path, capsys):
 def test_cli_dump_cfg_unknown_function(tmp_path, capsys):
     source = _write(tmp_path, "d.c", _CLEAN)
     assert main(["--dump-cfg", "nope", source]) == 2
+
+
+def test_cli_dump_cfg_prints_every_body_with_the_name(tmp_path, capsys):
+    source = _write(tmp_path, "d.c",
+                    "#ifdef FAST\nvoid f ( ) { char * p ; p = malloc ( 4 ) ; }\n"
+                    "#else\nvoid f ( ) { return ; }\n#endif\n")
+    assert main(["--dump-cfg", "f", source]) == 0
+    out = capsys.readouterr().out
+    assert out.count(f"== {source}::::f/0") == 2
+    assert "2 Statement" in out and "4 Return" in out
 
 
 def test_cli_dump_cfg_and_scopes(tmp_path, capsys):
