@@ -10,6 +10,7 @@ from .defects import Defect, DefectKind, dedup_and_sort
 from .detect import FileUnit, load_source, special_check
 from .graphs import (Cfg, CfgNode, Fcg, FuncId, build_cfg, build_fcg,
                      dump_cfg, dump_fcg, find_rings)
+from .interp import OwnerRef
 from .machine import (FREE_MATCH, LEGAL_EDGES, AllocRecord, FreeRecord,
                       Machine, MachineError, MachineSet, MemState)
 from .patterns import (BadPatternUnit, DefectPattern, builtin_patterns,
@@ -22,9 +23,9 @@ from .report import (Annotation, DivisionByZeroActual,
 from .scopes import (ClassInfo, ScopeKind, ScopeNode, SymbolEntry,
                      build_scope_tree, collect_class_info, dump_scopes,
                      resolve)
-from .summaries import (BehaviorAction, FunctionSummary, OwnerRef,
-                        SummaryEntry, apply_summary, dump_summaries,
-                        make_call_handler, update_all)
+from .summaries import (BehaviorAction, FunctionSummary, SummaryEntry,
+                        apply_summary, dump_summaries, make_call_handler,
+                        update_all)
 from .tokens import LexToken, TokenKind, TokenStream, tokenize
 
 __version__ = "0.1.0"

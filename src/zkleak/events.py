@@ -185,14 +185,9 @@ def _to_events(stream: TokenStream, pattern: DefectPattern,
                m: MatchSpan) -> List[Event]:
     label = pattern.label
     vars_ = [t for t in _binding_list(m) if t.kind is TokenKind.IDENTIFIER]
+    if len(vars_) < (2 if label == "transfer.assign" else 1):
+        return []  # a user pattern that binds fewer variables than needed
     after = _next_text(stream, m.end_p)
-
-    if label in ("alloc.malloc", "alloc.calloc"):
-        dst = vars_[0]
-        if not _lhs_ok(stream, dst):
-            return []
-        fn = label.split(".")[1]
-        return [AllocEvent(m.first_p, dst.line, fn, dst.var_id, dst.text)]
 
     if label == "alloc.realloc":
         dst = vars_[0]
@@ -207,17 +202,6 @@ def _to_events(stream: TokenStream, pattern: DefectPattern,
             out.append(FreeEvent(m.first_p, src.line, "free", src.var_id, src.text))
         out.append(AllocEvent(m.first_p, dst.line, "realloc", dst.var_id, dst.text))
         return out
-
-    if label in ("alloc.new", "alloc.new_array"):
-        dst = vars_[0]
-        if not _lhs_ok(stream, dst):
-            return []
-        fn = "new_array" if label.endswith("array") else "new"
-        return [AllocEvent(m.first_p, dst.line, fn, dst.var_id, dst.text)]
-
-    if label == "free.free":
-        var = vars_[0]
-        return [FreeEvent(m.first_p, var.line, "free", var.var_id, var.text)]
 
     if label in ("free.delete", "free.delete_array"):
         var = vars_[0]
@@ -250,17 +234,18 @@ def _to_events(stream: TokenStream, pattern: DefectPattern,
         var = vars_[0]
         return [PtrArithEvent(m.first_p, var.line, var.var_id)]
 
-    # User catalog entries: the label tail picks the pairing family, so
-    # "alloc.xmalloc" tracks as a malloc and "free.op_delete_array" as a
-    # delete [].  Unrecognized tails default to the malloc/free pair.
-    if label.startswith("alloc.") and vars_:
+    # Every other allocation and release label, built in or from a user
+    # catalog: the label tail picks the pairing family, so "alloc.new" and
+    # "alloc.xmalloc" track as a new and a malloc, "free.op_delete_array" as
+    # a delete [].  Unrecognized tails default to the malloc/free pair.
+    if label.startswith("alloc."):
         dst = vars_[0]
         if not _lhs_ok(stream, dst):
             return []
         fn = _label_family(label[6:], _ALLOC_FAMILIES, "malloc")
         return [AllocEvent(m.first_p, dst.line, fn, dst.var_id, dst.text)]
 
-    if label.startswith("free.") and vars_:
+    if label.startswith("free."):
         var = vars_[0]
         fn = _label_family(label[5:], _FREE_FAMILIES, "free")
         return [FreeEvent(m.first_p, var.line, fn, var.var_id, var.text)]

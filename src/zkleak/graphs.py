@@ -476,9 +476,10 @@ def build_fcg(units: List[Tuple[ScopeNode, TokenStream]]) -> Fcg:
     for root, stream in units:
         for scope in root.function_scopes:
             fid = func_id_of(scope, stream)
+            if fid not in fcg.defined:  # a same-id twin is one candidate
+                by_key.setdefault((scope.owner_class, scope.name,
+                                   len(scope.params)), []).append(fid)
             fcg.defined[fid] = scope
-            by_key.setdefault((scope.owner_class, scope.name, len(scope.params)),
-                              []).append(fid)
         for decl in root.declared_funcs:
             key = (decl.class_name, decl.name, decl.arity)
             declared.setdefault(key, FuncId(decl.file, decl.class_name,

@@ -1,12 +1,21 @@
 """Path-sensitive walk of a function's structure plan.
 
 Each traversal variant carries its own machine set, its path condition
-(branch tags with guard text) and a map of variables known to hold
-caller-owned storage (parameters, globals, members).  Branches fork
-variants; when a fork would push past the variant budget the current
-set is first collapsed pessimistically (a block live on any arm stays
-live) and a diagnostic marks the function as partially path-insensitive
-from there on.
+(branch tags with guard text) and a map from variables to the
+caller-owned storage they reach, named by its ``OwnerRef`` (a pointer
+parameter by position, a global or member by var id).  A global or
+member reaches its own storage, bound on first read; once rebound it
+reaches nothing.  Each variant also keeps two records written at the
+moment of the effect: the first release of each ``OwnerRef``, and the
+``OwnerRef``s that can no longer be tracked (advanced by arithmetic, or
+passed to an unknown callee after the path has read them).  Summary
+extraction reads those records, so rebinding a variable after its
+release does not erase the release.
+
+Branches fork variants; when a fork would push past the variant budget
+the current set is first collapsed pessimistically (a block live on any
+arm stays live) and a diagnostic marks the function as partially
+path-insensitive from there on.
 
 Loop bodies run twice so second-iteration effects (double release,
 pointer reuse) surface, then the walk leaves the loop.  Code after a
@@ -15,14 +24,17 @@ unreachable tails are not silently skipped.
 
 Calls are delegated to an injected handler; without one, every callee
 is treated as unknown: pointer arguments become tainted and a call
-result overwrites its destination.
+result overwrites its destination.  A handler replays a callee through
+``allocate``, ``release`` and ``taint``, the same rules the walk applies
+to the events of the function's own statements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence,
+                    Tuple, Union)
 
 from .defects import DefectKind, PathCond
 from .events import (AllocEvent, AssignEvent, CallEvent, FreeEvent,
@@ -37,43 +49,41 @@ from .tokens import Diagnostic
 
 PATH_BUDGET = 64
 
-ORIGIN_PARAM = "param"
-ORIGIN_GLOBAL = "global"
-
-ST_ACTIVE = "active"
-ST_DETACHED = "detached"
-ST_UNKNOWN = "unknown"
+REF_PARAM = "param"
+REF_RETURN = "return"
+REF_GLOBAL = "global"
 
 
-@dataclass
-class ExternObj:
-    """A caller-owned block reachable through one or more variables."""
-    key: int
-    origin: Tuple[str, int]  # (ORIGIN_PARAM, index) | (ORIGIN_GLOBAL, var id)
-    status: str = ST_ACTIVE
-    freed: List[Tuple[int, str]] = field(default_factory=list)  # (line, fn)
+@dataclass(frozen=True)
+class OwnerRef:
+    """Storage that outlives the function: who owns it across the call."""
+    kind: str  # REF_PARAM | REF_RETURN | REF_GLOBAL
+    index: int = 0  # parameter position, or global/member var id
 
-    def clone(self) -> "ExternObj":
-        return ExternObj(self.key, self.origin, self.status, list(self.freed))
+    def render(self) -> str:
+        if self.kind == REF_PARAM:
+            return f"param{self.index}"
+        if self.kind == REF_RETURN:
+            return "return"
+        return f"g{self.index}"
 
 
 @dataclass
 class Variant:
     machines: MachineSet
-    extern: Dict[int, ExternObj]
+    # var id -> the caller-owned storage it reaches; None once a global or
+    # member is rebound (an absent one is unread and reaches its own).
+    refs: Dict[int, Optional[OwnerRef]]
     path: List[PathCond]
     order: int = 0
     returned_var: Optional[int] = None
+    # Replaced on write, never changed in place, so clones share them.
+    released: Dict[OwnerRef, Tuple[int, str]] = field(default_factory=dict)
+    lost: FrozenSet[OwnerRef] = frozenset()
 
     def clone(self, order: int) -> "Variant":
-        twins: Dict[int, ExternObj] = {}
-        ext: Dict[int, ExternObj] = {}
-        for var, obj in self.extern.items():
-            if obj.key not in twins:
-                twins[obj.key] = obj.clone()
-            ext[var] = twins[obj.key]
-        return Variant(self.machines.clone(), ext, list(self.path), order,
-                       self.returned_var)
+        return Variant(self.machines.clone(), dict(self.refs), list(self.path),
+                       order, self.returned_var, self.released, self.lost)
 
 
 @dataclass
@@ -94,6 +104,12 @@ class ExploreOutcome:
 CallHandler = Callable[["Interp", Variant, CallEvent], None]
 
 
+def outlives(symbols: Dict[int, SymbolEntry], var: int) -> bool:
+    """Whether *var* is a global, static or member: stored beyond the call."""
+    sym = symbols.get(var)
+    return sym is not None and (sym.is_member or sym.is_global_or_static)
+
+
 def symbol_index(root: ScopeNode) -> Dict[int, SymbolEntry]:
     """Every declared symbol in the file, keyed by var id."""
     out: Dict[int, SymbolEntry] = {}
@@ -111,18 +127,18 @@ class Interp:
                  site_map: Dict[int, FuncId],
                  symbols: Dict[int, SymbolEntry],
                  call_handler: Optional[CallHandler] = None,
-                 strict: bool = False,
-                 budget: int = PATH_BUDGET) -> None:
+                 strict: bool = False) -> None:
         self.cfg = cfg
         self.catalog = catalog
         self.site_map = site_map
         self.symbols = symbols
         self.call_handler = call_handler
         self.strict = strict
-        self.budget = budget
         self._machine_ids = count(1)
-        self._extern_keys = count(1)
         self._orders = count(1)
+        self._param_refs = {p.var_id: OwnerRef(REF_PARAM, i)
+                            for i, p in enumerate(cfg.func_scope.params)
+                            if p.is_pointer}
         self.mid_errors: Dict[Tuple[DefectKind, int], RecordedError] = {}
         self.path_insensitive = False
 
@@ -138,15 +154,8 @@ class Interp:
                 err, list(variant.path), list(trace) if trace else [])
 
     def _fresh_variant(self, path: List[PathCond]) -> Variant:
-        v = Variant(MachineSet(), {}, list(path), next(self._orders))
-        self._seed_params(v)
-        return v
-
-    def _seed_params(self, variant: Variant) -> None:
-        for i, p in enumerate(self.cfg.func_scope.params):
-            if p.is_pointer:
-                variant.extern[p.var_id] = ExternObj(
-                    next(self._extern_keys), (ORIGIN_PARAM, i))
+        return Variant(MachineSet(), dict(self._param_refs), list(path),
+                       next(self._orders))
 
     def _fork(self, variant: Variant, tag: PathCond) -> Variant:
         twin = variant.clone(next(self._orders))
@@ -161,7 +170,7 @@ class Interp:
         if self.path_insensitive:
             self.cfg.stream.diagnostics.append(Diagnostic(
                 "PathBudgetExceeded",
-                f"variant budget ({self.budget}) exceeded in "
+                f"variant budget ({PATH_BUDGET}) exceeded in "
                 f"{self.cfg.func.func_name}; merged paths pessimistically",
                 self.cfg.stream.file, self.cfg.entry_line, 1))
         # stray break/continue outside a loop just fall off the end
@@ -182,7 +191,7 @@ class Interp:
                     flowing = [self._fresh_variant([("", "dead")])]
                 else:
                     break
-            if len(flowing) > self.budget:
+            if len(flowing) > PATH_BUDGET:
                 self.path_insensitive = True
                 flowing = [self._merge_all(flowing)]
             flowing, b, c, f = self._run_item(item, flowing)
@@ -213,7 +222,7 @@ class Interp:
         raise TypeError(f"unknown structure item {item!r}")
 
     def _split(self, variants: List[Variant], ways: int) -> List[Variant]:
-        if len(variants) * ways > self.budget:
+        if len(variants) * ways > PATH_BUDGET:
             self.path_insensitive = True
             return [self._merge_all(variants)]
         return variants
@@ -261,7 +270,7 @@ class Interp:
                 finished.extend(f2)
             for v in flow:
                 self._apply_node(v, item.head)
-            if len(flow) > self.budget:
+            if len(flow) > PATH_BUDGET:
                 self.path_insensitive = True
                 flow = [self._merge_all(flow)] if flow else []
         return skipping + flow + broken, [], continued_out, finished
@@ -321,16 +330,18 @@ class Interp:
             keep.record = keep.record and drop.record
             if keep.partial_path is None:
                 keep.partial_path = drop.partial_path
-        for var, obj in other.extern.items():
-            mine_obj = base.extern.get(var)
-            if mine_obj is None:
-                base.extern[var] = obj
-                continue
-            for rec in obj.freed:
-                if rec not in mine_obj.freed:
-                    mine_obj.freed.append(rec)
-            if obj.status == ST_UNKNOWN or mine_obj.status == ST_UNKNOWN:
-                mine_obj.status = ST_UNKNOWN
+        # Keep what either side reaches; an absent global reaches its own
+        # storage, so it outweighs a rebound one.
+        for var, ref in other.refs.items():
+            if ref is not None and base.refs.get(var) is None:
+                base.refs[var] = ref
+        for var in [v for v, r in base.refs.items()
+                    if r is None and v not in other.refs]:
+            del base.refs[var]
+        if other.released:
+            base.released = {**other.released, **base.released}
+        if other.lost:
+            base.lost |= other.lost
 
     # -- event application ----------------------------------------------------
 
@@ -360,70 +371,90 @@ class Interp:
             self.new_machine_id(), owner, fn, line)
         for err in errors:
             self.record(err, variant)
-        if owner == RETURN_SLOT:
-            machine.mark_escaped()
-        else:
-            variant.extern.pop(owner, None)
-            sym = self.symbols.get(owner)
-            if sym is not None and (sym.is_member or sym.is_global_or_static):
-                machine.mark_escaped()  # stored beyond the function
+        if owner == RETURN_SLOT or outlives(self.symbols, owner):
+            machine.mark_escaped()  # stored beyond the function
+        if owner != RETURN_SLOT:
+            self._unbind(variant, owner)
 
-    def _do_free(self, variant: Variant, ev: FreeEvent) -> None:
-        owners = variant.machines.owning(ev.var)
+    def release(self, variant: Variant, var: int, fn: str, line: int,
+                again: Callable[[int], str]) -> None:
+        """Release what *var* holds: the blocks it owns, else the
+        caller-owned storage it reaches.  *again* words a second release
+        of that storage, given the line of the first."""
+        owners = variant.machines.owning(var)
         if owners:
             for m in owners:
-                self.record(m.release(ev.fn, ev.line), variant, m.trace)
+                self.record(m.release(fn, line), variant, m.trace)
             return
-        obj = self._extern_obj(variant, ev.var)
-        if obj is None or obj.status != ST_ACTIVE:
+        ref = self._ref(variant, var)
+        if ref is None or ref in variant.lost:
             return
-        if obj.freed:
-            self.record(MachineError(
-                DefectKind.DOUBLE_FREE, ev.line,
-                f"{ev.var_name} released again (first released at line "
-                f"{obj.freed[0][0]})"), variant)
-        obj.freed.append((ev.line, ev.fn))
+        first = variant.released.get(ref)
+        if first is not None:
+            self.record(MachineError(DefectKind.DOUBLE_FREE, line,
+                                     again(first[0])), variant)
+        else:
+            variant.released = {**variant.released, ref: (line, fn)}
+
+    def taint(self, variant: Variant, var: int,
+              seen_only: bool = False) -> None:
+        """*var* went where it can no longer be followed.  With *seen_only*
+        (an unknown callee) a global or member this path has not read yet
+        keeps its storage."""
+        for m in variant.machines.by_id.values():
+            if var in m.owners:
+                m.taint()
+        ref = variant.refs.get(var) if seen_only else self._ref(variant, var)
+        if ref is not None and ref not in variant.lost:
+            variant.lost = variant.lost | {ref}
+
+    def _do_free(self, variant: Variant, ev: FreeEvent) -> None:
+        self.release(variant, ev.var, ev.fn, ev.line, lambda first: (
+            f"{ev.var_name} released again (first released at line {first})"))
 
     def _do_assign(self, variant: Variant, ev: AssignEvent) -> None:
         for m in variant.machines.live():
             self.record(m.assign(ev.dst, ev.src, ev.line, self.strict),
                         variant, m.trace)
-        variant.extern.pop(ev.dst, None)
-        if not variant.machines.owning(ev.src):
-            src_obj = self._extern_obj(variant, ev.src)
-            if src_obj is not None:
-                variant.extern[ev.dst] = src_obj
+        ref = (None if variant.machines.owning(ev.src)
+               else self._ref(variant, ev.src))
+        if ref is None:
+            self._unbind(variant, ev.dst)
+        else:
+            variant.refs[ev.dst] = ref
 
     def _do_arith(self, variant: Variant, ev: PtrArithEvent) -> None:
         for m in variant.machines.owning(ev.var):
             self.record(m.drop_owner(ev.var, ev.line,
                                      "advanced by pointer arithmetic"),
                         variant, m.trace)
-        obj = self._extern_obj(variant, ev.var)
-        if obj is not None:
-            obj.status = ST_UNKNOWN
+        self.taint(variant, ev.var)  # no block owns it any more
 
     def _do_return(self, variant: Variant, ev: ReturnVarEvent) -> None:
         for m in variant.machines.owning(ev.var):
             m.mark_escaped()
         variant.returned_var = ev.var
 
-    def _extern_obj(self, variant: Variant, var: int) -> Optional[ExternObj]:
-        obj = variant.extern.get(var)
-        if obj is not None:
-            return obj
-        sym = self.symbols.get(var)
-        if sym is not None and (sym.is_member or sym.is_global_or_static):
-            obj = ExternObj(next(self._extern_keys), (ORIGIN_GLOBAL, var))
-            variant.extern[var] = obj
-            return obj
-        return None
+    def _ref(self, variant: Variant, var: int) -> Optional[OwnerRef]:
+        """What *var* reaches; a global or member is bound on first read."""
+        if var in variant.refs:
+            return variant.refs[var]
+        if not outlives(self.symbols, var):
+            return None
+        ref = variant.refs[var] = OwnerRef(REF_GLOBAL, var)
+        return ref
+
+    def _unbind(self, variant: Variant, var: int) -> None:
+        if outlives(self.symbols, var):
+            variant.refs[var] = None
+        else:
+            variant.refs.pop(var, None)
 
     def repoint(self, variant: Variant, var: int, line: int, cause: str) -> None:
         """The variable now holds an unrelated value (null, a call result)."""
         for m in variant.machines.owning(var):
             self.record(m.drop_owner(var, line, cause), variant, m.trace)
-        variant.extern.pop(var, None)
+        self._unbind(variant, var)
 
 
 def default_call_effect(interp: Interp, variant: Variant, ev: CallEvent) -> None:
@@ -432,13 +463,8 @@ def default_call_effect(interp: Interp, variant: Variant, ev: CallEvent) -> None
         if var_id is None:
             continue
         sym = interp.symbols.get(var_id)
-        if sym is not None and not sym.is_pointer:
-            continue
-        for m in variant.machines.owning(var_id):
-            m.taint()
-        obj = variant.extern.get(var_id)
-        if obj is not None:
-            obj.status = ST_UNKNOWN
+        if sym is None or sym.is_pointer:
+            interp.taint(variant, var_id, seen_only=True)
     if ev.dst is not None and ev.dst != RETURN_SLOT:
         interp.repoint(variant, ev.dst, ev.line, "reassigned from a call result")
 
@@ -447,10 +473,9 @@ def explore(cfg: Cfg, catalog: Union[Catalog, Sequence[DefectPattern]],
             site_map: Dict[int, FuncId],
             symbols: Dict[int, SymbolEntry],
             call_handler: Optional[CallHandler] = None,
-            strict: bool = False,
-            budget: int = PATH_BUDGET) -> ExploreOutcome:
+            strict: bool = False) -> ExploreOutcome:
     return Interp(cfg, compile_catalog(catalog), site_map, symbols,
-                  call_handler, strict, budget).run()
+                  call_handler, strict).run()
 
 
 def finish_variants(outcome: ExploreOutcome) -> List[RecordedError]:

@@ -27,7 +27,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .defects import Defect, DefectKind, dedup_and_sort
 from .detect import FileUnit, load_source, special_check
 from .graphs import Fcg, build_fcg
-from .interp import PATH_BUDGET
 from .patterns import Catalog, DefectPattern, compile_catalog
 from .summaries import SummaryRun, update_all
 
@@ -210,8 +209,7 @@ def run(sources: Sequence[Tuple[str, str]],
         catalog: Union[Catalog, Sequence[DefectPattern], None] = None,
         strict: bool = False,
         annotations: Optional[Sequence[Annotation]] = None,
-        inline_annotations: bool = False,
-        budget: int = PATH_BUDGET) -> Report:
+        inline_annotations: bool = False) -> Report:
     """Analyze (path, text) pairs and assemble a report."""
     catalog = compile_catalog(catalog)
     t_start = time.perf_counter()
@@ -227,7 +225,7 @@ def run(sources: Sequence[Tuple[str, str]],
     phases["linkMs"] = (time.perf_counter() - t0) * 1000
 
     t0 = time.perf_counter()
-    summary_run = update_all(pairs, fcg, catalog, strict, budget)
+    summary_run = update_all(pairs, fcg, catalog, strict)
     phases["analyzeMs"] = (time.perf_counter() - t0) * 1000
 
     t0 = time.perf_counter()

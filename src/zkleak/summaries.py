@@ -1,11 +1,15 @@
 """Interprocedural behavior summaries.
 
-Each function gets a list of (owner, action) entries describing how it
-moves blocks across its boundary: allocating into the return value or a
-global/member, releasing storage reachable from a parameter or global,
-or doing something untrackable (Unknown).  Call sites replay the callee
-entries against the caller's machines, so leaks and double releases
-travel across function boundaries without inlining anything.
+Each function gets a list of (``OwnerRef``, action) entries describing
+how it moves blocks across its boundary: allocating into the return
+value or a global/member, releasing storage reachable from a parameter
+or global, or doing something untrackable (Unknown).  Call sites replay
+the callee entries through the walk's own ``Interp.allocate``,
+``Interp.release`` and ``Interp.taint``, so leaks and double releases
+travel across function boundaries without inlining anything, and a call
+applies the same ownership rules as the statements it stands for.
+Entries are read from the records each variant writes when a release or
+a loss of tracking happens, not from the bindings left at function exit.
 
 A release that only happens on some callee paths is recorded as partial
 together with the callee path that skips it; at the caller it marks the
@@ -28,11 +32,12 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .defects import Defect, DefectKind, PathCond
 from .graphs import Cfg, Fcg, FuncId, build_cfg, defined_successors, find_rings
-from .interp import (ExploreOutcome, Interp, RecordedError,
-                     ST_ACTIVE, ST_UNKNOWN, Variant, default_call_effect,
-                     explore, finish_variants, symbol_index, PATH_BUDGET)
+from .interp import (ExploreOutcome, Interp, OwnerRef, REF_GLOBAL,
+                     REF_PARAM, REF_RETURN, RecordedError, Variant,
+                     default_call_effect, explore, finish_variants, outlives,
+                     symbol_index)
 from .events import CallEvent, RETURN_SLOT
-from .machine import AllocRecord, Machine, MachineError, MemState
+from .machine import AllocRecord, Machine, MemState
 from .patterns import Catalog, DefectPattern, compile_catalog
 from .scopes import ScopeNode, SymbolEntry
 from .tokens import TokenStream
@@ -40,24 +45,6 @@ from .tokens import TokenStream
 ACTION_ALLOC = "alloc_to_extern"
 ACTION_FREE = "extern_to_free"
 ACTION_UNKNOWN = "unknown"
-
-REF_PARAM = "param"
-REF_RETURN = "return"
-REF_GLOBAL = "global"
-
-
-@dataclass(frozen=True)
-class OwnerRef:
-    kind: str  # REF_PARAM | REF_RETURN | REF_GLOBAL
-    index: int = 0  # parameter position, or global/member var id
-
-    def render(self) -> str:
-        if self.kind == REF_PARAM:
-            return f"param{self.index}"
-        if self.kind == REF_RETURN:
-            return "return"
-        return f"g{self.index}"
-
 
 @dataclass(frozen=True)
 class BehaviorAction:
@@ -108,64 +95,48 @@ def apply_summary(interp: Interp, variant: Variant, ev: CallEvent,
     order = {ACTION_FREE: 0, ACTION_UNKNOWN: 1, ACTION_ALLOC: 2}
     for entry in sorted(summary.entries, key=lambda e: order[e.action.kind]):
         ref, action = entry.owner, entry.action
-        if ref.kind == REF_PARAM:
-            var = ev.args[ref.index] if ref.index < len(ev.args) else None
+        if ref.kind == REF_RETURN:
+            var = ev.dst
             if var is None:
-                continue
-            _apply_to_var(interp, variant, ev, var, entry)
-        elif ref.kind == REF_RETURN and action.kind == ACTION_ALLOC:
-            if ev.dst is not None:
-                interp.allocate(variant, ev.dst, action.fn, ev.line)
-                dst_handled = True
-            else:
                 # result dropped on the floor: block with no owner at all
                 machine = Machine(interp.new_machine_id(),
                                   AllocRecord(ev.line, action.fn, 0))
                 machine.begin(f"{action.fn} @{ev.line} (result discarded)")
                 machine.owners.clear()
                 variant.machines.add(machine)
-        elif ref.kind == REF_GLOBAL and same_file:
-            if action.kind == ACTION_ALLOC:
-                machine, errors = variant.machines.on_alloc(
-                    interp.new_machine_id(), ref.index, action.fn, ev.line)
-                for err in errors:
-                    interp.record(err, variant)
-                machine.mark_escaped()  # held by a global
-            else:
-                _apply_to_var(interp, variant, ev, ref.index, entry)
+                continue
+            dst_handled = True
+        elif ref.kind == REF_PARAM:
+            var = ev.args[ref.index] if ref.index < len(ev.args) else None
+            if var is None:
+                continue
+        elif same_file:
+            var = ref.index
+        else:
+            continue
+        if action.kind == ACTION_ALLOC:
+            interp.allocate(variant, var, action.fn, ev.line)
+        elif action.kind == ACTION_UNKNOWN:
+            interp.taint(variant, var)
+        else:
+            _release(interp, variant, ev, var, entry)
     if ev.dst is not None and ev.dst != RETURN_SLOT and not dst_handled:
         interp.repoint(variant, ev.dst, ev.line, "reassigned from a call result")
 
 
-def _apply_to_var(interp: Interp, variant: Variant, ev: CallEvent,
-                  var: int, entry: SummaryEntry) -> None:
-    action = entry.action
-    if action.kind == ACTION_UNKNOWN:
-        for m in variant.machines.owning(var):
-            m.taint()
-        obj = interp._extern_obj(variant, var)
-        if obj is not None:
-            obj.status = ST_UNKNOWN
-        return
-    if action.kind != ACTION_FREE:
-        return
-    machines = variant.machines.owning(var)
-    if machines:
-        for m in machines:
-            if action.complete:
-                interp.record(m.release(action.fn, ev.line), variant, m.trace)
-            elif m.state is MemState.ALLOCED and m.partial_path is None:
-                m.partial_path = list(entry.path)
-        return
-    obj = interp._extern_obj(variant, var)
-    if obj is None or obj.status != ST_ACTIVE:
-        return
-    if obj.freed:
-        interp.record(MachineError(
-            DefectKind.DOUBLE_FREE, ev.line,
-            f"storage already released at line {obj.freed[0][0]} is "
-            f"released again by {ev.callee.func_name}"), variant)
-    obj.freed.append((ev.line, action.fn))
+def _release(interp: Interp, variant: Variant, ev: CallEvent, var: int,
+             entry: SummaryEntry) -> None:
+    if not entry.action.complete:
+        machines = variant.machines.owning(var)
+        if machines:
+            # Freed only on some callee paths: the verdict at exit names one.
+            for m in machines:
+                if m.state is MemState.ALLOCED and m.partial_path is None:
+                    m.partial_path = list(entry.path)
+            return
+    interp.release(variant, var, entry.action.fn, ev.line, lambda first: (
+        f"storage already released at line {first} is released again by "
+        f"{ev.callee.func_name}"))
 
 
 def make_call_handler(summaries: Dict[FuncId, FunctionSummary]):
@@ -191,11 +162,7 @@ def extract_entries(cfg: Cfg, outcome: ExploreOutcome,
     """
     variants = outcome.variants
     alloc_refs: Dict[OwnerRef, str] = {}
-    freed_by_variant: List[Dict[OwnerRef, str]] = []
-    unknown_refs: Set[OwnerRef] = set()
-
     for variant in variants:
-        freed: Dict[OwnerRef, str] = {}
         for _mid, machine in sorted(variant.machines.by_id.items()):
             if machine.state is not MemState.ALLOCED:
                 continue
@@ -204,46 +171,25 @@ def extract_entries(cfg: Cfg, outcome: ExploreOutcome,
                 if owner == RETURN_SLOT or (variant.returned_var is not None
                                             and owner == variant.returned_var):
                     ref = OwnerRef(REF_RETURN)
-                else:
-                    sym = symbols.get(owner)
-                    if sym is not None and (sym.is_member or sym.is_global_or_static):
-                        ref = OwnerRef(REF_GLOBAL, owner)
+                elif outlives(symbols, owner):
+                    ref = OwnerRef(REF_GLOBAL, owner)
                 if ref is not None:
                     alloc_refs.setdefault(ref, machine.alloc.fn)
-        seen_keys: Set[int] = set()
-        for _var, obj in sorted(variant.extern.items()):
-            if obj.key in seen_keys:
-                continue
-            seen_keys.add(obj.key)
-            ref = OwnerRef(REF_PARAM, obj.origin[1]) \
-                if obj.origin[0] == "param" else OwnerRef(REF_GLOBAL, obj.origin[1])
-            if obj.status == ST_UNKNOWN:
-                unknown_refs.add(ref)
-            elif obj.freed:
-                freed[ref] = obj.freed[0][1]
-        freed_by_variant.append(freed)
+    unknown_refs: Set[OwnerRef] = set().union(*(v.lost for v in variants))
 
     entries: List[SummaryEntry] = []
     for ref in sorted(alloc_refs, key=lambda r: (r.kind, r.index)):
         entries.append(SummaryEntry(ref, BehaviorAction(ACTION_ALLOC,
                                                         alloc_refs[ref])))
 
-    all_freed_refs: Set[OwnerRef] = set()
-    for freed in freed_by_variant:
-        all_freed_refs.update(freed)
-    for ref in sorted(all_freed_refs, key=lambda r: (r.kind, r.index)):
-        if ref in unknown_refs:
-            continue
-        hits = [freed.get(ref) for freed in freed_by_variant]
-        complete = all(h is not None for h in hits)
-        fn = next(h for h in hits if h is not None)
-        path: List[PathCond] = []
-        if not complete:
-            missing = [v for v, freed in zip(variants, freed_by_variant)
-                       if ref not in freed]
-            path = list(min(missing, key=lambda v: v.order).path)
-        entries.append(SummaryEntry(ref, BehaviorAction(ACTION_FREE, fn,
-                                                        complete), path))
+    freed_refs = {ref for v in variants for ref in v.released} - unknown_refs
+    for ref in sorted(freed_refs, key=lambda r: (r.kind, r.index)):
+        hits = [v.released.get(ref) for v in variants]
+        fn = next(h for h in hits if h is not None)[1]
+        missing = [v for v, h in zip(variants, hits) if h is None]
+        path = list(min(missing, key=lambda v: v.order).path) if missing else []
+        entries.append(SummaryEntry(ref, BehaviorAction(
+            ACTION_FREE, fn, not missing), path))
 
     for ref in sorted(unknown_refs, key=lambda r: (r.kind, r.index)):
         entries.append(SummaryEntry(ref, BehaviorAction(ACTION_UNKNOWN)))
@@ -299,8 +245,7 @@ def _to_defect(rec: RecordedError, cfg: Cfg) -> Defect:
 
 def update_all(units: List[Tuple[ScopeNode, TokenStream]], fcg: Fcg,
                catalog: Union[Catalog, Sequence[DefectPattern]],
-               strict: bool = False,
-               budget: int = PATH_BUDGET) -> SummaryRun:
+               strict: bool = False) -> SummaryRun:
     """Walk every function body, callees first, and collect defects; the
     bodies that share a ``FuncId`` are walked at its post-order position."""
     catalog = compile_catalog(catalog)
@@ -337,7 +282,7 @@ def update_all(units: List[Tuple[ScopeNode, TokenStream]], fcg: Fcg,
     for fid in _post_order(fcg):
         for cfg, symbols in bodies[fid]:
             outcome = explore(cfg, catalog, fcg.call_sites(fid), symbols,
-                              handler, strict, budget)
+                              handler, strict)
             if fid not in ring_members and cfg.func_scope is fcg.defined[fid]:
                 entries = extract_entries(cfg, outcome, symbols)
                 summaries[fid] = FunctionSummary(fid, entries)

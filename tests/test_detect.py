@@ -5,7 +5,7 @@ from __future__ import annotations
 from zkleak.detect import special_check
 from zkleak.defects import DefectKind, dedup_and_sort
 from zkleak.graphs import build_cfg
-from zkleak.interp import explore, symbol_index
+from zkleak.interp import PATH_BUDGET, explore, symbol_index
 from zkleak.patterns import catalog_patterns
 from zkleak.report import run
 from zkleak.scopes import build_scope_tree
@@ -318,12 +318,11 @@ def test_unbalanced_braces_surface_as_a_warning():
 # Variants and the path budget
 # ---------------------------------------------------------------------------
 
-def _outcome(source: str, budget: int = 64):
+def _outcome(source: str):
     stream = tokenize(source, "v.c")
     root = build_scope_tree(stream)
     cfg = build_cfg(root.function_scopes[0], stream)
-    return explore(cfg, catalog_patterns(None), {}, symbol_index(root),
-                   budget=budget), stream
+    return explore(cfg, catalog_patterns(None), {}, symbol_index(root)), stream
 
 
 def test_sequential_branches_fork_multiplicatively():
@@ -345,12 +344,13 @@ def test_sequential_branches_fork_multiplicatively():
 
 
 def test_budget_overflow_merges_and_degrades():
+    # 8 sequential ifs give 256 paths against the budget of 64.
     arms = " ".join(f"if ( c{i} ) {{ x = {i} ; }}" for i in range(8))
     params = " , ".join(f"int c{i}" for i in range(8))
     source = f"void f ( {params} ) {{ int x ; {arms} }}"
-    outcome, stream = _outcome(source, budget=4)
+    outcome, stream = _outcome(source)
     assert outcome.path_insensitive
-    assert len(outcome.variants) <= 4
+    assert len(outcome.variants) <= PATH_BUDGET
     assert any(d.code == "PathBudgetExceeded" for d in stream.diagnostics)
 
 
@@ -360,5 +360,8 @@ def test_budget_merge_keeps_the_verdict_conservative():
     params = " , ".join(f"int c{i}" for i in range(8))
     source = (f"void f ( {params} ) {{ char * p ; int x ; "
               f"p = malloc ( 4 ) ; {arms} }}")
-    defects = flow(source, budget=4)
+    outcome, _ = _outcome(source)
+    assert outcome.path_insensitive
+    assert len(outcome.variants) <= PATH_BUDGET
+    defects = flow(source)
     assert [d.kind for d in defects] == [DefectKind.MISSING_RELEASE]

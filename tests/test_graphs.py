@@ -393,6 +393,17 @@ def test_cross_file_tie_prefers_the_callers_file():
     assert warning.kind.value == "AmbiguousCallWarning"
 
 
+def test_a_call_to_same_id_twins_is_not_ambiguous():
+    root, stream = _unit("#ifdef A\nvoid f ( int n ) { }\n#else\n"
+                         "void f ( int n ) { }\n#endif\n"
+                         "void c ( ) { f ( 1 ) ; }\n", "t.c")
+    fcg = build_fcg([(root, stream)])
+    assert fcg.warnings == []
+    (edge,) = fcg.edges
+    assert fcg.defined[edge.callee] is root.function_scopes[1], \
+        "the last body is kept"
+
+
 def test_call_sites_carry_token_positions():
     root, stream = _unit("void g ( ) { }\nvoid f ( ) { g ( ) ; }", "pos.c")
     fcg = build_fcg([(root, stream)])

@@ -314,6 +314,19 @@ def test_cli_reports_a_file_ending_in_a_string_prefix_word(tmp_path, capsys):
     assert "MissingRelease" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("line", ["alloc.malloc: malloc (",
+                                  "free.free: free ("])
+def test_cli_user_pattern_binding_no_variable_gives_a_report(tmp_path, capsys,
+                                                             line):
+    patterns = _write(tmp_path, "p.txt", line + "\n")
+    source = _write(tmp_path, "u.c", "void f ( int n ) { char * p ; "
+                    "p = malloc ( n ) ; free ( p ) ; }\n")
+    assert main(["--patterns", patterns, source]) in (0, 1)
+    captured = capsys.readouterr()
+    assert "checked 1 file(s)" in captured.out
+    assert captured.err == ""
+
+
 def test_cli_json_and_text_agree_on_the_claims(tmp_path, capsys):
     leaky = _write(tmp_path, "leaky.c", _LEAKY + "void g ( ) { char * q ; q = malloc ( 2 ) ; }\n")
     assert main(["--format", "json", leaky]) == 1

@@ -180,6 +180,78 @@ def test_growing_in_place_through_the_wrapper_is_clean():
 
 
 # ---------------------------------------------------------------------------
+# Records written at the moment of the effect
+# ---------------------------------------------------------------------------
+
+def test_release_survives_rebinding_the_parameter():
+    source = (
+        "void destroy ( char * p ) { free ( p ) ; p = NULL ; }\n"
+        "void c ( ) { char * q ; q = malloc ( 4 ) ; destroy ( q ) ; }\n")
+    result = run(source)
+    assert rendered(result, "destroy") == [("param0", "free(free)")]
+    assert claims(result) == []
+
+
+def test_release_of_a_global_survives_reallocating_it():
+    source = (
+        "char * g ;\n"
+        "void k ( void ) { free ( g ) ; g = malloc ( 4 ) ; }\n"
+        "void c ( void ) { char * q ; q = g ; k ( ) ; free ( q ) ; }\n")
+    result = run(source)
+    assert sorted(rendered(result, "k")) == [("g1", "alloc(malloc)"),
+                                             ("g1", "free(free)")]
+    assert claims(result) == [("DoubleFree", 3)]
+
+
+def test_lost_tracking_survives_rebinding_the_parameter():
+    source = (
+        "void k ( char * p ) { use ( p ) ; p = NULL ; }\n"
+        "void c ( ) { char * q ; q = malloc ( 4 ) ; k ( q ) ; }\n")
+    result = run(source)
+    assert rendered(result, "k") == [("param0", "unknown")]
+    assert claims(result) == []
+
+
+def test_an_unknown_callee_loses_only_a_global_already_read():
+    unread = run("char * g ;\n"
+                 "void f ( void ) { use ( g ) ; free ( g ) ; free ( g ) ; }")
+    assert rendered(unread, "f") == [("g1", "free(free)")]
+    assert claims(unread) == [("DoubleFree", 2)]
+    read = run("char * g ;\n"
+               "void f ( void ) { char * q ; q = g ; use ( g ) ; free ( q ) ; }")
+    assert rendered(read, "f") == [("g1", "unknown")]
+    caller = run(
+        "char * g ;\n"
+        "void reset ( void ) { memset ( g , 0 , 4 ) ; free ( g ) ; }\n"
+        "void c ( void ) { char * q ; q = g ; reset ( ) ; free ( q ) ; }\n")
+    assert rendered(caller, "reset") == [("g1", "free(free)")]
+    assert claims(caller) == [("DoubleFree", 3)]
+
+
+def test_a_merged_global_reaches_its_storage_whichever_arm_rebinds_it():
+    # The first if's two arms, then seven more ifs: 256 paths against the
+    # budget of 64, so the walk merges its variants.
+    tail = "if ( c ) { c = 1 ; } " * 7 + "free ( g ) ; }"
+    for arms in ("{ g = NULL ; } else { c = 0 ; }",
+                 "{ c = 0 ; } else { g = NULL ; }"):
+        result = run("char * g ;\n"
+                     f"void f ( int c ) {{ if ( c ) {arms} {tail}\n")
+        (entry,) = summary_of(result, "f").entries
+        assert entry.owner.kind == REF_GLOBAL, arms
+        assert entry.action.render() == "free(free)", arms
+
+
+def test_a_rebound_global_no_longer_reaches_its_storage():
+    source = (
+        "char * g ;\n"
+        "void k ( void ) { g = NULL ; free ( g ) ; }\n"
+        "void c ( void ) { char * q ; q = g ; k ( ) ; free ( q ) ; }\n")
+    result = run(source)
+    assert rendered(result, "k") == []
+    assert claims(result) == []
+
+
+# ---------------------------------------------------------------------------
 # Rings
 # ---------------------------------------------------------------------------
 
