@@ -12,9 +12,16 @@ passed to an unknown callee after the path has read them).  Summary
 extraction reads those records, so rebinding a variable after its
 release does not erase the release.
 
-Branches fork variants; when a fork would push past the variant budget
-the current set is first collapsed pessimistically (a block live on any
-arm stays live) and a diagnostic marks the function as partially
+Before every fork, variants whose ownership state is equal (all but
+the path condition and the order) merge into one, as in ESP's property
+simulation (Das, Lerner & Seigle, PLDI 2002).  The first of them in walk
+order survives, so a defect found mid-walk keeps the path that reached
+it first.  The survivor counts the paths it stands for, and carries the
+order and path of the earliest of them, which exit verdicts and summary
+entries report.  The budget counts paths, not variants: when a fork
+would push the paths past it, the current set is first collapsed
+pessimistically (a block live on any arm stays live, and the count
+restarts at one) and a diagnostic marks the function as partially
 path-insensitive from there on.
 
 Loop bodies run twice so second-iteration effects (double release,
@@ -80,10 +87,30 @@ class Variant:
     # Replaced on write, never changed in place, so clones share them.
     released: Dict[OwnerRef, Tuple[int, str]] = field(default_factory=dict)
     lost: FrozenSet[OwnerRef] = frozenset()
+    paths: int = 1  # paths of the function this variant stands for
+    # (order, path) of the earliest of them, when it is not this one's own
+    earliest: Optional[Tuple[int, List[PathCond]]] = None
 
     def clone(self, order: int) -> "Variant":
         return Variant(self.machines.clone(), dict(self.refs), list(self.path),
-                       order, self.returned_var, self.released, self.lost)
+                       order, self.returned_var, self.released, self.lost,
+                       self.paths)
+
+    def follow(self, tag: PathCond) -> None:
+        self.path.append(tag)
+        if self.earliest is not None:
+            self.earliest[1].append(tag)
+
+    def witness(self) -> Tuple[int, List[PathCond]]:
+        """(order, path) of the earliest path this variant stands for."""
+        return self.earliest or (self.order, self.path)
+
+    def state(self) -> tuple:
+        """All the walk and the verdicts read but the path and the order."""
+        return (tuple((mid, m.key())
+                      for mid, m in sorted(self.machines.by_id.items())),
+                frozenset(self.refs.items()), frozenset(self.released.items()),
+                self.lost, self.returned_var)
 
 
 @dataclass
@@ -159,7 +186,7 @@ class Interp:
 
     def _fork(self, variant: Variant, tag: PathCond) -> Variant:
         twin = variant.clone(next(self._orders))
-        twin.path.append(tag)
+        twin.follow(tag)
         return twin
 
     # -- top-level ------------------------------------------------------------
@@ -191,7 +218,7 @@ class Interp:
                     flowing = [self._fresh_variant([("", "dead")])]
                 else:
                     break
-            if len(flowing) > PATH_BUDGET:
+            if _paths(flowing) > PATH_BUDGET:
                 self.path_insensitive = True
                 flowing = [self._merge_all(flowing)]
             flowing, b, c, f = self._run_item(item, flowing)
@@ -222,7 +249,8 @@ class Interp:
         raise TypeError(f"unknown structure item {item!r}")
 
     def _split(self, variants: List[Variant], ways: int) -> List[Variant]:
-        if len(variants) * ways > PATH_BUDGET:
+        variants = self._merge_equal(variants)
+        if _paths(variants) * ways > PATH_BUDGET:
             self.path_insensitive = True
             return [self._merge_all(variants)]
         return variants
@@ -236,7 +264,7 @@ class Interp:
         (then_tag, then_items), (else_tag, else_items) = item.arms
         then_in = [self._fork(v, (guard, then_tag)) for v in variants]
         for v in variants:
-            v.path.append((guard, else_tag))
+            v.follow((guard, else_tag))
         f1, b1, c1, fin1 = self._run_seq(then_items, then_in)
         f2, b2, c2, fin2 = self._run_seq(else_items, variants)
         return f1 + f2, b1 + b2, c1 + c2, fin1 + fin2
@@ -270,7 +298,7 @@ class Interp:
                 finished.extend(f2)
             for v in flow:
                 self._apply_node(v, item.head)
-            if len(flow) > PATH_BUDGET:
+            if _paths(flow) > PATH_BUDGET:
                 self.path_insensitive = True
                 flow = [self._merge_all(flow)] if flow else []
         return skipping + flow + broken, [], continued_out, finished
@@ -306,10 +334,26 @@ class Interp:
     _STATE_RANK = {MemState.ALLOCED: 3, MemState.FREED: 2,
                    MemState.END: 1, MemState.ERROR: 0, MemState.START: 0}
 
+    @staticmethod
+    def _merge_equal(variants: List[Variant]) -> List[Variant]:
+        """One variant per ownership state, the first of each in list
+        order, standing for the paths of all and carrying the earliest."""
+        if len(variants) < 2:
+            return variants
+        kept: Dict[tuple, Variant] = {}
+        for v in variants:
+            survivor = kept.setdefault(v.state(), v)
+            if survivor is not v:
+                survivor.paths += v.paths
+                if v.witness()[0] < survivor.witness()[0]:
+                    survivor.earliest = v.witness()
+        return list(kept.values())
+
     def _merge_all(self, variants: List[Variant]) -> Variant:
         base = variants[0]
         for other in variants[1:]:
             self._merge_into(base, other)
+        base.paths, base.earliest = 1, None
         return base
 
     def _merge_into(self, base: Variant, other: Variant) -> None:
@@ -457,6 +501,10 @@ class Interp:
         self._unbind(variant, var)
 
 
+def _paths(variants: List[Variant]) -> int:
+    return sum(v.paths for v in variants)
+
+
 def default_call_effect(interp: Interp, variant: Variant, ev: CallEvent) -> None:
     """Unknown callee: taint pointer arguments, result overwrites dst."""
     for var_id in ev.args:
@@ -502,7 +550,8 @@ def finish_variants(outcome: ExploreOutcome) -> List[RecordedError]:
         leaks = [(v, m, e) for v, m, e in entries if e is not None]
         if not leaks:
             continue
-        first_v, first_m, first_e = min(leaks, key=lambda t: t[0].order)
+        first_v, first_m, first_e = min(
+            leaks, key=lambda t: t[0].witness()[0])
         if first_e.kind is DefectKind.PATH_MISSING_RELEASE:
             path = list(first_m.partial_path or [])
             results.append(RecordedError(first_e, path, list(first_m.trace)))
@@ -513,6 +562,6 @@ def finish_variants(outcome: ExploreOutcome) -> List[RecordedError]:
                 DefectKind.PATH_MISSING_RELEASE, first_e.line,
                 f"block allocated at line {first_e.line} is released on "
                 f"some paths but not on all")
-            results.append(RecordedError(err, list(first_v.path),
+            results.append(RecordedError(err, list(first_v.witness()[1]),
                                           list(first_m.trace)))
     return results

@@ -61,13 +61,13 @@ class AllocRecord:
     owner: int  # var id assigned at the allocation
 
 
-@dataclass
+@dataclass(frozen=True)
 class FreeRecord:
     line: int
     fn: str  # free | delete | delete_array
 
 
-@dataclass
+@dataclass(frozen=True)
 class MachineError:
     kind: DefectKind
     line: int
@@ -95,6 +95,14 @@ class Machine:
                        None if self.partial_path is None else list(self.partial_path),
                        self.error)
         return twin
+
+    def key(self) -> tuple:
+        """All the walk and the verdicts read of this machine but its id,
+        which fixes ``alloc``."""
+        return (self.state, frozenset(self.owners), tuple(self.frees),
+                tuple(self.trace), self.escaped, self.tainted, self.record,
+                None if self.partial_path is None else tuple(self.partial_path),
+                self.error)
 
     def _edge(self, new_state: MemState, note: str = "") -> None:
         label = f"{self.state.value}->{new_state.value}"

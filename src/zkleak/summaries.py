@@ -187,7 +187,7 @@ def extract_entries(cfg: Cfg, outcome: ExploreOutcome,
         hits = [v.released.get(ref) for v in variants]
         fn = next(h for h in hits if h is not None)[1]
         missing = [v for v, h in zip(variants, hits) if h is None]
-        path = list(min(missing, key=lambda v: v.order).path) if missing else []
+        path = list(min(v.witness() for v in missing)[1]) if missing else []
         entries.append(SummaryEntry(ref, BehaviorAction(
             ACTION_FREE, fn, not missing), path))
 

@@ -326,9 +326,12 @@ def _outcome(source: str):
 
 
 def test_sequential_branches_fork_multiplicatively():
+    # Each arm copies the block into its own pointer, so no two of the
+    # four paths reach the same ownership state.
     source = (
-        "void f ( int a , int b ) { char * p ; p = malloc ( 4 ) ; "
-        "if ( a ) { a = 1 ; } if ( b ) { b = 1 ; } free ( p ) ; }")
+        "void f ( int a , int b ) { char * p ; char * q ; char * r ; "
+        "p = malloc ( 4 ) ; "
+        "if ( a ) { q = p ; } if ( b ) { r = p ; } free ( p ) ; }")
     outcome, _ = _outcome(source)
     assert len(outcome.variants) == 4
     assert not outcome.path_insensitive
@@ -341,6 +344,73 @@ def test_sequential_branches_fork_multiplicatively():
         (("a", "else"), ("b", "then")),
         (("a", "else"), ("b", "else")),
     }
+
+
+def test_branches_that_touch_no_pointer_merge_and_count_their_paths():
+    source = (
+        "void f ( int a , int b ) { char * p ; p = malloc ( 4 ) ; "
+        "if ( a ) { a = 1 ; } if ( b ) { b = 1 ; } free ( p ) ; }")
+    outcome, stream = _outcome(source)
+    assert len(outcome.variants) == 2
+    assert sum(v.paths for v in outcome.variants) == 4
+    assert not outcome.path_insensitive
+    assert not any(d.code == "PathBudgetExceeded" for d in stream.diagnostics)
+
+
+def test_a_merged_variant_reports_the_earliest_path_it_stands_for():
+    # The leaking paths merge before the forks on b and c; the verdict
+    # names the earliest of them, not the first in walk order.
+    source = (
+        "void f ( int a , int b , int c ) { char * p ; p = malloc ( 4 ) ; "
+        "if ( a ) { free ( p ) ; } if ( b ) { n ++ ; } if ( c ) { n ++ ; } }")
+    (d,) = flow(source)
+    assert d.kind is DefectKind.PATH_MISSING_RELEASE
+    assert d.path_c == [("a", "else"), ("b", "else"), ("c", "else")]
+
+
+def _int_only_ifs(n: int) -> str:
+    arms = " ".join(f"if ( c{i} ) {{ x = {i} ; }}" for i in range(n))
+    params = " , ".join(f"int c{i}" for i in range(n))
+    return f"void f ( {params} ) {{ int x ; {arms} }}"
+
+
+def _int_only_switches(n: int) -> str:
+    # Three arms and no default: four ways each.
+    arms = " ".join(f"switch ( c{i} ) {{ case 1 : x = 1 ; break ; "
+                    f"case 2 : x = 2 ; break ; case 3 : x = 3 ; break ; }}"
+                    for i in range(n))
+    params = " , ".join(f"int c{i}" for i in range(n))
+    return f"void f ( {params} ) {{ int x ; {arms} }}"
+
+
+def test_the_budget_counts_paths_not_distinct_states():
+    # Every fork below merges back into one state, yet the budget of 64
+    # is spent by paths: 2**6 fits it, 2**7 and 4**4 do not.
+    assert PATH_BUDGET == 64
+    for source, over in ((_int_only_ifs(6), False), (_int_only_ifs(7), True),
+                         (_int_only_switches(3), False),
+                         (_int_only_switches(4), True)):
+        outcome, stream = _outcome(source)
+        assert outcome.path_insensitive is over, source
+        assert any(d.code == "PathBudgetExceeded"
+                   for d in stream.diagnostics) is over, source
+
+
+def test_an_allocation_after_merged_forks_makes_one_machine():
+    # The two arms of the fork on a merge before the fork on c, so two
+    # variants reach the allocation where four paths do.  The block gets
+    # two machines, not one per path, and so two claims, not four that
+    # differ only in their path condition.
+    source = (
+        "void f ( int a , int b , int c ) { char * p ; "
+        "if ( a ) { b ++ ; } if ( c ) { c ++ ; } p = malloc ( 4 ) ; "
+        "if ( b ) { free ( p ) ; } }")
+    defects = run([("f.c", source)]).summary_run.defects
+    assert [(d.kind, d.line) for d in defects] == [
+        (DefectKind.PATH_MISSING_RELEASE, 1)] * 2
+    assert [d.path_c for d in defects] == [
+        [("a", "then"), ("c", "then"), ("b", "else")],
+        [("a", "else"), ("c", "else"), ("b", "else")]]
 
 
 def test_budget_overflow_merges_and_degrades():
