@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 from zkleak.detect import special_check
 from zkleak.defects import DefectKind, dedup_and_sort
 from zkleak.graphs import build_cfg
-from zkleak.interp import PATH_BUDGET, explore, symbol_index
+from zkleak.interp import (PATH_BUDGET, REF_PARAM, OwnerRef, Variant,
+                           explore, symbol_index)
+from zkleak.machine import (AllocRecord, FreeRecord, Machine, MachineError,
+                            MachineSet, MemState)
 from zkleak.patterns import catalog_patterns
 from zkleak.report import run
 from zkleak.scopes import build_scope_tree
@@ -394,6 +399,57 @@ def test_the_budget_counts_paths_not_distinct_states():
         assert outcome.path_insensitive is over, source
         assert any(d.code == "PathBudgetExceeded"
                    for d in stream.diagnostics) is over, source
+
+
+def test_the_merge_key_covers_every_field_the_walk_reads():
+    # Variants merge when their state() is equal, so a field left out of
+    # Machine.key() or Variant.state() would merge states that differ.
+    # A field added to either class fails here until it has a value below
+    # that the key tells apart, or is named as one that merging forgets.
+    ref = OwnerRef(REF_PARAM, 0)
+    machine_changes = {
+        "state": MemState.FREED, "owners": {7},
+        "frees": [FreeRecord(2, "free")], "trace": ["Start->Alloced"],
+        "escaped": True, "tainted": True, "record": False,
+        "partial_path": [("a", "then")],
+        "error": MachineError(DefectKind.DOUBLE_FREE, 3, "again"),
+    }
+    # state() pairs each key with the machine's id, which fixes alloc.
+    assert ({f.name for f in fields(Machine)}
+            == set(machine_changes) | {"id", "alloc"})
+
+    def machine(mid: int = 1, **change) -> Machine:
+        m = Machine(mid, AllocRecord(1, "malloc", 7))
+        for name, value in change.items():
+            setattr(m, name, value)
+        return m
+
+    def holding(*machines: Machine) -> MachineSet:
+        out = MachineSet()
+        for m in machines:
+            out.add(m)
+        return out
+
+    variant_changes = {
+        "machines": holding(machine()), "refs": {3: ref},
+        "released": {ref: (2, "free")}, "lost": frozenset({ref}),
+        "returned_var": 3,
+    }
+    # Merging drops the path and order and adds up paths and earliest.
+    assert ({f.name for f in fields(Variant)}
+            == set(variant_changes) | {"path", "order", "paths", "earliest"})
+
+    base = Variant(holding(machine()), {}, [])
+    for name, value in machine_changes.items():
+        changed = Variant(holding(machine(**{name: value})), {}, [])
+        assert changed.state() != base.state(), name
+    assert (Variant(holding(machine(2)), {}, []).state()
+            != base.state())
+    bare = Variant(MachineSet(), {}, [])
+    for name, value in variant_changes.items():
+        changed = Variant(MachineSet(), {}, [])
+        setattr(changed, name, value)
+        assert changed.state() != bare.state(), name
 
 
 def test_an_allocation_after_merged_forks_makes_one_machine():
