@@ -120,9 +120,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         # Every body with that name, same-id twins in source order.
         for cfg in sorted(report.summary_run.cfgs, key=lambda c: c.func):
             fid = cfg.func
-            qualified = (f"{fid.class_name}::{fid.func_name}"
-                         if fid.class_name else fid.func_name)
-            if wanted in (fid.func_name, qualified):
+            if wanted in (fid.func_name, fid.qualified()):
                 print(f"== {fid.render()}")
                 print(dump_cfg(cfg))
                 shown += 1

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from .graphs import Cfg, CfgNode, FuncId
 from .patterns import Catalog, DefectPattern, MatchSpan, match_in_range
-from .scopes import split_top_level
+from .scopes import split_top_level, text_at
 from .tokens import LexToken, TokenKind, TokenStream
 
 RETURN_SLOT = -1
@@ -114,10 +114,6 @@ def _lhs_ok(stream: TokenStream, tok: LexToken) -> bool:
     return True
 
 
-def _next_text(stream: TokenStream, idx: int) -> str:
-    return stream[idx].text if 0 <= idx < len(stream) else ""
-
-
 def _binding_list(span: MatchSpan) -> List[LexToken]:
     return [span.bindings[k] for k in sorted(span.bindings)]
 
@@ -187,7 +183,7 @@ def _to_events(stream: TokenStream, pattern: DefectPattern,
     vars_ = [t for t in _binding_list(m) if t.kind is TokenKind.IDENTIFIER]
     if len(vars_) < (2 if label == "transfer.assign" else 1):
         return []  # a user pattern that binds fewer variables than needed
-    after = _next_text(stream, m.end_p)
+    after = text_at(stream, m.end_p)
 
     if label == "alloc.realloc":
         dst = vars_[0]
@@ -198,7 +194,7 @@ def _to_events(stream: TokenStream, pattern: DefectPattern,
         src = stream.get(m.end_p)
         if (src is not None and src.kind is TokenKind.IDENTIFIER
                 and src.var_id > 0
-                and _next_text(stream, m.end_p + 1) in (",", ")")):
+                and text_at(stream, m.end_p + 1) in (",", ")")):
             out.append(FreeEvent(m.first_p, src.line, "free", src.var_id, src.text))
         out.append(AllocEvent(m.first_p, dst.line, "realloc", dst.var_id, dst.text))
         return out
@@ -278,15 +274,15 @@ def _return_allocs(stream: TokenStream, begin: int, end: int,
         if nxt >= end:
             continue
         tok = stream[nxt]
-        if tok.text in _RETURN_ALLOC_FNS and _next_text(stream, nxt + 1) == "(":
+        if tok.text in _RETURN_ALLOC_FNS and text_at(stream, nxt + 1) == "(":
             events.append(AllocEvent(i, tok.line, _RETURN_ALLOC_FNS[tok.text],
                                      RETURN_SLOT, "<return>"))
             covered.update(range(i, nxt + 2))
-        elif tok.text == "realloc" and _next_text(stream, nxt + 1) == "(":
+        elif tok.text == "realloc" and text_at(stream, nxt + 1) == "(":
             arg = stream.get(nxt + 2)
             if (arg is not None and arg.kind is TokenKind.IDENTIFIER
                     and arg.var_id > 0
-                    and _next_text(stream, nxt + 3) in (",", ")")):
+                    and text_at(stream, nxt + 3) in (",", ")")):
                 events.append(FreeEvent(i, arg.line, "free", arg.var_id, arg.text))
             events.append(AllocEvent(i, tok.line, "realloc",
                                      RETURN_SLOT, "<return>"))

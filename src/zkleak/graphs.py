@@ -42,6 +42,11 @@ class FuncId:
     def render(self) -> str:
         return f"{self.file_name}::{self.class_name}::{self.func_name}/{self.arity}"
 
+    def qualified(self) -> str:
+        """``Class::name``, or the bare name outside a class."""
+        return (f"{self.class_name}::{self.func_name}" if self.class_name
+                else self.func_name)
+
 
 # --- structure plan items (walked by the interpreter) ---
 

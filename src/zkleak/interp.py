@@ -10,7 +10,9 @@ moment of the effect: the first release of each ``OwnerRef``, and the
 ``OwnerRef``s that can no longer be tracked (advanced by arithmetic, or
 passed to an unknown callee after the path has read them).  Summary
 extraction reads those records, so rebinding a variable after its
-release does not erase the release.
+release does not erase the release.  A release of storage that can no
+longer be tracked is still recorded, so a second one is a double
+release.
 
 Before every fork, variants whose ownership state is equal (all but
 the path condition and the order) merge into one, as in ESP's property
@@ -24,6 +26,12 @@ pessimistically (a block live on any arm stays live, and the count
 restarts at one) and a diagnostic marks the function as partially
 path-insensitive from there on.
 
+Each step of the walk returns the variants that flow on to the next
+statement; the others go straight to their targets.  A ``return`` sends
+its variants to the function's exit, a ``break`` to the innermost loop
+or ``switch`` (they flow on after it), and a ``continue`` to the current
+pass of the innermost loop (they rejoin before the loop's trailer).  A
+``break`` or ``continue`` with no such target reaches the function's exit.
 Loop bodies run twice so second-iteration effects (double release,
 pointer reuse) surface, then the walk leaves the loop.  Code after a
 ``return`` is still scanned with a fresh variant so defects in
@@ -168,6 +176,11 @@ class Interp:
                             if p.is_pointer}
         self.mid_errors: Dict[Tuple[DefectKind, int], RecordedError] = {}
         self.path_insensitive = False
+        # Where return, break and continue send their variants; a loop or
+        # switch pushes its own break list, a loop pass its continue list.
+        self.finished: List[Variant] = []
+        self.breaks: List[List[Variant]] = [[]]
+        self.continues: List[List[Variant]] = [[]]
 
     # -- bookkeeping ----------------------------------------------------------
 
@@ -192,8 +205,7 @@ class Interp:
     # -- top-level ------------------------------------------------------------
 
     def run(self) -> ExploreOutcome:
-        start = self._fresh_variant([])
-        flow, brk, cont, fin = self._run_seq(self.cfg.structure, [start])
+        flow = self._run_seq(self.cfg.structure, [self._fresh_variant([])])
         if self.path_insensitive:
             self.cfg.stream.diagnostics.append(Diagnostic(
                 "PathBudgetExceeded",
@@ -201,52 +213,45 @@ class Interp:
                 f"{self.cfg.func.func_name}; merged paths pessimistically",
                 self.cfg.stream.file, self.cfg.entry_line, 1))
         # stray break/continue outside a loop just fall off the end
-        variants = fin + flow + brk + cont
+        variants = (self.finished + flow + self.breaks[0]
+                    + self.continues[0])
         return ExploreOutcome(variants, list(self.mid_errors.values()),
                               self.path_insensitive, self.cfg.exit_line)
 
     # -- structure walk -------------------------------------------------------
 
-    def _run_seq(self, items: list, variants: List[Variant]):
-        flowing = variants
-        broken: List[Variant] = []
-        continued: List[Variant] = []
-        finished: List[Variant] = []
-        for idx, item in enumerate(items):
-            if not flowing:
-                if idx < len(items):
-                    flowing = [self._fresh_variant([("", "dead")])]
-                else:
-                    break
-            if _paths(flowing) > PATH_BUDGET:
+    def _run_seq(self, items: list, flow: List[Variant]) -> List[Variant]:
+        for item in items:
+            if not flow:
+                flow = [self._fresh_variant([("", "dead")])]
+            if _paths(flow) > PATH_BUDGET:
                 self.path_insensitive = True
-                flowing = [self._merge_all(flowing)]
-            flowing, b, c, f = self._run_item(item, flowing)
-            broken.extend(b)
-            continued.extend(c)
-            finished.extend(f)
-        return flowing, broken, continued, finished
+                flow = [self._merge_all(flow)]
+            flow = self._run_item(item, flow)
+        return flow
 
-    def _run_item(self, item, variants: List[Variant]):
+    def _run_item(self, item, variants: List[Variant]) -> List[Variant]:
         if isinstance(item, SeqStmt):
             for v in variants:
                 self._apply_node(v, item.node)
-            return variants, [], [], []
+            return variants
         if isinstance(item, ReturnStmt):
             for v in variants:
                 self._apply_node(v, item.node)
-            return [], [], [], variants
-        if isinstance(item, BreakStmt):
-            return [], variants, [], []
-        if isinstance(item, ContinueStmt):
-            return [], [], variants, []
-        if isinstance(item, IfStruct):
+            self.finished.extend(variants)
+        elif isinstance(item, BreakStmt):
+            self.breaks[-1].extend(variants)
+        elif isinstance(item, ContinueStmt):
+            self.continues[-1].extend(variants)
+        elif isinstance(item, IfStruct):
             return self._run_if(item, variants)
-        if isinstance(item, LoopStruct):
+        elif isinstance(item, LoopStruct):
             return self._run_loop(item, variants)
-        if isinstance(item, SwitchStruct):
+        elif isinstance(item, SwitchStruct):
             return self._run_switch(item, variants)
-        raise TypeError(f"unknown structure item {item!r}")
+        else:
+            raise TypeError(f"unknown structure item {item!r}")
+        return []
 
     def _split(self, variants: List[Variant], ways: int) -> List[Variant]:
         variants = self._merge_equal(variants)
@@ -255,7 +260,7 @@ class Interp:
             return [self._merge_all(variants)]
         return variants
 
-    def _run_if(self, item: IfStruct, variants: List[Variant]):
+    def _run_if(self, item: IfStruct, variants: List[Variant]) -> List[Variant]:
         branch = self.cfg.node(item.branch)
         for v in variants:
             self._apply_node(v, item.branch)
@@ -265,45 +270,41 @@ class Interp:
         then_in = [self._fork(v, (guard, then_tag)) for v in variants]
         for v in variants:
             v.follow((guard, else_tag))
-        f1, b1, c1, fin1 = self._run_seq(then_items, then_in)
-        f2, b2, c2, fin2 = self._run_seq(else_items, variants)
-        return f1 + f2, b1 + b2, c1 + c2, fin1 + fin2
+        return (self._run_seq(then_items, then_in)
+                + self._run_seq(else_items, variants))
 
-    def _run_loop(self, item: LoopStruct, variants: List[Variant]):
-        broken: List[Variant] = []
-        continued_out: List[Variant] = []
-        finished: List[Variant] = []
-
+    def _run_loop(self, item: LoopStruct,
+                  variants: List[Variant]) -> List[Variant]:
         if item.style == "dowhile":
-            entering = variants
+            flow = variants
             skipping: List[Variant] = []
         else:
             for v in variants:
                 self._apply_node(v, item.head)
             variants = self._split(variants, 2)
             guard = self.cfg.node(item.head).guard_text
-            entering = [self._fork(v, (guard, "loop")) for v in variants]
+            flow = [self._fork(v, (guard, "loop")) for v in variants]
             skipping = variants
 
-        flow = entering
+        broken: List[Variant] = []
+        self.breaks.append(broken)
         for _pass in range(2):
-            flow, brk, cont, fin = self._run_seq(item.body, flow)
-            finished.extend(fin)
-            broken.extend(brk)
-            flow = flow + cont  # continue rejoins before the trailer
-            if item.trailer:
-                flow, b2, c2, f2 = self._run_seq(item.trailer, flow)
-                broken.extend(b2)
-                continued_out.extend(c2)
-                finished.extend(f2)
+            continued: List[Variant] = []
+            self.continues.append(continued)
+            flow = self._run_seq(item.body, flow)
+            self.continues.pop()
+            # continue rejoins before the trailer
+            flow = self._run_seq(item.trailer, flow + continued)
             for v in flow:
                 self._apply_node(v, item.head)
             if _paths(flow) > PATH_BUDGET:
                 self.path_insensitive = True
-                flow = [self._merge_all(flow)] if flow else []
-        return skipping + flow + broken, [], continued_out, finished
+                flow = [self._merge_all(flow)]
+        self.breaks.pop()
+        return skipping + flow + broken
 
-    def _run_switch(self, item: SwitchStruct, variants: List[Variant]):
+    def _run_switch(self, item: SwitchStruct,
+                    variants: List[Variant]) -> List[Variant]:
         branch = self.cfg.node(item.branch)
         for v in variants:
             self._apply_node(v, item.branch)
@@ -311,23 +312,14 @@ class Interp:
         variants = self._split(variants, max(ways, 1))
         guard = branch.guard_text
 
-        flowing_out: List[Variant] = []
-        broken: List[Variant] = []
-        continued: List[Variant] = []
-        finished: List[Variant] = []
+        broken: List[Variant] = []  # break leaves the switch, not a loop
+        self.breaks.append(broken)
         fall: List[Variant] = []
         for tag, items in item.arms:
-            entries = [self._fork(v, (guard, tag)) for v in variants] + fall
-            flow, brk, cont, fin = self._run_seq(items, entries)
-            fall = flow
-            broken.extend(brk)
-            continued.extend(cont)
-            finished.extend(fin)
-        flowing_out.extend(fall)
-        flowing_out.extend(broken)  # break leaves the switch, not a loop
-        if not item.has_default:
-            flowing_out.extend(variants)
-        return flowing_out, [], continued, finished
+            fall = self._run_seq(
+                items, [self._fork(v, (guard, tag)) for v in variants] + fall)
+        self.breaks.pop()
+        return fall + broken + ([] if item.has_default else variants)
 
     # -- merging --------------------------------------------------------------
 
@@ -431,7 +423,7 @@ class Interp:
                 self.record(m.release(fn, line), variant, m.trace)
             return
         ref = self._ref(variant, var)
-        if ref is None or ref in variant.lost:
+        if ref is None:
             return
         first = variant.released.get(ref)
         if first is not None:

@@ -20,6 +20,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import count
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .tokens import (
@@ -102,6 +103,7 @@ class ScopeNode:
     params: List[SymbolEntry] = field(default_factory=list)
     owner_class: str = ""
     is_virtual: bool = False
+    # Class-like only: token indices of the name and of the keyword.
     name_index: int = -1
     header_index: int = -1
     # Root-only registries.
@@ -185,8 +187,8 @@ def build_scope_tree(stream: TokenStream) -> ScopeNode:
     """
     _pair_brackets(stream)
 
-    counter = _Counter()
-    root = ScopeNode(ScopeKind.GLOBAL, "", None, 0, len(stream), counter.next_scope())
+    scope_ids, var_ids = count(1), count(1)
+    root = ScopeNode(ScopeKind.GLOBAL, "", None, 0, len(stream), next(scope_ids))
     scope_by_id = {root.scope_id: root}
 
     _collect_types(stream, root)
@@ -205,7 +207,7 @@ def build_scope_tree(stream: TokenStream) -> ScopeNode:
             continue  # initializer braces open no scope
         kind, name, meta = info
         close = stream.partner[i] if stream.partner[i] >= 0 else len(stream) - 1
-        node = ScopeNode(kind, name, parent, i, close + 1, counter.next_scope())
+        node = ScopeNode(kind, name, parent, i, close + 1, next(scope_ids))
         scope_by_id[node.scope_id] = node
         parent.children.append(node)
         stack.append((node, node.token_end))
@@ -213,8 +215,6 @@ def build_scope_tree(stream: TokenStream) -> ScopeNode:
         if kind in _CLASSY and name:
             root.class_scopes.setdefault(name, node)
         if kind is ScopeKind.FUNCTION:
-            node.name_index = meta["name_index"]
-            node.header_index = meta["header_index"]
             node.owner_class = meta["owner_class"]
             node.is_virtual = meta["is_virtual"]
             if not node.owner_class:
@@ -222,31 +222,17 @@ def build_scope_tree(stream: TokenStream) -> ScopeNode:
                 if cls is not None:
                     node.owner_class = cls.name
             _parse_parameters(stream, meta["params_open"], meta["params_close"],
-                              node, counter)
+                              node, var_ids)
             root.function_scopes.append(node)
-        elif kind in _CLASSY or kind is ScopeKind.NAMESPACE:
+        elif kind in _CLASSY:
             node.header_index = meta["header_index"]
             node.name_index = meta["name_index"]
 
-    _scan_declarations(stream, root, scope_by_id, counter)
+    _scan_declarations(stream, root, scope_by_id, var_ids)
     _annotate_var_ids(stream, root, scope_by_id)
 
     stream.scoped = True
     return root
-
-
-class _Counter:
-    def __init__(self) -> None:
-        self._scope = 0
-        self._var = 0
-
-    def next_scope(self) -> int:
-        self._scope += 1
-        return self._scope
-
-    def next_var(self) -> int:
-        self._var += 1
-        return self._var
 
 
 # Bracket text -> (kind, opens).  Each kind is matched with its own stack.
@@ -331,7 +317,7 @@ def _classify_open(stream: TokenStream, i: int, parent: ScopeNode):
     if prev.text == "try":
         return ScopeKind.TRY, "", {}
     if prev.text == "namespace":
-        return ScopeKind.NAMESPACE, "", {"header_index": i - 1, "name_index": -1}
+        return ScopeKind.NAMESPACE, "", {}
 
     if prev.text == ")":
         close = i - 1
@@ -431,8 +417,6 @@ def _function_header(stream: TokenStream, close_paren: int):
         is_virtual = _virtual_in_specifiers(stream, name_start)
         return {
             "name": name,
-            "name_index": name_start,
-            "header_index": name_start,
             "owner_class": owner_class,
             "is_virtual": is_virtual,
             "params_open": open_idx,
@@ -456,7 +440,7 @@ def _virtual_in_specifiers(stream: TokenStream, name_start: int) -> bool:
 
 
 def _parse_parameters(stream: TokenStream, open_idx: int, close_idx: int,
-                      func: ScopeNode, counter: _Counter) -> None:
+                      func: ScopeNode, var_ids: Iterator[int]) -> None:
     for begin, end in split_top_level(stream, open_idx + 1, close_idx):
         tokens = stream.window(begin, end)
         if not tokens or (len(tokens) == 1 and tokens[0].text == "void"):
@@ -469,7 +453,7 @@ def _parse_parameters(stream: TokenStream, open_idx: int, close_idx: int,
         type_text = " ".join(t.text for t in head if t is not name_tok)
         entry = SymbolEntry(
             name=name_tok.text if name_tok else f"<unnamed{len(func.params)}>",
-            var_id=counter.next_var(),
+            var_id=next(var_ids),
             type_text=type_text,
             is_pointer=is_pointer,
             decl_index=name_tok.index if name_tok else open_idx,
@@ -549,7 +533,7 @@ _STMT_ENDERS = frozenset([";", "{", "}"])
 
 def _scan_declarations(stream: TokenStream, root: ScopeNode,
                        scope_by_id: Dict[int, ScopeNode],
-                       counter: _Counter) -> None:
+                       var_ids: Iterator[int]) -> None:
     pointer_typedefs = root.pointer_typedefs
     n = len(stream)
     stmt_start = True
@@ -564,7 +548,7 @@ def _scan_declarations(stream: TokenStream, root: ScopeNode,
                            or tok.text == "~"
                            or tok.text == "operator"):
             scope = scope_by_id[tok.scope_id]
-            end = _parse_declaration(stream, i, scope, root, counter, pointer_typedefs)
+            end = _parse_declaration(stream, i, scope, root, var_ids, pointer_typedefs)
             if end is not None:
                 i = end
                 stmt_start = True
@@ -581,7 +565,7 @@ def _scan_declarations(stream: TokenStream, root: ScopeNode,
 
 
 def _parse_declaration(stream: TokenStream, start: int, scope: ScopeNode,
-                       root: ScopeNode, counter: _Counter,
+                       root: ScopeNode, var_ids: Iterator[int],
                        pointer_typedefs: Set[str]) -> Optional[int]:
     """Try to parse one declaration statement starting at *start*.
 
@@ -681,7 +665,7 @@ def _parse_declaration(stream: TokenStream, start: int, scope: ScopeNode,
                      or static_seen)
         entry = SymbolEntry(
             name=name,
-            var_id=counter.next_var(),
+            var_id=next(var_ids),
             type_text=" ".join(type_tokens) + (" " + "*" * stars if stars else ""),
             is_pointer=is_pointer,
             is_member=is_member,

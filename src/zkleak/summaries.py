@@ -235,10 +235,8 @@ def _post_order(fcg: Fcg) -> List[FuncId]:
 
 
 def _to_defect(rec: RecordedError, cfg: Cfg) -> Defect:
-    fid = cfg.func
-    func = f"{fid.class_name}::{fid.func_name}" if fid.class_name else fid.func_name
     return Defect(kind=rec.error.kind, file=cfg.stream.file,
-                  line=rec.error.line, func=func,
+                  line=rec.error.line, func=cfg.func.qualified(),
                   message=rec.error.message, path_c=list(rec.path),
                   trace=list(rec.trace))
 
@@ -274,8 +272,7 @@ def update_all(units: List[Tuple[ScopeNode, TokenStream]], fcg: Fcg,
             file=head.file_name,
             line=next(cfg.entry_line for cfg, _symbols in bodies[head]
                       if cfg.func_scope is fcg.defined[head]),
-            func=(f"{head.class_name}::{head.func_name}"
-                  if head.class_name else head.func_name),
+            func=head.qualified(),
             message=f"call ring never summarized precisely: {cycle}"))
 
     handler = make_call_handler(summaries)

@@ -111,6 +111,56 @@ def test_loop_skip_variant_carries_no_path_tag():
     assert d.path_c == []
 
 
+def test_return_break_and_continue_reach_their_targets():
+    # continue and break inside a switch in a loop, return inside the
+    # loop, and break out of the loop; the body runs twice.
+    source = (
+        "void f ( int c , int n ) {\n"
+        "  char * p ;\n"
+        "  while ( c ) {\n"
+        "    p = malloc ( 4 ) ;\n"
+        "    switch ( n ) {\n"
+        "      case 0 : free ( p ) ; continue ;\n"
+        "      case 1 : break ;\n"
+        "      default : free ( p ) ; return ;\n"
+        "    }\n"
+        "    if ( n ) break ;\n"
+        "    free ( p ) ;\n"
+        "  }\n"
+        "}\n")
+    defects = flow(source)
+    assert [(d.kind, d.line) for d in defects] == [
+        (DefectKind.PATH_MISSING_RELEASE, 4)] * 3
+    loop, c0, c1 = ("c", "loop"), ("n", "case:0"), ("n", "case:1")
+    then, other = ("n", "then"), ("n", "else")
+    assert [d.path_c for d in defects] == [
+        [loop, c0, c1, then], [loop, c1, other, c1, then], [loop, c1, then]]
+    # Exit variants in walk order: the returns, then those leaving the
+    # loop (the skip, the end of the second pass, the breaks of both).
+    outcome, _ = _outcome(source)
+    default = ("n", "default")
+    assert [v.path for v in outcome.variants] == [
+        [loop, default], [loop, c1, other, default], [loop, c0, default],
+        [],
+        [loop, c1, other, c1, other], [loop, c0, c1, other],
+        [loop, c1, other, c0], [loop, c0, c0],
+        [loop, c1, then], [loop, c1, other, c1, then], [loop, c0, c1, then]]
+
+    dowhile = (
+        "void f ( int n ) {\n"
+        "  char * p ;\n"
+        "  do {\n"
+        "    p = malloc ( 4 ) ;\n"
+        "    if ( n ) break ;\n"
+        "    free ( p ) ;\n"
+        "  } while ( n ) ;\n"
+        "}\n")
+    defects = flow(dowhile)
+    assert [(d.kind, d.line, d.path_c) for d in defects] == [
+        (DefectKind.PATH_MISSING_RELEASE, 4, [other, then]),
+        (DefectKind.PATH_MISSING_RELEASE, 4, [then])]
+
+
 def test_leak_on_every_arm_collapses_to_one_claim():
     source = (
         "void f ( int c ) { char * p ; p = malloc ( 4 ) ; "

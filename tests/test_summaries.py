@@ -212,6 +212,14 @@ def test_lost_tracking_survives_rebinding_the_parameter():
     assert claims(result) == []
 
 
+def test_a_release_of_storage_no_longer_tracked_is_still_recorded():
+    # The unknown callee loses param0, so the summary says unknown, yet
+    # the walk still records the first free and so claims the second.
+    result = run("void f ( char * p ) { use ( p ) ; free ( p ) ; free ( p ) ; }")
+    assert rendered(result, "f") == [("param0", "unknown")]
+    assert claims(result) == [("DoubleFree", 1)]
+
+
 def test_an_unknown_callee_loses_only_a_global_already_read():
     unread = run("char * g ;\n"
                  "void f ( void ) { use ( g ) ; free ( g ) ; free ( g ) ; }")
