@@ -459,9 +459,6 @@ class Fcg:
     def call_sites(self, caller: FuncId) -> Dict[int, FuncId]:
         return dict(self.sites.get(caller, {}))
 
-    def callees(self, caller: FuncId) -> List[FuncId]:
-        return list(self.sites.get(caller, {}).values())
-
 
 _NOT_CALL_PREV = frozenset(["*", "&", "::"])
 
@@ -578,65 +575,60 @@ def defined_successors(fcg: Fcg) -> Dict[FuncId, List[FuncId]]:
     return callees
 
 
+def post_order(successors: Dict[FuncId, List[FuncId]]) -> List[FuncId]:
+    """Depth-first post-order: successors before the node that reaches
+    them, roots and children visited in sorted order, cycles broken by
+    the visited set.  Every successor must be a key of *successors*."""
+    order: List[FuncId] = []
+    seen: Set[FuncId] = set()
+    for start in sorted(successors):
+        if start in seen:
+            continue
+        seen.add(start)
+        stack = [(start, iter(sorted(successors[start])))]
+        while stack:
+            node, children = stack[-1]
+            for child in children:
+                if child not in seen:
+                    seen.add(child)
+                    stack.append((child, iter(sorted(successors[child]))))
+                    break
+            else:
+                stack.pop()
+                order.append(node)
+    return order
+
+
 def find_rings(fcg: Fcg) -> List[List[FuncId]]:
     """Strongly connected components that form call rings.
 
     A ring is an SCC with at least two members, or a single function that
-    calls itself.  Members are returned sorted, rings ordered by their
-    first member, so output is deterministic.
+    calls itself.  Components are found as in Kosaraju's algorithm: taken
+    in reverse post order, each function not yet placed collects the
+    callers that reach it.  Members are returned sorted, rings ordered by
+    their first member, so output is deterministic.
     """
     graph = defined_successors(fcg)
-    self_loop = {f for f, callees in graph.items() if f in callees}
-
-    index: Dict[FuncId, int] = {}
-    low: Dict[FuncId, int] = {}
-    on_stack: Set[FuncId] = set()
-    stack: List[FuncId] = []
-    sccs: List[List[FuncId]] = []
-    counter = [0]
-
-    def strongconnect(start: FuncId) -> None:
-        work = [(start, iter(graph[start]))]
-        index[start] = low[start] = counter[0]
-        counter[0] += 1
-        stack.append(start)
-        on_stack.add(start)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for callee in it:
-                if callee not in index:
-                    index[callee] = low[callee] = counter[0]
-                    counter[0] += 1
-                    stack.append(callee)
-                    on_stack.add(callee)
-                    work.append((callee, iter(graph[callee])))
-                    advanced = True
-                    break
-                if callee in on_stack:
-                    low[node] = min(low[node], index[callee])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                scc = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    scc.append(member)
-                    if member == node:
-                        break
-                sccs.append(scc)
-
-    for fid in sorted(graph):
-        if fid not in index:
-            strongconnect(fid)
-
-    rings = [sorted(scc) for scc in sccs
-             if len(scc) >= 2 or (len(scc) == 1 and scc[0] in self_loop)]
+    callers: Dict[FuncId, List[FuncId]] = {f: [] for f in graph}
+    for caller, callees in graph.items():
+        for callee in callees:
+            callers[callee].append(caller)
+    rings: List[List[FuncId]] = []
+    seen: Set[FuncId] = set()
+    for root in reversed(post_order(graph)):
+        if root in seen:
+            continue
+        seen.add(root)
+        scc, stack = [], [root]
+        while stack:
+            node = stack.pop()
+            scc.append(node)
+            for caller in callers[node]:
+                if caller not in seen:
+                    seen.add(caller)
+                    stack.append(caller)
+        if len(scc) >= 2 or root in graph[root]:
+            rings.append(sorted(scc))
     return sorted(rings, key=lambda ring: ring[0])
 
 

@@ -37,6 +37,11 @@ pointer reuse) surface, then the walk leaves the loop.  Code after a
 ``return`` is still scanned with a fresh variant so defects in
 unreachable tails are not silently skipped.
 
+A variant's path, like a machine's owners, releases and trace, is a
+value that a write replaces and never changes in place.  A fork
+therefore copies none of them, and a finding is recorded straight into
+a ``Defect`` whose path and trace are a snapshot.
+
 Calls are delegated to an injected handler; without one, every callee
 is treated as unknown: pointer arguments become tainted and a call
 result overwrites its destination.  A handler replays a callee through
@@ -51,7 +56,7 @@ from itertools import count
 from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence,
                     Tuple, Union)
 
-from .defects import DefectKind, PathCond
+from .defects import Defect, DefectKind, PathCond
 from .events import (AllocEvent, AssignEvent, CallEvent, FreeEvent,
                      NullAssignEvent, PtrArithEvent, RETURN_SLOT,
                      ReturnVarEvent, node_events)
@@ -89,7 +94,7 @@ class Variant:
     # var id -> the caller-owned storage it reaches; None once a global or
     # member is rebound (an absent one is unread and reaches its own).
     refs: Dict[int, Optional[OwnerRef]]
-    path: List[PathCond]
+    path: Tuple[PathCond, ...]
     order: int = 0
     returned_var: Optional[int] = None
     # Replaced on write, never changed in place, so clones share them.
@@ -97,19 +102,20 @@ class Variant:
     lost: FrozenSet[OwnerRef] = frozenset()
     paths: int = 1  # paths of the function this variant stands for
     # (order, path) of the earliest of them, when it is not this one's own
-    earliest: Optional[Tuple[int, List[PathCond]]] = None
+    earliest: Optional[Tuple[int, Tuple[PathCond, ...]]] = None
 
     def clone(self, order: int) -> "Variant":
-        return Variant(self.machines.clone(), dict(self.refs), list(self.path),
+        return Variant(self.machines.clone(), dict(self.refs), self.path,
                        order, self.returned_var, self.released, self.lost,
                        self.paths)
 
     def follow(self, tag: PathCond) -> None:
-        self.path.append(tag)
+        self.path += (tag,)
         if self.earliest is not None:
-            self.earliest[1].append(tag)
+            order, path = self.earliest
+            self.earliest = (order, path + (tag,))
 
-    def witness(self) -> Tuple[int, List[PathCond]]:
+    def witness(self) -> Tuple[int, Tuple[PathCond, ...]]:
         """(order, path) of the earliest path this variant stands for."""
         return self.earliest or (self.order, self.path)
 
@@ -122,18 +128,11 @@ class Variant:
 
 
 @dataclass
-class RecordedError:
-    error: MachineError
-    path: List[PathCond]
-    trace: List[str] = field(default_factory=list)
-
-
-@dataclass
 class ExploreOutcome:
     variants: List[Variant]
-    mid_errors: List[RecordedError]
+    mid_errors: List[Defect]
     path_insensitive: bool
-    exit_line: int
+    cfg: Cfg
 
 
 CallHandler = Callable[["Interp", Variant, CallEvent], None]
@@ -174,7 +173,7 @@ class Interp:
         self._param_refs = {p.var_id: OwnerRef(REF_PARAM, i)
                             for i, p in enumerate(cfg.func_scope.params)
                             if p.is_pointer}
-        self.mid_errors: Dict[Tuple[DefectKind, int], RecordedError] = {}
+        self.mid_errors: Dict[Tuple[DefectKind, int], Defect] = {}
         self.path_insensitive = False
         # Where return, break and continue send their variants; a loop or
         # switch pushes its own break list, a loop pass its continue list.
@@ -188,13 +187,13 @@ class Interp:
         return next(self._machine_ids)
 
     def record(self, err: Optional[MachineError], variant: Variant,
-               trace: Optional[List[str]] = None) -> None:
+               trace: Tuple[str, ...] = ()) -> None:
         if err is not None and (err.kind, err.line) not in self.mid_errors:
-            self.mid_errors[err.kind, err.line] = RecordedError(
-                err, list(variant.path), list(trace) if trace else [])
+            self.mid_errors[err.kind, err.line] = _defect(
+                self.cfg, err, variant.path, trace)
 
-    def _fresh_variant(self, path: List[PathCond]) -> Variant:
-        return Variant(MachineSet(), dict(self._param_refs), list(path),
+    def _fresh_variant(self, path: Tuple[PathCond, ...]) -> Variant:
+        return Variant(MachineSet(), dict(self._param_refs), path,
                        next(self._orders))
 
     def _fork(self, variant: Variant, tag: PathCond) -> Variant:
@@ -205,7 +204,7 @@ class Interp:
     # -- top-level ------------------------------------------------------------
 
     def run(self) -> ExploreOutcome:
-        flow = self._run_seq(self.cfg.structure, [self._fresh_variant([])])
+        flow = self._run_seq(self.cfg.structure, [self._fresh_variant(())])
         if self.path_insensitive:
             self.cfg.stream.diagnostics.append(Diagnostic(
                 "PathBudgetExceeded",
@@ -216,14 +215,14 @@ class Interp:
         variants = (self.finished + flow + self.breaks[0]
                     + self.continues[0])
         return ExploreOutcome(variants, list(self.mid_errors.values()),
-                              self.path_insensitive, self.cfg.exit_line)
+                              self.path_insensitive, self.cfg)
 
     # -- structure walk -------------------------------------------------------
 
     def _run_seq(self, items: list, flow: List[Variant]) -> List[Variant]:
         for item in items:
             if not flow:
-                flow = [self._fresh_variant([("", "dead")])]
+                flow = [self._fresh_variant((("", "dead"),))]
             if _paths(flow) > PATH_BUDGET:
                 self.path_insensitive = True
                 flow = [self._merge_all(flow)]
@@ -497,6 +496,13 @@ def _paths(variants: List[Variant]) -> int:
     return sum(v.paths for v in variants)
 
 
+def _defect(cfg: Cfg, err: MachineError, path: Sequence[PathCond],
+            trace: Sequence[str]) -> Defect:
+    return Defect(kind=err.kind, file=cfg.stream.file, line=err.line,
+                  func=cfg.func.qualified(), message=err.message,
+                  path_c=list(path), trace=list(trace))
+
+
 def default_call_effect(interp: Interp, variant: Variant, ev: CallEvent) -> None:
     """Unknown callee: taint pointer arguments, result overwrites dst."""
     for var_id in ev.args:
@@ -518,7 +524,7 @@ def explore(cfg: Cfg, catalog: Union[Catalog, Sequence[DefectPattern]],
                   call_handler, strict).run()
 
 
-def finish_variants(outcome: ExploreOutcome) -> List[RecordedError]:
+def finish_variants(outcome: ExploreOutcome) -> List[Defect]:
     """Close every machine at function exit and classify leaks.
 
     A machine leaking in every variant that contains it is an outright
@@ -533,10 +539,10 @@ def finish_variants(outcome: ExploreOutcome) -> List[RecordedError]:
             if machine.settled():
                 err: Optional[MachineError] = None
             else:
-                err = machine.finish(outcome.exit_line)
+                err = machine.finish(outcome.cfg.exit_line)
             per_machine.setdefault(mid, []).append((variant, machine, err))
 
-    results: List[RecordedError] = []
+    results: List[Defect] = []
     for mid in sorted(per_machine):
         entries = per_machine[mid]
         leaks = [(v, m, e) for v, m, e in entries if e is not None]
@@ -544,16 +550,14 @@ def finish_variants(outcome: ExploreOutcome) -> List[RecordedError]:
             continue
         first_v, first_m, first_e = min(
             leaks, key=lambda t: t[0].witness()[0])
+        err, path = first_e, ()
         if first_e.kind is DefectKind.PATH_MISSING_RELEASE:
-            path = list(first_m.partial_path or [])
-            results.append(RecordedError(first_e, path, list(first_m.trace)))
-        elif len(leaks) == len(entries):
-            results.append(RecordedError(first_e, [], list(first_m.trace)))
-        else:
+            path = first_m.partial_path or ()
+        elif len(leaks) < len(entries):
             err = MachineError(
                 DefectKind.PATH_MISSING_RELEASE, first_e.line,
                 f"block allocated at line {first_e.line} is released on "
                 f"some paths but not on all")
-            results.append(RecordedError(err, list(first_v.witness()[1]),
-                                          list(first_m.trace)))
+            path = first_v.witness()[1]
+        results.append(_defect(outcome.cfg, err, path, first_m.trace))
     return results

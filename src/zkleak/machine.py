@@ -16,14 +16,19 @@ leak verdicts are suppressed for it (the callee may have kept or freed
 the block) but double-free and mismatch still fire.  A machine whose
 block escaped through ``return`` similarly never produces a leak here;
 responsibility moves to the caller via the summary layer.
+
+A machine's owners, releases, trace and partial path are values that a
+write replaces and never changes in place.  A fork therefore copies
+none of them, the merge key is made of them as they are, and a trace
+that leaves the machine with a finding is a snapshot.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .defects import DefectKind
+from .defects import DefectKind, PathCond
 
 from enum import Enum
 
@@ -79,34 +84,29 @@ class Machine:
     id: int
     alloc: AllocRecord
     state: MemState = MemState.START
-    owners: Set[int] = field(default_factory=set)
-    frees: List[FreeRecord] = field(default_factory=list)
-    trace: List[str] = field(default_factory=list)
+    owners: FrozenSet[int] = frozenset()
+    frees: Tuple[FreeRecord, ...] = ()
+    trace: Tuple[str, ...] = ()
     escaped: bool = False
     tainted: bool = False
     record: bool = True  # False once the verdict for this block stops mattering
-    partial_path: Optional[List[Tuple[str, str]]] = None
+    partial_path: Optional[Tuple[PathCond, ...]] = None
     error: Optional[MachineError] = None
 
     def clone(self) -> "Machine":
-        twin = Machine(self.id, self.alloc, self.state, set(self.owners),
-                       list(self.frees), list(self.trace), self.escaped,
-                       self.tainted, self.record,
-                       None if self.partial_path is None else list(self.partial_path),
-                       self.error)
-        return twin
+        return Machine(self.id, self.alloc, self.state, self.owners,
+                       self.frees, self.trace, self.escaped, self.tainted,
+                       self.record, self.partial_path, self.error)
 
     def key(self) -> tuple:
         """All the walk and the verdicts read of this machine but its id,
         which fixes ``alloc``."""
-        return (self.state, frozenset(self.owners), tuple(self.frees),
-                tuple(self.trace), self.escaped, self.tainted, self.record,
-                None if self.partial_path is None else tuple(self.partial_path),
-                self.error)
+        return (self.state, self.owners, self.frees, self.trace, self.escaped,
+                self.tainted, self.record, self.partial_path, self.error)
 
     def _edge(self, new_state: MemState, note: str = "") -> None:
         label = f"{self.state.value}->{new_state.value}"
-        self.trace.append(f"{label} {note}".rstrip())
+        self.trace += (f"{label} {note}".rstrip(),)
         self.state = new_state
 
     def settled(self) -> bool:
@@ -114,7 +114,7 @@ class Machine:
 
     def begin(self, note: str = "") -> None:
         self._edge(MemState.ALLOCED, note)
-        self.owners.add(self.alloc.owner)
+        self.owners |= {self.alloc.owner}
 
     # -- ownership transfers -------------------------------------------------
 
@@ -130,17 +130,9 @@ class Machine:
         """
         if self.settled() or self.state is MemState.START:
             return None
-        pre = set(self.owners)
-        if strict:
-            if src in pre:
-                self.owners.add(dst)
-            if dst in self.owners:
-                self.owners.discard(dst)
-        else:
-            if src in pre:
-                self.owners.add(dst)
-            elif dst in pre:
-                self.owners.discard(dst)
+        pre = self.owners
+        self.owners = (pre - {dst} if strict or src not in pre
+                       else pre | {dst})
         if self.owners != pre:
             self._edge(self.state, f"assign v{dst}=v{src} @{line}")
             return self._after_owner_loss(line, "reassigned")
@@ -150,7 +142,7 @@ class Machine:
         """Remove one owner (null assignment, arithmetic, scope end, reuse)."""
         if self.settled() or var not in self.owners:
             return None
-        self.owners.discard(var)
+        self.owners -= {var}
         self._edge(self.state, f"drop v{var} {cause} @{line}")
         return self._after_owner_loss(line, cause)
 
@@ -202,7 +194,7 @@ class Machine:
             self._edge(MemState.ERROR, f"{fn} @{line}")
             self.error = err
             return err
-        self.frees.append(FreeRecord(line, fn))
+        self.frees += (FreeRecord(line, fn),)
         self._edge(MemState.FREED, f"{fn} @{line}")
         return None
 

@@ -138,12 +138,10 @@ class ClassInfo:
     name: str
     line: int
     bases: List[str] = field(default_factory=list)
-    members: List[SymbolEntry] = field(default_factory=list)
     pointer_members: List[SymbolEntry] = field(default_factory=list)
     ctors: List[Tuple[int, int]] = field(default_factory=list)
     dtor: Optional[Tuple[int, int]] = None
     dtor_is_virtual: bool = False
-    has_dtor_decl: bool = False
     copy_ctor: Optional[Tuple[int, int]] = None
     assign_op: Optional[Tuple[int, int]] = None
 
@@ -751,11 +749,8 @@ def collect_class_info(root: ScopeNode, stream: TokenStream) -> List[ClassInfo]:
         info.bases = _parse_bases(stream, scope)
         for entries in scope.symbols.values():
             for entry in entries:
-                if entry.is_member:
-                    info.members.append(entry)
-                    if entry.is_pointer:
-                        info.pointer_members.append(entry)
-        info.members.sort(key=lambda e: e.decl_index)
+                if entry.is_member and entry.is_pointer:
+                    info.pointer_members.append(entry)
         info.pointer_members.sort(key=lambda e: e.decl_index)
 
         defs = [s for s in scope.children if s.kind is ScopeKind.FUNCTION]
@@ -770,7 +765,6 @@ def collect_class_info(root: ScopeNode, stream: TokenStream) -> List[ClassInfo]:
                     info.copy_ctor = body
             elif func.name == "~" + scope.name:
                 info.dtor = body
-                info.has_dtor_decl = True
                 info.dtor_is_virtual = info.dtor_is_virtual or func.is_virtual
             elif func.name == "operator=":
                 info.assign_op = body
@@ -778,7 +772,6 @@ def collect_class_info(root: ScopeNode, stream: TokenStream) -> List[ClassInfo]:
             if decl.class_name != scope.name:
                 continue
             if decl.name == "~" + scope.name:
-                info.has_dtor_decl = True
                 info.dtor_is_virtual = info.dtor_is_virtual or decl.is_virtual
             elif (decl.name == scope.name and decl.arity == 1
                     and scope.name in decl.param_text.split()):

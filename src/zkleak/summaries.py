@@ -31,9 +31,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .defects import Defect, DefectKind, PathCond
-from .graphs import Cfg, Fcg, FuncId, build_cfg, defined_successors, find_rings
+from .graphs import (Cfg, Fcg, FuncId, build_cfg, defined_successors,
+                     find_rings, post_order)
 from .interp import (ExploreOutcome, Interp, OwnerRef, REF_GLOBAL,
-                     REF_PARAM, REF_RETURN, RecordedError, Variant,
+                     REF_PARAM, REF_RETURN, Variant,
                      default_call_effect, explore, finish_variants, outlives,
                      symbol_index)
 from .events import CallEvent, RETURN_SLOT
@@ -102,7 +103,7 @@ def apply_summary(interp: Interp, variant: Variant, ev: CallEvent,
                 machine = Machine(interp.new_machine_id(),
                                   AllocRecord(ev.line, action.fn, 0))
                 machine.begin(f"{action.fn} @{ev.line} (result discarded)")
-                machine.owners.clear()
+                machine.owners = frozenset()
                 variant.machines.add(machine)
                 continue
             dst_handled = True
@@ -132,7 +133,7 @@ def _release(interp: Interp, variant: Variant, ev: CallEvent, var: int,
             # Freed only on some callee paths: the verdict at exit names one.
             for m in machines:
                 if m.state is MemState.ALLOCED and m.partial_path is None:
-                    m.partial_path = list(entry.path)
+                    m.partial_path = tuple(entry.path)
             return
     interp.release(variant, var, entry.action.fn, ev.line, lambda first: (
         f"storage already released at line {first} is released again by "
@@ -208,39 +209,6 @@ class SummaryRun:
     cfgs: List[Cfg]  # one per function body, in source order
 
 
-def _post_order(fcg: Fcg) -> List[FuncId]:
-    """Callees before callers; cycles broken by the visited set."""
-    graph = {f: sorted(callees)
-             for f, callees in defined_successors(fcg).items()}
-    order: List[FuncId] = []
-    seen: Set[FuncId] = set()
-    for start in sorted(graph):
-        if start in seen:
-            continue
-        stack: List[Tuple[FuncId, int]] = [(start, 0)]
-        seen.add(start)
-        while stack:
-            node, idx = stack[-1]
-            children = graph[node]
-            if idx < len(children):
-                stack[-1] = (node, idx + 1)
-                child = children[idx]
-                if child not in seen:
-                    seen.add(child)
-                    stack.append((child, 0))
-            else:
-                stack.pop()
-                order.append(node)
-    return order
-
-
-def _to_defect(rec: RecordedError, cfg: Cfg) -> Defect:
-    return Defect(kind=rec.error.kind, file=cfg.stream.file,
-                  line=rec.error.line, func=cfg.func.qualified(),
-                  message=rec.error.message, path_c=list(rec.path),
-                  trace=list(rec.trace))
-
-
 def update_all(units: List[Tuple[ScopeNode, TokenStream]], fcg: Fcg,
                catalog: Union[Catalog, Sequence[DefectPattern]],
                strict: bool = False) -> SummaryRun:
@@ -276,15 +244,14 @@ def update_all(units: List[Tuple[ScopeNode, TokenStream]], fcg: Fcg,
             message=f"call ring never summarized precisely: {cycle}"))
 
     handler = make_call_handler(summaries)
-    for fid in _post_order(fcg):
+    for fid in post_order(defined_successors(fcg)):
         for cfg, symbols in bodies[fid]:
             outcome = explore(cfg, catalog, fcg.call_sites(fid), symbols,
                               handler, strict)
             if fid not in ring_members and cfg.func_scope is fcg.defined[fid]:
                 entries = extract_entries(cfg, outcome, symbols)
                 summaries[fid] = FunctionSummary(fid, entries)
-            for rec in outcome.mid_errors + finish_variants(outcome):
-                defects.append(_to_defect(rec, cfg))
+            defects += outcome.mid_errors + finish_variants(outcome)
 
     return SummaryRun(summaries, defects, rings, cfgs)
 

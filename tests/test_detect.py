@@ -139,7 +139,7 @@ def test_return_break_and_continue_reach_their_targets():
     # loop (the skip, the end of the second pass, the breaks of both).
     outcome, _ = _outcome(source)
     default = ("n", "default")
-    assert [v.path for v in outcome.variants] == [
+    assert [list(v.path) for v in outcome.variants] == [
         [loop, default], [loop, c1, other, default], [loop, c0, default],
         [],
         [loop, c1, other, c1, other], [loop, c0, c1, other],
@@ -453,15 +453,16 @@ def test_the_budget_counts_paths_not_distinct_states():
 
 def test_the_merge_key_covers_every_field_the_walk_reads():
     # Variants merge when their state() is equal, so a field left out of
-    # Machine.key() or Variant.state() would merge states that differ.
+    # Machine.key() or Variant.state() would merge states that differ, and
+    # a field kept in a type that does not hash would fail the merge.
     # A field added to either class fails here until it has a value below
     # that the key tells apart, or is named as one that merging forgets.
     ref = OwnerRef(REF_PARAM, 0)
     machine_changes = {
-        "state": MemState.FREED, "owners": {7},
-        "frees": [FreeRecord(2, "free")], "trace": ["Start->Alloced"],
+        "state": MemState.FREED, "owners": frozenset({7}),
+        "frees": (FreeRecord(2, "free"),), "trace": ("Start->Alloced",),
         "escaped": True, "tainted": True, "record": False,
-        "partial_path": [("a", "then")],
+        "partial_path": (("a", "then"),),
         "error": MachineError(DefectKind.DOUBLE_FREE, 3, "again"),
     }
     # state() pairs each key with the machine's id, which fixes alloc.
@@ -489,16 +490,19 @@ def test_the_merge_key_covers_every_field_the_walk_reads():
     assert ({f.name for f in fields(Variant)}
             == set(variant_changes) | {"path", "order", "paths", "earliest"})
 
-    base = Variant(holding(machine()), {}, [])
+    base = Variant(holding(machine()), {}, ())
+    hash(base.state())
     for name, value in machine_changes.items():
-        changed = Variant(holding(machine(**{name: value})), {}, [])
+        changed = Variant(holding(machine(**{name: value})), {}, ())
+        hash(changed.state())
         assert changed.state() != base.state(), name
-    assert (Variant(holding(machine(2)), {}, []).state()
+    assert (Variant(holding(machine(2)), {}, ()).state()
             != base.state())
-    bare = Variant(MachineSet(), {}, [])
+    bare = Variant(MachineSet(), {}, ())
     for name, value in variant_changes.items():
-        changed = Variant(MachineSet(), {}, [])
+        changed = Variant(MachineSet(), {}, ())
         setattr(changed, name, value)
+        hash(changed.state())
         assert changed.state() != bare.state(), name
 
 

@@ -97,7 +97,7 @@ def test_settled_machines_ignore_further_events():
     m = fresh()
     m.release("free", 12)
     m.release("free", 14)
-    before = list(m.trace)
+    before = m.trace
     assert m.release("free", 15) is None
     assert m.assign(2, 1, 15) is None
     assert m.drop_owner(1, 15, "nulled") is None
@@ -304,7 +304,7 @@ def test_mismatch_always_errors_regardless_of_taint_or_escape():
 def test_replay_flags_a_corrupted_trace():
     m = fresh()
     m.release("free", 12)
-    m.trace.append("Start->Freed forged")
+    m.trace += ("Start->Freed forged",)
     state, legal = m.replay()
     assert not legal
 

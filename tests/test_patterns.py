@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import random
-import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -484,20 +483,11 @@ def test_determinism():
 # Complexity: linear in stream length at fixed pattern
 # ---------------------------------------------------------------------------
 
-def _best_time(stream, pattern, repeats=3):
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        match_all(stream, pattern)
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def test_doubling_stream_length_costs_at_most_3x():
+def test_doubling_stream_length_costs_at_most_3x(line_events):
     unit = "p = malloc ( 8 ) ; free ( p ) ; a = b ; "
     small = tokenize(unit * 400, "small.c")
     large = tokenize(unit * 800, "large.c")
     pattern = builtin_patterns()["alloc.malloc"]
-    t_small = _best_time(small, pattern)
-    t_large = _best_time(large, pattern)
-    assert t_large <= 3 * t_small, (t_small, t_large)
+    work_small = line_events(match_all, small, pattern)
+    work_large = line_events(match_all, large, pattern)
+    assert work_large <= 3 * work_small, (work_small, work_large)

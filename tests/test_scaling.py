@@ -9,15 +9,9 @@ at most about double it; a quadratic path reads as a ratio near 4.
 
 from __future__ import annotations
 
-import sys
-from pathlib import Path
-
 import pytest
 
-import zkleak
 from zkleak.report import run
-
-PACKAGE = str(Path(zkleak.__file__).parent)
 
 
 def nested_templates(n: int) -> str:
@@ -35,30 +29,9 @@ def open_prototypes(n: int) -> str:
     return "".join(f"int f{k} ( ;\n" for k in range(n))
 
 
-def line_events(source: str) -> int:
-    count = 0
-
-    def local(frame, event, arg):
-        nonlocal count
-        if event == "line":
-            count += 1
-        return local
-
-    def enter(frame, event, arg):
-        return local if frame.f_code.co_filename.startswith(PACKAGE) else None
-
-    previous = sys.gettrace()
-    sys.settrace(enter)
-    try:
-        run([("scale.cc", source)])
-    finally:
-        sys.settrace(previous)
-    return count
-
-
 @pytest.mark.parametrize("make", [nested_templates, many_calls, open_prototypes],
                          ids=lambda make: make.__name__)
-def test_doubling_the_input_at_most_doubles_the_work(make):
-    small = line_events(make(250))
-    large = line_events(make(500))
+def test_doubling_the_input_at_most_doubles_the_work(make, line_events):
+    small = line_events(run, [("scale.cc", make(250))])
+    large = line_events(run, [("scale.cc", make(500))])
     assert large / small <= 2.3, (small, large)

@@ -10,13 +10,13 @@ from __future__ import annotations
 import random
 from collections import Counter
 
-from zkleak.graphs import Fcg, FcgEdge, FuncId, build_fcg
+from zkleak.graphs import (Fcg, FcgEdge, FuncId, build_fcg, defined_successors,
+                           post_order)
 from zkleak.patterns import catalog_patterns
 from zkleak.scopes import build_scope_tree
 from zkleak.summaries import (
     ACTION_UNKNOWN,
     REF_GLOBAL,
-    _post_order,
     dump_summaries,
     update_all,
 )
@@ -325,7 +325,8 @@ def test_post_order_matches_a_recursive_reference_on_random_digraphs():
                  for _ in range(rng.randint(0, 3 * len(ids)))]
         for k, (a, b) in enumerate(edges):
             fcg.add_edge(FcgEdge(a, b, site_index=k, site_line=k + 1))
-        assert _post_order(fcg) == _reference_post_order(set(ids), edges), seed
+        assert (post_order(defined_successors(fcg))
+                == _reference_post_order(set(ids), edges)), seed
 
 
 # ---------------------------------------------------------------------------
