@@ -111,7 +111,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     dumped = False
     if args.dump_scopes:
         for unit in report.units:
-            print(f"== {unit.path}")
+            print(f"== {unit.stream.file}")
             print(dump_scopes(unit.root, unit.stream))
         dumped = True
     if args.dump_cfg:

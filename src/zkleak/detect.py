@@ -31,7 +31,6 @@ from .tokens import TokenKind, TokenStream, tokenize
 
 @dataclass
 class FileUnit:
-    path: str
     stream: TokenStream
     root: ScopeNode
     classes: List[ClassInfo]
@@ -41,7 +40,7 @@ def load_source(name: str, text: str) -> FileUnit:
     stream = tokenize(text, name)
     root = build_scope_tree(stream)
     classes = collect_class_info(root, stream)
-    return FileUnit(name, stream, root, classes)
+    return FileUnit(stream, root, classes)
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +75,7 @@ def special_check(units: List[FileUnit], cfgs: List[Cfg],
             heirs = ", ".join(sorted(derived_of[base_name]))
             defects.append(Defect(
                 kind=DefectKind.NON_VIRTUAL_BASE_DTOR,
-                file=unit.path, line=base.line, func=base_name,
+                file=unit.stream.file, line=base.line, func=base_name,
                 message=(f"class {base_name} is inherited by {heirs} "
                          f"but its destructor is not virtual")))
 
@@ -125,14 +124,14 @@ def _ctor_dtor_rules(unit: FileUnit, cls: ClassInfo,
         if release is None:
             defects.append(Defect(
                 kind=DefectKind.CTOR_DTOR_MISMATCH,
-                file=unit.path, line=ev.line, func=qualified,
+                file=unit.stream.file, line=ev.line, func=qualified,
                 message=(f"member {ev.owner_name} allocated with {ev.fn} in "
                          f"the constructor is never released in the "
                          f"destructor of {cls.name}")))
         elif ev.fn not in FREE_MATCH.get(release.fn, frozenset()):
             defects.append(Defect(
                 kind=DefectKind.CTOR_DTOR_MISMATCH,
-                file=unit.path, line=ev.line, func=qualified,
+                file=unit.stream.file, line=ev.line, func=qualified,
                 message=(f"member {ev.owner_name} allocated with {ev.fn} in "
                          f"the constructor is released with {release.fn} in "
                          f"the destructor of {cls.name}")))
@@ -151,7 +150,7 @@ def _shallow_copy_rule(unit: FileUnit, cls: ClassInfo,
         names = ", ".join(sorted(set(owned_ids.values())))
         return [Defect(
             kind=DefectKind.SHALLOW_COPY,
-            file=unit.path, line=cls.line, func=cls.name,
+            file=unit.stream.file, line=cls.line, func=cls.name,
             message=(f"{cls.name} owns {names} but defines neither a copy "
                      f"constructor nor an assignment operator; default "
                      f"copies share the block"))]
@@ -167,7 +166,7 @@ def _shallow_copy_rule(unit: FileUnit, cls: ClassInfo,
                 continue
             defects.append(Defect(
                 kind=DefectKind.SHALLOW_COPY,
-                file=unit.path, line=line, func=cls.name,
+                file=unit.stream.file, line=line, func=cls.name,
                 message=(f"member {name} of {cls.name} is copied as a raw "
                          f"pointer; both objects now own the same block")))
     return defects

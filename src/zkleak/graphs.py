@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Set, Tuple
 
 from .defects import Defect, DefectKind
-from .scopes import ScopeNode, resolve, split_top_level, walk_scopes
+from .scopes import ScopeNode, split_top_level
 from .tokens import Diagnostic, LexToken, TokenKind, TokenStream, TYPE_KEYWORDS
 
 
@@ -488,15 +488,14 @@ def build_fcg(units: List[Tuple[ScopeNode, TokenStream]]) -> Fcg:
                                             decl.name, decl.arity))
 
     for root, stream in units:
-        scope_by_id = {s.scope_id: s for s in walk_scopes(root)}
         for scope in root.function_scopes:
             caller = func_id_of(scope, stream)
-            _scan_calls(fcg, by_key, declared, scope, stream, caller, scope_by_id)
+            _scan_calls(fcg, by_key, declared, scope, stream, caller)
     return fcg
 
 
 def _scan_calls(fcg: Fcg, by_key, declared, scope: ScopeNode,
-                stream: TokenStream, caller: FuncId, scope_by_id) -> None:
+                stream: TokenStream, caller: FuncId) -> None:
     begin = scope.token_begin + 1
     end = scope.token_end - 1
     for i in range(begin, min(end, len(stream))):
@@ -525,7 +524,7 @@ def _scan_calls(fcg: Fcg, by_key, declared, scope: ScopeNode,
             if recv is not None and recv.text == "this":
                 receiver_class = scope.owner_class
             elif recv is not None and recv.kind is TokenKind.IDENTIFIER:
-                entry = resolve(recv.text, scope_by_id.get(recv.scope_id, scope))
+                entry = stream.var(recv.var_id)
                 if entry is not None:
                     for word in entry.type_text.split():
                         if word in stream.known_types:
@@ -552,11 +551,11 @@ def _resolve_call(fcg: Fcg, by_key, declared, tok: LexToken, receiver_class: str
         if len(pool) == 1:
             return pool[0]
         if len(pool) > 1:
-            same_file = [f for f in pool if f.file_name == tok.file]
+            same_file = [f for f in pool if f.file_name == caller.file_name]
             chosen = sorted(same_file or pool)[0]
             fcg.warnings.append(Defect(
                 kind=DefectKind.AMBIGUOUS_CALL_WARNING,
-                file=tok.file, line=tok.line, func=caller.render(),
+                file=caller.file_name, line=tok.line, func=caller.render(),
                 message=(f"call to {tok.text}/{arity} matches "
                          f"{len(pool)} definitions; using {chosen.render()}"),
             ))

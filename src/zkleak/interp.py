@@ -32,6 +32,9 @@ its variants to the function's exit, a ``break`` to the innermost loop
 or ``switch`` (they flow on after it), and a ``continue`` to the current
 pass of the innermost loop (they rejoin before the loop's trailer).  A
 ``break`` or ``continue`` with no such target reaches the function's exit.
+A ``return v`` adds the return slot to the owners of each block ``v``
+owns there, as returning an allocation does, so what a function returns
+is read from the owners alone.
 Loop bodies run twice so second-iteration effects (double release,
 pointer reuse) surface, then the walk leaves the loop.  Code after a
 ``return`` is still scanned with a fresh variant so defects in
@@ -64,8 +67,7 @@ from .graphs import (BreakStmt, Cfg, ContinueStmt, FuncId, IfStruct,
                      LoopStruct, ReturnStmt, SeqStmt, SwitchStruct)
 from .machine import Machine, MachineError, MachineSet, MemState
 from .patterns import Catalog, DefectPattern, compile_catalog
-from .scopes import ScopeNode, SymbolEntry, walk_scopes
-from .tokens import Diagnostic
+from .tokens import Diagnostic, TokenStream
 
 PATH_BUDGET = 64
 
@@ -96,7 +98,6 @@ class Variant:
     refs: Dict[int, Optional[OwnerRef]]
     path: Tuple[PathCond, ...]
     order: int = 0
-    returned_var: Optional[int] = None
     # Replaced on write, never changed in place, so clones share them.
     released: Dict[OwnerRef, Tuple[int, str]] = field(default_factory=dict)
     lost: FrozenSet[OwnerRef] = frozenset()
@@ -106,8 +107,7 @@ class Variant:
 
     def clone(self, order: int) -> "Variant":
         return Variant(self.machines.clone(), dict(self.refs), self.path,
-                       order, self.returned_var, self.released, self.lost,
-                       self.paths)
+                       order, self.released, self.lost, self.paths)
 
     def follow(self, tag: PathCond) -> None:
         self.path += (tag,)
@@ -124,7 +124,7 @@ class Variant:
         return (tuple((mid, m.key())
                       for mid, m in sorted(self.machines.by_id.items())),
                 frozenset(self.refs.items()), frozenset(self.released.items()),
-                self.lost, self.returned_var)
+                self.lost)
 
 
 @dataclass
@@ -138,34 +138,20 @@ class ExploreOutcome:
 CallHandler = Callable[["Interp", Variant, CallEvent], None]
 
 
-def outlives(symbols: Dict[int, SymbolEntry], var: int) -> bool:
+def outlives(stream: TokenStream, var: int) -> bool:
     """Whether *var* is a global, static or member: stored beyond the call."""
-    sym = symbols.get(var)
+    sym = stream.var(var)
     return sym is not None and (sym.is_member or sym.is_global_or_static)
-
-
-def symbol_index(root: ScopeNode) -> Dict[int, SymbolEntry]:
-    """Every declared symbol in the file, keyed by var id."""
-    out: Dict[int, SymbolEntry] = {}
-    for scope in walk_scopes(root):
-        for entries in scope.symbols.values():
-            for entry in entries:
-                out[entry.var_id] = entry
-        for p in scope.params:
-            out[p.var_id] = p
-    return out
 
 
 class Interp:
     def __init__(self, cfg: Cfg, catalog: Catalog,
                  site_map: Dict[int, FuncId],
-                 symbols: Dict[int, SymbolEntry],
                  call_handler: Optional[CallHandler] = None,
                  strict: bool = False) -> None:
         self.cfg = cfg
         self.catalog = catalog
         self.site_map = site_map
-        self.symbols = symbols
         self.call_handler = call_handler
         self.strict = strict
         self._machine_ids = count(1)
@@ -362,7 +348,6 @@ class Interp:
                 keep.owners |= drop.owners
             keep.escaped = keep.escaped or drop.escaped
             keep.tainted = keep.tainted or drop.tainted
-            keep.record = keep.record and drop.record
             if keep.partial_path is None:
                 keep.partial_path = drop.partial_path
         # Keep what either side reaches; an absent global reaches its own
@@ -406,7 +391,7 @@ class Interp:
             self.new_machine_id(), owner, fn, line)
         for err in errors:
             self.record(err, variant)
-        if owner == RETURN_SLOT or outlives(self.symbols, owner):
+        if owner == RETURN_SLOT or outlives(self.cfg.stream, owner):
             machine.mark_escaped()  # stored beyond the function
         if owner != RETURN_SLOT:
             self._unbind(variant, owner)
@@ -467,20 +452,20 @@ class Interp:
 
     def _do_return(self, variant: Variant, ev: ReturnVarEvent) -> None:
         for m in variant.machines.owning(ev.var):
+            m.owners |= {RETURN_SLOT}  # as if returned where allocated
             m.mark_escaped()
-        variant.returned_var = ev.var
 
     def _ref(self, variant: Variant, var: int) -> Optional[OwnerRef]:
         """What *var* reaches; a global or member is bound on first read."""
         if var in variant.refs:
             return variant.refs[var]
-        if not outlives(self.symbols, var):
+        if not outlives(self.cfg.stream, var):
             return None
         ref = variant.refs[var] = OwnerRef(REF_GLOBAL, var)
         return ref
 
     def _unbind(self, variant: Variant, var: int) -> None:
-        if outlives(self.symbols, var):
+        if outlives(self.cfg.stream, var):
             variant.refs[var] = None
         else:
             variant.refs.pop(var, None)
@@ -508,7 +493,7 @@ def default_call_effect(interp: Interp, variant: Variant, ev: CallEvent) -> None
     for var_id in ev.args:
         if var_id is None:
             continue
-        sym = interp.symbols.get(var_id)
+        sym = interp.cfg.stream.var(var_id)
         if sym is None or sym.is_pointer:
             interp.taint(variant, var_id, seen_only=True)
     if ev.dst is not None and ev.dst != RETURN_SLOT:
@@ -517,11 +502,10 @@ def default_call_effect(interp: Interp, variant: Variant, ev: CallEvent) -> None
 
 def explore(cfg: Cfg, catalog: Union[Catalog, Sequence[DefectPattern]],
             site_map: Dict[int, FuncId],
-            symbols: Dict[int, SymbolEntry],
             call_handler: Optional[CallHandler] = None,
             strict: bool = False) -> ExploreOutcome:
-    return Interp(cfg, compile_catalog(catalog), site_map, symbols,
-                  call_handler, strict).run()
+    return Interp(cfg, compile_catalog(catalog), site_map, call_handler,
+                  strict).run()
 
 
 def finish_variants(outcome: ExploreOutcome) -> List[Defect]:

@@ -89,20 +89,19 @@ class Machine:
     trace: Tuple[str, ...] = ()
     escaped: bool = False
     tainted: bool = False
-    record: bool = True  # False once the verdict for this block stops mattering
     partial_path: Optional[Tuple[PathCond, ...]] = None
     error: Optional[MachineError] = None
 
     def clone(self) -> "Machine":
         return Machine(self.id, self.alloc, self.state, self.owners,
                        self.frees, self.trace, self.escaped, self.tainted,
-                       self.record, self.partial_path, self.error)
+                       self.partial_path, self.error)
 
     def key(self) -> tuple:
         """All the walk and the verdicts read of this machine but its id,
         which fixes ``alloc``."""
         return (self.state, self.owners, self.frees, self.trace, self.escaped,
-                self.tainted, self.record, self.partial_path, self.error)
+                self.tainted, self.partial_path, self.error)
 
     def _edge(self, new_state: MemState, note: str = "") -> None:
         label = f"{self.state.value}->{new_state.value}"
@@ -153,7 +152,7 @@ class Machine:
             self._edge(MemState.END, f"forgotten @{line}")
             return None
         if self.state is MemState.ALLOCED:
-            if self.escaped or not self.record:
+            if self.escaped:
                 return None
             err = MachineError(
                 DefectKind.POINTER_OWNERSHIP_LOST, line,
@@ -211,7 +210,7 @@ class Machine:
         if self.tainted:
             self._edge(MemState.END, "tainted")
             return None
-        if self.escaped or not self.record:
+        if self.escaped:
             return None  # stays Alloced; the caller now owns it
         if self.partial_path is not None:
             err = MachineError(
@@ -278,8 +277,6 @@ class MachineSet:
         """
         errors: List[MachineError] = []
         for old in self.owning(owner):
-            if old.state is MemState.FREED:
-                old.record = False
             err = old.drop_owner(owner, line, "overwritten by a new allocation")
             if err is not None:
                 errors.append(err)

@@ -237,7 +237,7 @@ def run(sources: Sequence[Tuple[str, str]],
             if diag.code in ("UnbalancedBraces", "UnbalancedParens"):
                 defects.append(Defect(
                     kind=DefectKind.UNBALANCED_BRACES_WARNING,
-                    file=unit.path, line=diag.line, func="",
+                    file=unit.stream.file, line=diag.line, func="",
                     message=diag.message))
     defects = dedup_and_sort(defects)
     phases["classesMs"] = (time.perf_counter() - t0) * 1000
@@ -248,7 +248,8 @@ def run(sources: Sequence[Tuple[str, str]],
             all_annotations.extend(parse_annotations(text, path))
     metrics = score(defects, all_annotations) if all_annotations else None
 
-    files = [FileStat(u.path, u.stream.loc_count, len(u.stream)) for u in units]
+    files = [FileStat(u.stream.file, u.stream.loc_count, len(u.stream))
+             for u in units]
     return Report(
         files=files,
         defects=[d for d in defects if not d.is_warning()],

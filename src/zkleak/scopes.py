@@ -4,9 +4,10 @@ One walk over the token stream first pairs every bracket into the
 stream's bracket table, where later passes look a bracket's partner up
 instead of scanning for it.  A second walk builds a tree of lexically
 nested scopes (file, namespace, class, function, control-flow bodies)
-and annotates each token with the scope containing it; declarations
-then give every variable a unique positive var_id, and each identifier
-the var_id its text resolves to.
+and annotates each token with the scope containing it; each declaration
+is appended to the stream's ``vars``, and its index there is the
+variable's var_id (positive, unique in the file).  Each identifier then
+takes the var_id its text resolves to.
 Downstream passes never look names up again; they read the annotations.
 
 The parsing here is deliberately lexical.  There is no type checking and
@@ -177,15 +178,16 @@ def resolve(name: str, scope: ScopeNode) -> Optional[SymbolEntry]:
 def build_scope_tree(stream: TokenStream) -> ScopeNode:
     """Build and annotate the scope tree for *stream*.
 
-    On return ``stream.partner`` holds the bracket table, every token
-    carries scope_id, identifiers additionally a var_id when they
-    resolve, and the stream's known_types registry holds class and
-    typedef names.  Brace imbalance is recovered from by closing whatever
-    remains open at end of stream and leaving a diagnostic.
+    On return ``stream.partner`` holds the bracket table, ``stream.vars``
+    every declaration by var id, every token carries scope_id,
+    identifiers additionally a var_id when they resolve, and the
+    stream's known_types registry holds class and typedef names.  Brace
+    imbalance is recovered from by closing whatever remains open at end
+    of stream and leaving a diagnostic.
     """
     _pair_brackets(stream)
 
-    scope_ids, var_ids = count(1), count(1)
+    scope_ids = count(1)
     root = ScopeNode(ScopeKind.GLOBAL, "", None, 0, len(stream), next(scope_ids))
     scope_by_id = {root.scope_id: root}
 
@@ -220,13 +222,13 @@ def build_scope_tree(stream: TokenStream) -> ScopeNode:
                 if cls is not None:
                     node.owner_class = cls.name
             _parse_parameters(stream, meta["params_open"], meta["params_close"],
-                              node, var_ids)
+                              node)
             root.function_scopes.append(node)
         elif kind in _CLASSY:
             node.header_index = meta["header_index"]
             node.name_index = meta["name_index"]
 
-    _scan_declarations(stream, root, scope_by_id, var_ids)
+    _scan_declarations(stream, root, scope_by_id)
     _annotate_var_ids(stream, root, scope_by_id)
 
     stream.scoped = True
@@ -279,11 +281,11 @@ def _pair_brackets(stream: TokenStream) -> None:
                 templates -= 1
         elif text == ">>" and templates >= 2:
             templates -= 2
-            first = LexToken(">", TokenKind.OPERATOR, tok.file, tok.line, tok.column)
+            first = LexToken(">", TokenKind.OPERATOR, tok.line, tok.column)
             first.index = len(tokens)
             tokens.append(first)
             partner.append(-1)
-            tok = LexToken(">", TokenKind.OPERATOR, tok.file, tok.line, tok.column + 1)
+            tok = LexToken(">", TokenKind.OPERATOR, tok.line, tok.column + 1)
         tok.index = len(tokens)
         tokens.append(tok)
         prev = tok
@@ -292,7 +294,8 @@ def _pair_brackets(stream: TokenStream) -> None:
     for kind, code in ((2, "UnbalancedBraces"), (0, "UnbalancedParens")):
         for tok in strays[kind] + [tokens[j] for j in stacks[kind]]:
             stream.diagnostics.append(Diagnostic(
-                code, f"unmatched {tok.text!r}", tok.file, tok.line, tok.column))
+                code, f"unmatched {tok.text!r}", stream.file, tok.line,
+                tok.column))
 
 
 _INITIALIZER_PRECEDERS = frozenset(["=", ",", "(", "{", "return"])
@@ -306,6 +309,10 @@ def _classify_open(stream: TokenStream, i: int, parent: ScopeNode):
     prev = stream[i - 1] if i > 0 else None
     if prev is None:
         return ScopeKind.BLOCK, "", {}
+    if (prev.index == parent.token_begin and prev.text == "{"
+            and parent.kind not in _CLASSY
+            and parent.enclosing(ScopeKind.FUNCTION) is not None):
+        return ScopeKind.BLOCK, "", {}  # a block first in a body
     if prev.text in _INITIALIZER_PRECEDERS:
         return None
     if prev.text == "else":
@@ -438,7 +445,7 @@ def _virtual_in_specifiers(stream: TokenStream, name_start: int) -> bool:
 
 
 def _parse_parameters(stream: TokenStream, open_idx: int, close_idx: int,
-                      func: ScopeNode, var_ids: Iterator[int]) -> None:
+                      func: ScopeNode) -> None:
     for begin, end in split_top_level(stream, open_idx + 1, close_idx):
         tokens = stream.window(begin, end)
         if not tokens or (len(tokens) == 1 and tokens[0].text == "void"):
@@ -451,11 +458,12 @@ def _parse_parameters(stream: TokenStream, open_idx: int, close_idx: int,
         type_text = " ".join(t.text for t in head if t is not name_tok)
         entry = SymbolEntry(
             name=name_tok.text if name_tok else f"<unnamed{len(func.params)}>",
-            var_id=next(var_ids),
+            var_id=len(stream.vars),
             type_text=type_text,
             is_pointer=is_pointer,
             decl_index=name_tok.index if name_tok else open_idx,
         )
+        stream.vars.append(entry)
         func.params.append(entry)
         if name_tok is not None:
             func.add_symbol(entry)
@@ -530,8 +538,7 @@ _STMT_ENDERS = frozenset([";", "{", "}"])
 
 
 def _scan_declarations(stream: TokenStream, root: ScopeNode,
-                       scope_by_id: Dict[int, ScopeNode],
-                       var_ids: Iterator[int]) -> None:
+                       scope_by_id: Dict[int, ScopeNode]) -> None:
     pointer_typedefs = root.pointer_typedefs
     n = len(stream)
     stmt_start = True
@@ -546,7 +553,7 @@ def _scan_declarations(stream: TokenStream, root: ScopeNode,
                            or tok.text == "~"
                            or tok.text == "operator"):
             scope = scope_by_id[tok.scope_id]
-            end = _parse_declaration(stream, i, scope, root, var_ids, pointer_typedefs)
+            end = _parse_declaration(stream, i, scope, root, pointer_typedefs)
             if end is not None:
                 i = end
                 stmt_start = True
@@ -563,7 +570,7 @@ def _scan_declarations(stream: TokenStream, root: ScopeNode,
 
 
 def _parse_declaration(stream: TokenStream, start: int, scope: ScopeNode,
-                       root: ScopeNode, var_ids: Iterator[int],
+                       root: ScopeNode,
                        pointer_typedefs: Set[str]) -> Optional[int]:
     """Try to parse one declaration statement starting at *start*.
 
@@ -663,13 +670,14 @@ def _parse_declaration(stream: TokenStream, start: int, scope: ScopeNode,
                      or static_seen)
         entry = SymbolEntry(
             name=name,
-            var_id=next(var_ids),
+            var_id=len(stream.vars),
             type_text=" ".join(type_tokens) + (" " + "*" * stars if stars else ""),
             is_pointer=is_pointer,
             is_member=is_member,
             is_global_or_static=is_global,
             decl_index=name_tok.index,
         )
+        stream.vars.append(entry)
         entries.append(entry)
 
         # Array suffixes, then an optional initializer.

@@ -35,12 +35,11 @@ from .graphs import (Cfg, Fcg, FuncId, build_cfg, defined_successors,
                      find_rings, post_order)
 from .interp import (ExploreOutcome, Interp, OwnerRef, REF_GLOBAL,
                      REF_PARAM, REF_RETURN, Variant,
-                     default_call_effect, explore, finish_variants, outlives,
-                     symbol_index)
+                     default_call_effect, explore, finish_variants, outlives)
 from .events import CallEvent, RETURN_SLOT
 from .machine import AllocRecord, Machine, MemState
 from .patterns import Catalog, DefectPattern, compile_catalog
-from .scopes import ScopeNode, SymbolEntry
+from .scopes import ScopeNode
 from .tokens import TokenStream
 
 ACTION_ALLOC = "alloc_to_extern"
@@ -66,7 +65,7 @@ class BehaviorAction:
 class SummaryEntry:
     owner: OwnerRef
     action: BehaviorAction
-    path: List[PathCond] = field(default_factory=list)
+    path: Tuple[PathCond, ...] = ()
 
 
 @dataclass
@@ -133,7 +132,7 @@ def _release(interp: Interp, variant: Variant, ev: CallEvent, var: int,
             # Freed only on some callee paths: the verdict at exit names one.
             for m in machines:
                 if m.state is MemState.ALLOCED and m.partial_path is None:
-                    m.partial_path = tuple(entry.path)
+                    m.partial_path = entry.path
             return
     interp.release(variant, var, entry.action.fn, ev.line, lambda first: (
         f"storage already released at line {first} is released again by "
@@ -154,8 +153,7 @@ def make_call_handler(summaries: Dict[FuncId, FunctionSummary]):
 # Extracting a summary from explored variants
 # ---------------------------------------------------------------------------
 
-def extract_entries(cfg: Cfg, outcome: ExploreOutcome,
-                    symbols: Dict[int, SymbolEntry]) -> List[SummaryEntry]:
+def extract_entries(outcome: ExploreOutcome) -> List[SummaryEntry]:
     """Aggregate per-variant boundary effects into summary entries.
 
     Must run before the variants are finished: closing the machines
@@ -169,10 +167,9 @@ def extract_entries(cfg: Cfg, outcome: ExploreOutcome,
                 continue
             for owner in sorted(machine.owners):
                 ref: Optional[OwnerRef] = None
-                if owner == RETURN_SLOT or (variant.returned_var is not None
-                                            and owner == variant.returned_var):
+                if owner == RETURN_SLOT:
                     ref = OwnerRef(REF_RETURN)
-                elif outlives(symbols, owner):
+                elif outlives(outcome.cfg.stream, owner):
                     ref = OwnerRef(REF_GLOBAL, owner)
                 if ref is not None:
                     alloc_refs.setdefault(ref, machine.alloc.fn)
@@ -188,7 +185,7 @@ def extract_entries(cfg: Cfg, outcome: ExploreOutcome,
         hits = [v.released.get(ref) for v in variants]
         fn = next(h for h in hits if h is not None)[1]
         missing = [v for v, h in zip(variants, hits) if h is None]
-        path = list(min(v.witness() for v in missing)[1]) if missing else []
+        path = min(v.witness() for v in missing)[1] if missing else ()
         entries.append(SummaryEntry(ref, BehaviorAction(
             ACTION_FREE, fn, not missing), path))
 
@@ -216,13 +213,12 @@ def update_all(units: List[Tuple[ScopeNode, TokenStream]], fcg: Fcg,
     bodies that share a ``FuncId`` are walked at its post-order position."""
     catalog = compile_catalog(catalog)
     cfgs: List[Cfg] = []
-    bodies: Dict[FuncId, List[Tuple[Cfg, Dict[int, SymbolEntry]]]] = {}
+    bodies: Dict[FuncId, List[Cfg]] = {}
     for root, stream in units:
-        symbols = symbol_index(root)
         for scope in root.function_scopes:
             cfg = build_cfg(scope, stream)
             cfgs.append(cfg)
-            bodies.setdefault(cfg.func, []).append((cfg, symbols))
+            bodies.setdefault(cfg.func, []).append(cfg)
 
     summaries: Dict[FuncId, FunctionSummary] = {}
     defects: List[Defect] = []
@@ -238,18 +234,18 @@ def update_all(units: List[Tuple[ScopeNode, TokenStream]], fcg: Fcg,
         defects.append(Defect(
             kind=DefectKind.RECURSIVE_CALL_RING,
             file=head.file_name,
-            line=next(cfg.entry_line for cfg, _symbols in bodies[head]
+            line=next(cfg.entry_line for cfg in bodies[head]
                       if cfg.func_scope is fcg.defined[head]),
             func=head.qualified(),
             message=f"call ring never summarized precisely: {cycle}"))
 
     handler = make_call_handler(summaries)
     for fid in post_order(defined_successors(fcg)):
-        for cfg, symbols in bodies[fid]:
-            outcome = explore(cfg, catalog, fcg.call_sites(fid), symbols,
-                              handler, strict)
+        for cfg in bodies[fid]:
+            outcome = explore(cfg, catalog, fcg.call_sites(fid), handler,
+                              strict)
             if fid not in ring_members and cfg.func_scope is fcg.defined[fid]:
-                entries = extract_entries(cfg, outcome, symbols)
+                entries = extract_entries(outcome)
                 summaries[fid] = FunctionSummary(fid, entries)
             defects += outcome.mid_errors + finish_variants(outcome)
 

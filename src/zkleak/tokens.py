@@ -24,7 +24,10 @@ import re
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, List, Optional, Set
+from typing import TYPE_CHECKING, Iterator, List, Optional, Set
+
+if TYPE_CHECKING:
+    from .scopes import SymbolEntry
 
 
 class TokenKind(Enum):
@@ -97,7 +100,6 @@ class Diagnostic:
 class LexToken:
     text: str
     kind: TokenKind
-    file: str
     line: int
     column: int
     # Filled in by the scope pass; zero means "not annotated / unresolved".
@@ -114,11 +116,13 @@ class TokenStream:
 
     The stream is immutable after construction except for the scope pass,
     which splits ``>>`` where it closes two templates, annotates
-    scope_id/var_id and fills ``partner``: per token, the index of the
+    scope_id/var_id, fills ``partner``: per token, the index of the
     matching bracket for ``()``, ``[]`` and ``{}``, or -1 for any other
-    token and for a bracket left unmatched.  Neighbours are read by index:
-    ``get(tok.index - 1)`` is the previous token, or None at the start of
-    the stream.
+    token and for a bracket left unmatched, and fills ``vars``: every
+    variable declaration in creation order, so that a var id is the index
+    of its declaration there (``vars[0]`` is None).  Neighbours are read
+    by index: ``get(tok.index - 1)`` is the previous token, or None at the
+    start of the stream.  The file name is the stream's alone.
     """
 
     def __init__(self, file: str) -> None:
@@ -129,6 +133,7 @@ class TokenStream:
         self.scoped = False
         self.known_types: Set[str] = set()
         self.partner = array("i")
+        self.vars: List[Optional[SymbolEntry]] = [None]
         self._tokens: List[LexToken] = []
 
     def append(self, token: LexToken) -> None:
@@ -161,6 +166,11 @@ class TokenStream:
 
     def texts(self) -> List[str]:
         return [t.text for t in self._tokens]
+
+    def var(self, var_id: int) -> Optional[SymbolEntry]:
+        """The declaration of *var_id*, or None for an id that names none
+        (0, the return slot, or one out of range)."""
+        return self.vars[var_id] if 0 < var_id < len(self.vars) else None
 
 
 def classify_text(text: str) -> TokenKind:
@@ -258,7 +268,7 @@ def tokenize(source: str, file: str = "<memory>") -> TokenStream:
                 text = _SPLICE_RE.sub("", text)
             if text in KEYWORDS:
                 kind = TokenKind.KEYWORD
-            emit(LexToken(text, kind, file, line, col))
+            emit(LexToken(text, kind, line, col))
             at_line_start = False
         elif group == "nl":
             at_line_start = True
@@ -275,7 +285,7 @@ def tokenize(source: str, file: str = "<memory>") -> TokenStream:
             literal = source[quote_at:end].replace("\\\r\n", "\\\n")
             prefix = _SPLICE_RE.sub("", source[pos:quote_at])
             emit(LexToken(prefix + literal, TokenKind.STRING_LITERAL if quote == '"'
-                          else TokenKind.CHAR_LITERAL, file, line, col))
+                          else TokenKind.CHAR_LITERAL, line, col))
             at_line_start = False
         elif group == "block":
             close = source.find("*/", end)
@@ -292,7 +302,7 @@ def tokenize(source: str, file: str = "<memory>") -> TokenStream:
             end = pos + 1
             diagnostics.append(Diagnostic("UnknownGlyph", f"unexpected character {ch!r}",
                                           file, line, col))
-            emit(LexToken(ch, TokenKind.OPERATOR, file, line, col))
+            emit(LexToken(ch, TokenKind.OPERATOR, line, col))
             at_line_start = False
         # Splices, line comments and directives are skipped and leave the
         # line start as it was.

@@ -8,7 +8,7 @@ from zkleak.detect import special_check
 from zkleak.defects import DefectKind, dedup_and_sort
 from zkleak.graphs import build_cfg
 from zkleak.interp import (PATH_BUDGET, REF_PARAM, OwnerRef, Variant,
-                           explore, symbol_index)
+                           explore)
 from zkleak.machine import (AllocRecord, FreeRecord, Machine, MachineError,
                             MachineSet, MemState)
 from zkleak.patterns import catalog_patterns
@@ -377,7 +377,7 @@ def _outcome(source: str):
     stream = tokenize(source, "v.c")
     root = build_scope_tree(stream)
     cfg = build_cfg(root.function_scopes[0], stream)
-    return explore(cfg, catalog_patterns(None), {}, symbol_index(root)), stream
+    return explore(cfg, catalog_patterns(None), {}), stream
 
 
 def test_sequential_branches_fork_multiplicatively():
@@ -461,7 +461,7 @@ def test_the_merge_key_covers_every_field_the_walk_reads():
     machine_changes = {
         "state": MemState.FREED, "owners": frozenset({7}),
         "frees": (FreeRecord(2, "free"),), "trace": ("Start->Alloced",),
-        "escaped": True, "tainted": True, "record": False,
+        "escaped": True, "tainted": True,
         "partial_path": (("a", "then"),),
         "error": MachineError(DefectKind.DOUBLE_FREE, 3, "again"),
     }
@@ -484,7 +484,6 @@ def test_the_merge_key_covers_every_field_the_walk_reads():
     variant_changes = {
         "machines": holding(machine()), "refs": {3: ref},
         "released": {ref: (2, "free")}, "lost": frozenset({ref}),
-        "returned_var": 3,
     }
     # Merging drops the path and order and adds up paths and earliest.
     assert ({f.name for f in fields(Variant)}
@@ -545,3 +544,21 @@ def test_budget_merge_keeps_the_verdict_conservative():
     assert len(outcome.variants) <= PATH_BUDGET
     defects = flow(source)
     assert [d.kind for d in defects] == [DefectKind.MISSING_RELEASE]
+
+
+def test_a_budget_collapse_keeps_a_block_live_on_another_path():
+    # Each if allocates, so no two paths merge and the walk reaches the
+    # budget.  The block from line 3 is released only on the c arm; the
+    # collapse keeps it live, so it is still claimed.
+    arms = "".join(f"  if ( c{i} ) {{ q = malloc ( 1 ) ; free ( q ) ; }}\n"
+                   for i in range(6))
+    params = "".join(f" , int c{i}" for i in range(6))
+    source = (f"void f ( int c{params} ) {{\n"
+              "  char * p ; char * q ;\n"
+              "  p = malloc ( 4 ) ;\n"
+              "  if ( c ) { free ( p ) ; p = malloc ( 8 ) ; free ( p ) ; }\n"
+              f"{arms}}}\n")
+    outcome, _ = _outcome(source)
+    assert outcome.path_insensitive
+    assert [(d.kind, d.line) for d in flow(source)] == [
+        (DefectKind.MISSING_RELEASE, 3)]

@@ -375,6 +375,29 @@ def test_method_calls_resolve_through_the_receiver():
     }
 
 
+def test_a_block_first_in_a_body_shadows_only_inside_it():
+    fcg = build_fcg([_unit(
+        "class A { public: void m ( ) { } } ;\n"
+        "class B { public: void m ( ) { } } ;\n"
+        "void h ( A * o ) { { B * o ; o -> m ( ) ; } o -> m ( ) ; }\n",
+        "blk.cc")])
+    assert [(e.caller.func_name, e.callee.class_name, e.site_line)
+            for e in fcg.edges] == [("h", "B", 3), ("h", "A", 3)]
+
+
+def test_receivers_resolve_to_their_declarations():
+    fcg = build_fcg([_unit(
+        "class A { public: void m ( ) { } } ;\n"
+        "class B { public: void m ( ) { } } ;\n"
+        "class C { public: A * part ; void run ( ) { part -> m ( ) ; } } ;\n"
+        "void p ( B * b ) { b -> m ( ) ; }\n"
+        "void s ( A * o ) { int n ; { B * o ; o -> m ( ) ; } o -> m ( ) ; }\n",
+        "recv.cc")])
+    assert [(e.caller.func_name, e.callee.class_name, e.site_line)
+            for e in fcg.edges] == [("run", "A", 3), ("p", "B", 4),
+                                    ("s", "B", 5), ("s", "A", 5)]
+
+
 def test_unknown_callees_become_external():
     fcg = build_fcg([_unit("void f ( ) { helper ( 1 ) ; malloc ( 4 ) ; }", "u.c")])
     # Edges still exist so summary lookups can intercept known wrappers.

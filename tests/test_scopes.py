@@ -229,6 +229,20 @@ def test_parameters_resolve_with_pointerness():
     assert not resolve("n", f).is_pointer
 
 
+def test_a_block_first_in_a_body_opens_a_scope():
+    stream = tokenize("void f ( char * a ) { { char * a ; a = 0 ; } a = 0 ; }",
+                      "blk.c")
+    root = build_scope_tree(stream)
+    (f,) = root.children
+    (block,) = f.children
+    assert block.kind is ScopeKind.BLOCK
+    param, local = f.params[0], block.symbols["a"][0]
+    assert [t.var_id for t in stream.window(f.token_begin, f.token_end)
+            if t.text == "a"] == [local.var_id, local.var_id, param.var_id]
+    assert stream.var(param.var_id) is param
+    assert stream.var(local.var_id) is local
+
+
 def test_globals_and_statics_are_flagged():
     source = "char * g ;\nvoid f ( ) { static int hits ; int local ; }\n"
     root = build_scope_tree(tokenize(source, "st.c"))

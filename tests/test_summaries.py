@@ -75,7 +75,7 @@ def test_partial_release_keeps_the_skipping_path():
     (entry,) = summary_of(result, "maybe").entries
     assert entry.owner.render() == "param0"
     assert entry.action.render() == "free(free) partial"
-    assert entry.path == [("c", "else")]
+    assert entry.path == (("c", "else"),)
 
 
 def test_passing_to_an_unknown_callee_is_recorded_as_unknown():
@@ -257,6 +257,57 @@ def test_a_rebound_global_no_longer_reaches_its_storage():
     result = run(source)
     assert rendered(result, "k") == []
     assert claims(result) == []
+
+
+def test_a_returned_global_is_summarized_as_returned_and_stored():
+    # f0 stores the new block in g and returns it, so a caller that drops
+    # the result still finds the block in g, and reallocating g there is
+    # no second release of the old block.
+    source = (
+        "char * g ;\n"
+        "char * f0 ( void ) { char * b ; b = g ; b = realloc ( b , 8 ) ; "
+        "g = b ; return g ; }\n"
+        "void f1 ( void ) { char * a ; f0 ( ) ; a = realloc ( g , 8 ) ; "
+        "free ( a ) ; }\n")
+    result = run(source)
+    assert sorted(rendered(result, "f0")) == [
+        ("g1", "alloc(realloc)"), ("g1", "free(free)"),
+        ("return", "alloc(realloc)")]
+    assert "DoubleFree" not in {kind for kind, _line in claims(result)}
+
+
+def test_a_return_marks_the_block_it_returns_there():
+    # The goto makes the body a chain, so the walk goes on past return p;
+    # the block p owns there is returned, not the one it owns at exit.
+    source = (
+        "char * f ( int n ) {\n"
+        "  char * p ;\n"
+        "  p = malloc ( 4 ) ;\n"
+        "  if ( n ) goto out ;\n"
+        "  return p ;\n"
+        "out :\n"
+        "  p = new char [ 8 ] ;\n"
+        "  return 0 ;\n"
+        "}\n"
+        "void g ( int n ) {\n"
+        "  char * q ;\n"
+        "  q = f ( n ) ;\n"
+        "  delete [ ] q ;\n"
+        "}\n")
+    result = run(source, "r.cc")
+    assert rendered(result, "f") == [("return", "alloc(malloc)")]
+    assert claims(result) == [("MismatchedAllocFree", 13),
+                              ("MissingRelease", 7)]
+
+
+def test_a_block_first_in_a_body_keeps_its_declarations():
+    # The inner a is the block's own; the outer free releases the
+    # parameter, once.
+    body = "{ char * a ; a = malloc ( 4 ) ; free ( a ) ; } free ( a ) ;"
+    for prefix in ("", "int n ; "):
+        result = run(f"void f ( char * a ) {{ {prefix}{body} }}")
+        assert rendered(result, "f") == [("param0", "free(free)")], prefix
+        assert claims(result) == [], prefix
 
 
 # ---------------------------------------------------------------------------
