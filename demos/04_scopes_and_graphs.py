@@ -33,13 +33,15 @@ print("scope tree (kind name [lines]):")
 print(dump_scopes(root, stream))
 print()
 
-# Every identifier use got painted with the innermost scope and, for
-# declared variables, a per-function variable id (the declarator token
-# in the parameter list itself stays id 0).
+# Every identifier that names a declared variable carries the var id of
+# the declaration visible where it stands, unique in the file, and
+# stream.var(id) gives that declaration back (the declarator token in the
+# parameter list stands outside the body and itself stays id 0).
 print("uses of 'v' inside clamp:")
 for t in stream:
     if t.text == "v" and t.var_id:
-        print(f"  line {t.line}: var id {t.var_id}, scope id {t.scope_id}")
+        print(f"  line {t.line}: var id {t.var_id}, "
+              f"declared as {stream.var(t.var_id).type_text} {t.text}")
 print()
 
 # --- control flow ------------------------------------------------------

@@ -21,8 +21,7 @@ from .report import (Annotation, DivisionByZeroActual,
                      compute_fnr, compute_fpr, parse_annotations, run,
                      score)
 from .scopes import (ClassInfo, ScopeKind, ScopeNode, SymbolEntry,
-                     build_scope_tree, collect_class_info, dump_scopes,
-                     resolve)
+                     build_scope_tree, collect_class_info, dump_scopes)
 from .summaries import (BehaviorAction, FunctionSummary, SummaryEntry,
                         apply_summary, dump_summaries, make_call_handler,
                         update_all)
@@ -45,6 +44,6 @@ __all__ = [
     "dump_cfg", "dump_fcg", "dump_scopes", "dump_summaries", "find_rings",
     "load_pattern_file", "load_source",
     "make_call_handler", "match_all", "match_in_range", "parse_annotations",
-    "resolve", "run", "score", "special_check", "tokenize",
+    "run", "score", "special_check", "tokenize",
     "update_all",
 ]

@@ -26,7 +26,8 @@ def _gather(paths: List[str]) -> List[str]:
     files: List[str] = []
     for path in paths:
         if os.path.isdir(path):
-            for dirpath, _dirnames, filenames in os.walk(path):
+            for dirpath, dirnames, filenames in os.walk(path):
+                dirnames.sort()  # os.walk descends in the order left here
                 for name in sorted(filenames):
                     if name.endswith(SOURCE_SUFFIXES):
                         files.append(os.path.join(dirpath, name))

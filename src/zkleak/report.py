@@ -82,8 +82,12 @@ def load_annotation_file(path: str) -> List[Annotation]:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     records = data.get("annotations", data) if isinstance(data, dict) else data
+    if not isinstance(records, list):
+        raise ValueError("the annotation records are not a list")
     out = []
-    for rec in records:
+    for n, rec in enumerate(records):
+        if not isinstance(rec, dict):
+            raise ValueError(f"annotation record {n} is not an object")
         fp = rec.get("fp", rec.get("expectFp", rec.get("expectFalsePositive", False)))
         out.append(Annotation(rec["file"], int(rec["line"]), rec["kind"], bool(fp)))
     return out

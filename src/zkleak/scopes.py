@@ -3,12 +3,12 @@
 One walk over the token stream first pairs every bracket into the
 stream's bracket table, where later passes look a bracket's partner up
 instead of scanning for it.  A second walk builds a tree of lexically
-nested scopes (file, namespace, class, function, control-flow bodies)
-and annotates each token with the scope containing it; each declaration
-is appended to the stream's ``vars``, and its index there is the
-variable's var_id (positive, unique in the file).  Each identifier then
-takes the var_id its text resolves to.
-Downstream passes never look names up again; they read the annotations.
+nested scopes (file, namespace, class, function, control-flow bodies).
+Each declaration is then appended to the stream's ``vars``, and its
+index there is the variable's var_id (positive, unique in the file).  A
+last source-order walk gives each identifier the var_id its text names
+where it stands.  Downstream passes never look names up again; they read
+the var ids.
 
 The parsing here is deliberately lexical.  There is no type checking and
 no template instantiation; a declaration is recognised by the shape
@@ -21,7 +21,6 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import count
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .tokens import (
@@ -97,7 +96,6 @@ class ScopeNode:
     parent: Optional["ScopeNode"] = None
     token_begin: int = 0
     token_end: int = 0
-    scope_id: int = 0
     children: List["ScopeNode"] = field(default_factory=list)
     symbols: Dict[str, List[SymbolEntry]] = field(default_factory=dict)
     # Function-only metadata.
@@ -115,12 +113,6 @@ class ScopeNode:
 
     def add_symbol(self, entry: SymbolEntry) -> None:
         self.symbols.setdefault(entry.name, []).append(entry)
-
-    def root(self) -> "ScopeNode":
-        node = self
-        while node.parent is not None:
-            node = node.parent
-        return node
 
     def enclosing(self, *kinds: ScopeKind) -> Optional["ScopeNode"]:
         node = self
@@ -147,89 +139,62 @@ class ClassInfo:
     assign_op: Optional[Tuple[int, int]] = None
 
 
-def resolve(name: str, scope: ScopeNode) -> Optional[SymbolEntry]:
-    """Innermost-outward name lookup.
-
-    Walks the scope chain toward the file scope; a function defined out of
-    line additionally consults its owning class between its own symbols
-    and the enclosing file scope, which is how unqualified member access
-    inside such definitions binds.
-    """
-    node = scope
-    root = scope.root()
-    while node is not None:
-        entries = node.symbols.get(name)
-        if entries:
-            return entries[-1]
-        if node.kind is ScopeKind.FUNCTION and node.owner_class:
-            cls = root.class_scopes.get(node.owner_class)
-            if cls is not None:
-                entries = cls.symbols.get(name)
-                if entries:
-                    return entries[-1]
-        node = node.parent
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Tree construction
 # ---------------------------------------------------------------------------
 
 def build_scope_tree(stream: TokenStream) -> ScopeNode:
-    """Build and annotate the scope tree for *stream*.
+    """Build the scope tree for *stream* and give identifiers var ids.
 
     On return ``stream.partner`` holds the bracket table, ``stream.vars``
-    every declaration by var id, every token carries scope_id,
-    identifiers additionally a var_id when they resolve, and the
-    stream's known_types registry holds class and typedef names.  Brace
-    imbalance is recovered from by closing whatever remains open at end
-    of stream and leaving a diagnostic.
+    every declaration by var id, identifiers a var_id when they name a
+    declaration, and the stream's known_types registry holds class and
+    typedef names.  Brace imbalance is recovered from by closing whatever
+    remains open at end of stream and leaving a diagnostic.
     """
     _pair_brackets(stream)
 
-    scope_ids = count(1)
-    root = ScopeNode(ScopeKind.GLOBAL, "", None, 0, len(stream), next(scope_ids))
-    scope_by_id = {root.scope_id: root}
-
+    root = ScopeNode(ScopeKind.GLOBAL, "", None, 0, len(stream))
     _collect_types(stream, root)
 
-    # Scope creation walk; each token takes the innermost scope open at it.
-    stack = [(root, len(stream))]
+    # Scope creation walk.  Each stack entry is (scope, token_end, whether
+    # a function encloses the scope, its innermost class-like scope), and
+    # each token takes the innermost scope open at it.
+    innermost: List[ScopeNode] = []
+    stack: List[Tuple[ScopeNode, int, bool, Optional[ScopeNode]]] = [
+        (root, len(stream), False, None)]
     for i, tok in enumerate(stream):
         while i >= stack[-1][1]:
             stack.pop()
-        tok.scope_id = stack[-1][0].scope_id
+        innermost.append(stack[-1][0])
         if tok.text != "{":
             continue
-        parent = stack[-1][0]
-        info = _classify_open(stream, i, parent)
+        parent, _, in_function, cls = stack[-1]
+        info = _classify_open(stream, i, parent, in_function)
         if info is None:
             continue  # initializer braces open no scope
         kind, name, meta = info
         close = stream.partner[i] if stream.partner[i] >= 0 else len(stream) - 1
-        node = ScopeNode(kind, name, parent, i, close + 1, next(scope_ids))
-        scope_by_id[node.scope_id] = node
+        node = ScopeNode(kind, name, parent, i, close + 1)
         parent.children.append(node)
-        stack.append((node, node.token_end))
-        tok.scope_id = node.scope_id
-        if kind in _CLASSY and name:
-            root.class_scopes.setdefault(name, node)
-        if kind is ScopeKind.FUNCTION:
-            node.owner_class = meta["owner_class"]
+        innermost[i] = node
+        if kind in _CLASSY:
+            cls = node
+            if name:
+                root.class_scopes.setdefault(name, node)
+            node.header_index = meta["header_index"]
+            node.name_index = meta["name_index"]
+        elif kind is ScopeKind.FUNCTION:
+            in_function = True
+            node.owner_class = meta["owner_class"] or (cls.name if cls else "")
             node.is_virtual = meta["is_virtual"]
-            if not node.owner_class:
-                cls = parent.enclosing(*_CLASSY)
-                if cls is not None:
-                    node.owner_class = cls.name
             _parse_parameters(stream, meta["params_open"], meta["params_close"],
                               node)
             root.function_scopes.append(node)
-        elif kind in _CLASSY:
-            node.header_index = meta["header_index"]
-            node.name_index = meta["name_index"]
+        stack.append((node, node.token_end, in_function, cls))
 
-    _scan_declarations(stream, root, scope_by_id)
-    _annotate_var_ids(stream, root, scope_by_id)
+    _scan_declarations(stream, root, innermost)
+    _annotate_var_ids(stream, root)
 
     stream.scoped = True
     return root
@@ -301,8 +266,10 @@ def _pair_brackets(stream: TokenStream) -> None:
 _INITIALIZER_PRECEDERS = frozenset(["=", ",", "(", "{", "return"])
 
 
-def _classify_open(stream: TokenStream, i: int, parent: ScopeNode):
-    """Decide what scope (if any) the ``{`` at index *i* opens.
+def _classify_open(stream: TokenStream, i: int, parent: ScopeNode,
+                   in_function: bool):
+    """Decide what scope (if any) the ``{`` at index *i* opens inside
+    *parent*; *in_function* tells whether a function encloses *parent*.
 
     Returns (kind, name, meta) or None for initializer braces.
     """
@@ -310,8 +277,7 @@ def _classify_open(stream: TokenStream, i: int, parent: ScopeNode):
     if prev is None:
         return ScopeKind.BLOCK, "", {}
     if (prev.index == parent.token_begin and prev.text == "{"
-            and parent.kind not in _CLASSY
-            and parent.enclosing(ScopeKind.FUNCTION) is not None):
+            and parent.kind not in _CLASSY and in_function):
         return ScopeKind.BLOCK, "", {}  # a block first in a body
     if prev.text in _INITIALIZER_PRECEDERS:
         return None
@@ -336,7 +302,7 @@ def _classify_open(stream: TokenStream, i: int, parent: ScopeNode):
         }
         if before is not None and before.text in control:
             return control[before.text], "", {}
-        if parent.enclosing(ScopeKind.FUNCTION) is not None:
+        if in_function:
             return ScopeKind.BLOCK, "", {}  # no nested functions in C/C++
         header = _function_header(stream, close)
         if header is None:
@@ -538,7 +504,7 @@ _STMT_ENDERS = frozenset([";", "{", "}"])
 
 
 def _scan_declarations(stream: TokenStream, root: ScopeNode,
-                       scope_by_id: Dict[int, ScopeNode]) -> None:
+                       innermost: List[ScopeNode]) -> None:
     pointer_typedefs = root.pointer_typedefs
     n = len(stream)
     stmt_start = True
@@ -552,8 +518,8 @@ def _scan_declarations(stream: TokenStream, root: ScopeNode,
                            or tok.text == "virtual"
                            or tok.text == "~"
                            or tok.text == "operator"):
-            scope = scope_by_id[tok.scope_id]
-            end = _parse_declaration(stream, i, scope, root, pointer_typedefs)
+            end = _parse_declaration(stream, i, innermost[i], root,
+                                     pointer_typedefs)
             if end is not None:
                 i = end
                 stmt_start = True
@@ -725,15 +691,43 @@ def _count_args(stream: TokenStream, open_idx: int, close_idx: int) -> int:
                if begin < end)
 
 
-def _annotate_var_ids(stream: TokenStream, root: ScopeNode,
-                      scope_by_id: Dict[int, ScopeNode]) -> None:
-    for tok in stream:
-        if tok.kind is not TokenKind.IDENTIFIER:
-            continue
-        scope = scope_by_id.get(tok.scope_id, root)
-        entry = resolve(tok.text, scope)
-        if entry is not None:
-            tok.var_id = entry.var_id
+def _annotate_var_ids(stream: TokenStream, root: ScopeNode) -> None:
+    """Give each identifier the var id its text names where it stands.
+
+    One source-order walk keeps, per name, a stack of the var ids visible
+    there.  A scope pushes the newest declaration of each of its names
+    when it opens and pops them at its end, so the innermost declaring
+    scope wins, also for a use before its declaration.  A member function
+    pushes its class's members first, so they lie between its own names
+    and those of the scopes around it.
+    """
+    visible: Dict[str, List[int]] = {}
+    open_scopes: List[Tuple[int, list]] = []  # (token_end, tables pushed)
+    scopes = walk_scopes(root)
+    upcoming = next(scopes, None)
+    boundary = 0  # the next index at which a scope opens or ends
+    for i, tok in enumerate(stream):
+        if i >= boundary:
+            while open_scopes and i >= open_scopes[-1][0]:
+                for table in open_scopes.pop()[1]:
+                    for name in table:
+                        visible[name].pop()
+            while upcoming is not None and upcoming.token_begin <= i:
+                cls = root.class_scopes.get(upcoming.owner_class)
+                tables = ([upcoming.symbols] if cls is None
+                          else [cls.symbols, upcoming.symbols])
+                for table in tables:
+                    for name, entries in table.items():
+                        visible.setdefault(name, []).append(entries[-1].var_id)
+                open_scopes.append((upcoming.token_end, tables))
+                upcoming = next(scopes, None)
+            boundary = open_scopes[-1][0]  # the root stays open to the end
+            if upcoming is not None:
+                boundary = min(boundary, upcoming.token_begin)
+        if tok.kind is TokenKind.IDENTIFIER:
+            ids = visible.get(tok.text)
+            if ids:
+                tok.var_id = ids[-1]
 
 
 # ---------------------------------------------------------------------------

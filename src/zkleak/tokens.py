@@ -102,8 +102,7 @@ class LexToken:
     kind: TokenKind
     line: int
     column: int
-    # Filled in by the scope pass; zero means "not annotated / unresolved".
-    scope_id: int = 0
+    # Filled in by the scope pass; zero means "names no declaration".
     var_id: int = 0
     index: int = -1
 
@@ -115,8 +114,8 @@ class TokenStream:
     """Token list for one translation unit; ``stream[i].index == i``.
 
     The stream is immutable after construction except for the scope pass,
-    which splits ``>>`` where it closes two templates, annotates
-    scope_id/var_id, fills ``partner``: per token, the index of the
+    which splits ``>>`` where it closes two templates, sets identifiers'
+    var_id, fills ``partner``: per token, the index of the
     matching bracket for ``()``, ``[]`` and ``{}``, or -1 for any other
     token and for a bracket left unmatched, and fills ``vars``: every
     variable declaration in creation order, so that a var id is the index

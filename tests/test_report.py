@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
+import zkleak.cli
 import zkleak.report
 from zkleak.defects import Defect, DefectKind
 from zkleak.cli import main
@@ -359,6 +361,41 @@ def test_cli_scans_directories(tmp_path, capsys):
     _write(tmp_path, "notes.txt", "not a source file")
     assert main([str(tmp_path)]) == 0
     assert "checked 2 file(s)" in capsys.readouterr().out
+
+
+def test_cli_visits_subdirectories_in_sorted_order(tmp_path, capsys,
+                                                   monkeypatch):
+    # A fake os.walk that lists subdirectories out of order, as a
+    # filesystem may, and then descends in the order the caller left.
+    names = ["c07", "c02", "c09"]
+    for name in names:
+        (tmp_path / name).mkdir()
+        _write(tmp_path / name, "a.c", _CLEAN)
+
+    def unsorted_walk(top):
+        dirnames = list(names)
+        yield top, dirnames, []
+        for name in dirnames:
+            yield os.path.join(top, name), [], ["a.c"]
+
+    monkeypatch.setattr(zkleak.cli.os, "walk", unsorted_walk)
+    assert main(["--format", "json", str(tmp_path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [f["path"] for f in doc["files"]] == [
+        str(tmp_path / name / "a.c") for name in sorted(names)]
+
+
+@pytest.mark.parametrize("content", [
+    '{"foo": 1}', "[1, 2]", '{"annotations": {"file": "a.c"}}', "5",
+], ids=["object", "array-of-numbers", "wrapped-object", "number"])
+def test_cli_malformed_annotation_sidecar_is_a_usage_error(tmp_path, capsys,
+                                                           content):
+    sidecar = _write(tmp_path, "ann.json", content)
+    leaky = _write(tmp_path, "leaky.c", _LEAKY)
+    assert main(["--metrics", sidecar, leaky]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("zkleak: error: bad annotation file: ")
+    assert "Traceback" not in captured.err
 
 
 def test_cli_inline_metrics(tmp_path, capsys):

@@ -29,9 +29,46 @@ def open_prototypes(n: int) -> str:
     return "".join(f"int f{k} ( ;\n" for k in range(n))
 
 
-@pytest.mark.parametrize("make", [nested_templates, many_calls, open_prototypes],
-                         ids=lambda make: make.__name__)
+def _nested(opener: str, closer: str, n: int) -> str:
+    # n levels of one construct around the allocation of a leaked pointer.
+    return ("void f(int n){ char *p; " + opener * n + "p = malloc(4); "
+            + closer * n + "}\n")
+
+
+def nested_ifs(n: int) -> str:
+    return _nested("if (n) { ", "} ", n)
+
+
+def nested_blocks(n: int) -> str:
+    return _nested("{ ", "} ", n)
+
+
+def nested_whiles(n: int) -> str:
+    return _nested("while (n) { ", "} ", n)
+
+
+def nested_dos(n: int) -> str:
+    return _nested("do { ", "} while (n); ", n)
+
+
+def nested_fors(n: int) -> str:
+    return _nested("for (;n;) { ", "} ", n)
+
+
+NESTING = [nested_ifs, nested_blocks, nested_whiles, nested_dos, nested_fors]
+
+
+@pytest.mark.parametrize("make", [nested_templates, many_calls, open_prototypes]
+                         + NESTING, ids=lambda make: make.__name__)
 def test_doubling_the_input_at_most_doubles_the_work(make, line_events):
     small = line_events(run, [("scale.cc", make(250))])
     large = line_events(run, [("scale.cc", make(500))])
     assert large / small <= 2.3, (small, large)
+
+
+@pytest.mark.parametrize("make", NESTING, ids=lambda make: make.__name__)
+@pytest.mark.parametrize("n", [250, 500])
+def test_a_leak_under_deep_nesting_is_still_found(make, n):
+    report = run([("scale.cc", make(n))])
+    assert [(d.kind.value, d.line) for d in report.defects] == [
+        ("MissingRelease", 1)]

@@ -3,8 +3,8 @@
 The shadowing fixtures are generated with ground truth recorded at
 emission time: every block declares its variables with a type unique to
 its nesting depth, so the type of a resolved entry reveals which
-declaration won.  A plain chain-walking resolver double-checks the
-production one on the same fixtures.
+declaration won.  A plain chain-walking resolver is the reference that
+the var ids on the tokens are checked against.
 """
 
 from __future__ import annotations
@@ -18,9 +18,8 @@ from zkleak.scopes import (
     build_scope_tree,
     collect_class_info,
     dump_scopes,
-    resolve,
 )
-from zkleak.tokens import tokenize
+from zkleak.tokens import TokenKind, tokenize
 
 # ---------------------------------------------------------------------------
 # Shadowing fixtures with recorded ground truth
@@ -84,13 +83,21 @@ def innermost_scope(root, index: int):
             return node
 
 
-def chain_resolve(name: str, scope):
-    """Reference lookup: walk parents, newest entry per scope wins."""
+def chain_resolve(name: str, scope, class_scopes=None):
+    """Reference lookup: walk parents, newest entry per scope wins.
+
+    Given the root's ``class_scopes``, a member function also consults its
+    class between its own names and those of the scopes around it.
+    """
     node = scope
     while node is not None:
         entries = node.symbols.get(name)
         if entries:
             return entries[-1]
+        if class_scopes and node.owner_class in class_scopes:
+            entries = class_scopes[node.owner_class].symbols.get(name)
+            if entries:
+                return entries[-1]
         node = node.parent
     return None
 
@@ -110,8 +117,7 @@ def test_shadowing_fixtures_resolve_to_the_innermost_declaration():
         for name, line, depth in uses:
             idx = _token_at(stream, name, line)
             scope = innermost_scope(root, idx)
-            entry = resolve(name, scope)
-            assert entry is chain_resolve(name, scope)
+            entry = chain_resolve(name, scope)
             if depth is None:
                 assert entry is None
                 assert stream[idx].var_id == 0
@@ -121,15 +127,6 @@ def test_shadowing_fixtures_resolve_to_the_innermost_declaration():
                 assert stream[idx].var_id == entry.var_id > 0
             checked_uses += 1
     assert checked_uses > 60
-
-
-def test_scope_ids_paint_the_innermost_scope():
-    for seed in range(30):
-        source, _ = make_shadowing_fixture(seed)
-        stream = tokenize(source, f"paint{seed}.c")
-        root = build_scope_tree(stream)
-        for i, tok in enumerate(stream):
-            assert tok.scope_id == innermost_scope(root, i).scope_id
 
 
 # ---------------------------------------------------------------------------
@@ -155,11 +152,11 @@ def test_nesting_example():
     (cond,) = f.children
     assert cond.kind is ScopeKind.IF
 
-    assert resolve("g", cond).is_global_or_static
-    a = resolve("a", cond)
+    assert chain_resolve("g", cond).is_global_or_static
+    a = chain_resolve("a", cond)
     assert a is not None and not a.is_pointer
-    assert resolve("b", cond) is not None
-    assert resolve("b", f) is None, "block-local must not leak outward"
+    assert chain_resolve("b", cond) is not None
+    assert chain_resolve("b", f) is None, "block-local must not leak outward"
 
 
 def test_dump_scopes_layout():
@@ -205,9 +202,9 @@ def test_pointerness_is_per_declarator():
     stream = tokenize("void f ( ) { int * a , b ; char * * p ; }", "ptr.c")
     root = build_scope_tree(stream)
     (f,) = root.children
-    assert resolve("a", f).is_pointer
-    assert not resolve("b", f).is_pointer
-    assert resolve("p", f).is_pointer
+    assert chain_resolve("a", f).is_pointer
+    assert not chain_resolve("b", f).is_pointer
+    assert chain_resolve("p", f).is_pointer
 
 
 def test_pointer_typedef_carries_through():
@@ -216,8 +213,8 @@ def test_pointer_typedef_carries_through():
     root = build_scope_tree(stream)
     assert "str_t" in root.pointer_typedefs
     (f,) = root.children
-    assert resolve("s", f).is_pointer
-    assert not resolve("t", f).is_pointer
+    assert chain_resolve("s", f).is_pointer
+    assert not chain_resolve("t", f).is_pointer
 
 
 def test_parameters_resolve_with_pointerness():
@@ -225,8 +222,8 @@ def test_parameters_resolve_with_pointerness():
     root = build_scope_tree(stream)
     (f,) = root.children
     assert [p.name for p in f.params] == ["buf", "n"]
-    assert resolve("buf", f).is_pointer
-    assert not resolve("n", f).is_pointer
+    assert chain_resolve("buf", f).is_pointer
+    assert not chain_resolve("n", f).is_pointer
 
 
 def test_a_block_first_in_a_body_opens_a_scope():
@@ -247,9 +244,9 @@ def test_globals_and_statics_are_flagged():
     source = "char * g ;\nvoid f ( ) { static int hits ; int local ; }\n"
     root = build_scope_tree(tokenize(source, "st.c"))
     (f,) = root.children
-    assert resolve("g", f).is_global_or_static
-    assert resolve("hits", f).is_global_or_static
-    assert not resolve("local", f).is_global_or_static
+    assert chain_resolve("g", f).is_global_or_static
+    assert chain_resolve("hits", f).is_global_or_static
+    assert not chain_resolve("local", f).is_global_or_static
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +357,46 @@ def test_out_of_line_member_sees_fields():
     root = build_scope_tree(stream)
     m = next(s for s in root.function_scopes
              if s.name == "m" and s.owner_class == "K")
-    entry = resolve("p", m)
+    (use,) = [t for t in stream.window(m.token_begin, m.token_end)
+              if t.text == "p"]
+    entry = stream.var(use.var_id)
     assert entry is not None and entry.is_member
+    assert entry is root.class_scopes["K"].symbols["p"][-1]
+
+
+_MEMBERS = """\
+char * g ;
+int n ;
+class K {
+public:
+  char * p ;
+  void inl ( ) { p = g ; int n ; n = 1 ; { char * p ; p = 0 ; } }
+  void m ( char * g ) ;
+  int n ;
+};
+class K { char * q ; } ;
+void K :: m ( char * g ) { p = g ; q = 0 ; n = 0 ; late = 0 ; int late ; }
+void free_fn ( ) { p = g ; n = 0 ; r = 0 ; char * r ; int r ; r = 0 ; }
+struct S { void s ( ) { if ( n ) { g = 0 ; } } int n ; } ;
+"""
+
+
+def test_every_identifier_takes_the_chain_walks_answer():
+    # Inline and out-of-line members, a repeated class name (the first
+    # class of that name is the one consulted), shadowing parameters and
+    # blocks, a use before its declaration and a name declared twice in
+    # one scope (the newest declaration wins).
+    stream = tokenize(_MEMBERS, "members.cc")
+    root = build_scope_tree(stream)
+    named = 0
+    for i, tok in enumerate(stream):
+        if tok.kind is not TokenKind.IDENTIFIER:
+            continue
+        entry = chain_resolve(tok.text, innermost_scope(root, i),
+                              root.class_scopes)
+        assert tok.var_id == (entry.var_id if entry else 0), (tok, i)
+        named += entry is not None
+    assert named > 20
 
 
 # ---------------------------------------------------------------------------
@@ -394,3 +429,8 @@ def test_scope_tree_survives_token_soup(seed):
     for child in root.children:
         check(child, 0, len(stream))
     assert stream.scoped
+    for i, tok in enumerate(stream):
+        if tok.kind is TokenKind.IDENTIFIER:
+            entry = chain_resolve(tok.text, innermost_scope(root, i),
+                                  root.class_scopes)
+            assert tok.var_id == (entry.var_id if entry else 0), (tok, i)
