@@ -295,13 +295,13 @@ class _CfgBuilder:
 
     def _parse_do(self, i: int, end: int):
         body_items, after = self.parse_one(i + 1, end)
-        # after points at "while"
+        # after points at "while"; the statement ends at the ";" past its guard
         head_span = (i + 1, i + 1)
-        close = after
         if after < end and self.stream[after].text == "while":
             head_span, close = self._guard_span(after)
+            after = close + 1
         head = self.new_head(head_span)
-        return [LoopStruct(head, body_items, "dowhile")], self.statement_end(close)
+        return [LoopStruct(head, body_items, "dowhile")], self.statement_end(after)
 
     def _parse_switch(self, i: int, end: int):
         span, close = self._guard_span(i)

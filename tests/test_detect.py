@@ -99,6 +99,14 @@ def test_aliased_walker_keeps_the_block_reachable():
     assert flow(source) == []
 
 
+def test_statements_after_a_do_while_are_walked():
+    assert flow("void f ( int n ) { char * p ; p = malloc ( 4 ) ; "
+                "do { n -- ; } while ( n ) ; free ( p ) ; }") == []
+    (d,) = flow("void f ( int n ) { char * p ; do { n -- ; } while ( n ) ; "
+                "if ( n ) { p = malloc ( 4 ) ; } }")
+    assert (d.kind, d.line) == (DefectKind.MISSING_RELEASE, 1)
+
+
 def test_loop_skip_variant_carries_no_path_tag():
     source = (
         "void f ( int n ) {\n"

@@ -216,6 +216,15 @@ def test_loop_body_is_nested_under_its_head():
     )
 
 
+def test_statements_after_a_do_while_follow_it():
+    # The do statement ends at the ";" after its guard, not at the end of
+    # its body, so the statements after it keep their own plan items.
+    cfg = _cfg("void f ( int n ) { do { n -- ; } while ( n ) ; "
+               "if ( n ) { n = 1 ; } n = 2 ; }")
+    assert _shape(cfg.structure) == [("dowhile", ["s"]), ("if", ["s"], []), "s"]
+    assert cfg.node(cfg.structure[0].head).guard_text == "n"
+
+
 def test_return_in_the_then_arm_and_the_exit_line():
     cfg = _cfg("void f ( int c ) {\n if ( c ) { return ; }\n c = 1 ;\n}")
     assert cfg.structure == [IfStruct(0, [("then", [ReturnStmt(1)]), ("else", [])]),
