@@ -118,10 +118,10 @@ def func_id_of(scope: ScopeNode, stream: TokenStream) -> FuncId:
 _LEAF_KINDS = {"return": ReturnStmt, "break": BreakStmt, "continue": ContinueStmt}
 
 # Deepest statement nesting the builder follows; a deeper body becomes a
-# linear chain.  The builder spends at most three frames per level (a
-# switch nested in a switch arm: parse_one, _parse_switch, parse_region)
-# and the interpreter three per plan level, so both walks stay far inside
-# Python's default recursion limit of 1,000 frames.
+# linear chain.  The builder spends two frames per level (parse_one and
+# the _parse_* method or parse_region it calls) and the interpreter three
+# per plan level, so both walks stay far inside Python's default
+# recursion limit of 1,000 frames.
 MAX_NESTING = 250
 
 
@@ -188,11 +188,11 @@ class _CfgBuilder:
             if self.stream[i].text == ";":
                 i += 1
                 continue
-            sub, i = self.parse_one(i, end)
+            sub, i = self.parse_one(i)
             items.extend(sub)
         return items
 
-    def parse_one(self, i: int, end: int):
+    def parse_one(self, i: int):
         """Parse a single statement (possibly compound) starting at *i*.
 
         Returns (items, next_index).
@@ -211,19 +211,19 @@ class _CfgBuilder:
                 return [], i + 1
 
             if text == "if":
-                return self._parse_if(i, end)
+                return self._parse_if(i)
             if text == "while":
-                return self._parse_while(i, end)
+                return self._parse_while(i)
             if text == "for":
-                return self._parse_for(i, end)
+                return self._parse_for(i)
             if text == "do":
-                return self._parse_do(i, end)
+                return self._parse_do(i)
             if text == "switch":
-                return self._parse_switch(i, end)
+                return self._parse_switch(i)
             if text == "try":
                 # The try body runs unconditionally; catch arms conservatively
                 # fork like an if whose guard never constrains anything.
-                return self._parse_try(i, end)
+                return self._parse_try(i)
 
             stmt_end = self.statement_end(i)
             node = self.new_node((i, stmt_end))
@@ -246,108 +246,88 @@ class _CfgBuilder:
         close = self.match_forward(open_idx)
         return (open_idx + 1, close), close
 
-    def _parse_if(self, i: int, end: int):
+    def _parse_if(self, i: int):
         span, close = self._guard_span(i)
         branch = self.new_head(span)
-        then_items, after = self.parse_one(close + 1, end)
+        then_items, after = self.parse_one(close + 1)
         else_items: list = []
-        if after < end and self.stream[after].text == "else":
-            else_items, after = self.parse_one(after + 1, end)
+        if after < self.end and self.stream[after].text == "else":
+            else_items, after = self.parse_one(after + 1)
         return [IfStruct(branch, [("then", then_items), ("else", else_items)])], after
 
-    def _parse_while(self, i: int, end: int):
+    def _parse_while(self, i: int):
         span, close = self._guard_span(i)
         head = self.new_head(span)
-        body_items, after = self.parse_one(close + 1, end)
+        body_items, after = self.parse_one(close + 1)
         return [LoopStruct(head, body_items, "while")], after
 
-    def _parse_for(self, i: int, end: int):
+    def _parse_for(self, i: int):
         clause, close = self._guard_span(i)
-        start = clause[0]
-        semis: List[int] = []
-        depth = 0  # all bracket kinds counted as one
-        for k in range(start, close):
-            t = self.stream[k].text
-            if t in ("(", "[", "{"):
-                depth += 1
-            elif t in (")", "]", "}"):
-                depth -= 1
-            elif t == ";" and depth == 0:
-                semis.append(k)
+        parts = split_top_level(self.stream, clause[0], close, ";")
         items: list = []
-        if len(semis) >= 2:
-            init_span = (start, semis[0] + 1)
-            cond_span = (semis[0] + 1, semis[1])
-            incr_span = (semis[1] + 1, close)
+        if len(parts) >= 3:  # the init node keeps its ";"
+            items.append(SeqStmt(self.new_node((clause[0], parts[0][1] + 1))))
+            cond_span, incr_span = parts[1], (parts[2][0], close)
         else:  # malformed; treat the whole clause as the guard
-            init_span = (start, start)
-            cond_span = clause
-            incr_span = (close, close)
-        if init_span[0] < init_span[1]:
-            items.append(SeqStmt(self.new_node(init_span)))
+            cond_span, incr_span = clause, (close, close)
         head = self.new_head(cond_span)
-        body_items, after = self.parse_one(close + 1, end)
+        body_items, after = self.parse_one(close + 1)
         trailer: list = []
         if incr_span[0] < incr_span[1]:
             trailer.append(SeqStmt(self.new_node(incr_span)))
         items.append(LoopStruct(head, body_items, "for", trailer))
         return items, after
 
-    def _parse_do(self, i: int, end: int):
-        body_items, after = self.parse_one(i + 1, end)
+    def _parse_do(self, i: int):
+        body_items, after = self.parse_one(i + 1)
         # after points at "while"; the statement ends at the ";" past its guard
         head_span = (i + 1, i + 1)
-        if after < end and self.stream[after].text == "while":
+        if after < self.end and self.stream[after].text == "while":
             head_span, close = self._guard_span(after)
             after = close + 1
         head = self.new_head(head_span)
         return [LoopStruct(head, body_items, "dowhile")], self.statement_end(after)
 
-    def _parse_switch(self, i: int, end: int):
+    def _parse_switch(self, i: int):
+        """A braced body is read once: a ``case``/``default`` label opens
+        an arm, and each statement joins the arm opened last.  Statements
+        before the first label run on no path, so their nodes are dropped."""
         span, close = self._guard_span(i)
         branch = self.new_head(span)
-        if close + 1 >= end or self.stream[close + 1].text != "{":
+        if close + 1 >= self.end or self.stream[close + 1].text != "{":
             # braceless switch: treat the lone statement as a "then" arm
-            items, after = self.parse_one(close + 1, end)
+            items, after = self.parse_one(close + 1)
             return [SwitchStruct(branch, [("case:0", items)], False)], after
-        body_open = close + 1
-        body_close = self.match_forward(body_open)
-
-        labels: List[Tuple[int, str, int]] = []  # (label start, tag, body start)
-        depth = 0
-        k = body_open + 1
+        body_close = self.match_forward(close + 1)
+        arms: List[Tuple[str, list]] = []
+        kept = len(self.nodes)
+        k = close + 2
         while k < body_close:
             t = self.stream[k].text
-            if t in ("{", "(", "["):
-                depth += 1
-            elif t in ("}", ")", "]"):
-                depth -= 1
-            elif depth == 0 and t in ("case", "default"):
+            if t in ("case", "default"):
                 colon = k + 1
                 while colon < body_close and self.stream[colon].text != ":":
                     colon += 1
-                if t == "case":
-                    expr = " ".join(self.stream[m].text for m in range(k + 1, colon))
-                    tag = f"case:{expr}"
+                expr = " ".join(self.stream[m].text for m in range(k + 1, colon))
+                arms.append((f"case:{expr}" if t == "case" else "default", []))
+                k = colon + 1
+            elif t == ";":
+                k += 1
+            else:
+                items, k = self.parse_one(k)
+                if arms:
+                    arms[-1][1].extend(items)
                 else:
-                    tag = "default"
-                labels.append((k, tag, colon + 1))
-                k = colon
-            k += 1
-
-        arms: List[Tuple[str, list]] = []
-        for idx, (_label_start, tag, body_start) in enumerate(labels):
-            seg_end = labels[idx + 1][0] if idx + 1 < len(labels) else body_close
-            arms.append((tag, self.parse_region(body_start, seg_end)))
-        has_default = any(tag == "default" for _start, tag, _body in labels)
+                    del self.nodes[kept:]
+        has_default = any(tag == "default" for tag, _arm in arms)
         return [SwitchStruct(branch, arms, has_default)], body_close + 1
 
-    def _parse_try(self, i: int, end: int):
-        items, after = self.parse_one(i + 1, end)
-        while after < end and self.stream[after].text == "catch":
+    def _parse_try(self, i: int):
+        items, after = self.parse_one(i + 1)
+        while after < self.end and self.stream[after].text == "catch":
             span, close = self._guard_span(after)
             branch = self.new_head(span, "catch ")
-            catch_items, after = self.parse_one(close + 1, end)
+            catch_items, after = self.parse_one(close + 1)
             items.append(IfStruct(branch, [("then", catch_items), ("else", [])]))
         return items, after
 

@@ -435,10 +435,11 @@ def _parse_parameters(stream: TokenStream, open_idx: int, close_idx: int,
             func.add_symbol(entry)
 
 
-def split_top_level(stream: TokenStream, begin: int, end: int) -> List[Tuple[int, int]]:
-    """Comma-separated groups within [begin, end), empty ones included.
+def split_top_level(stream: TokenStream, begin: int, end: int,
+                    sep: str = ",") -> List[Tuple[int, int]]:
+    """Groups within [begin, end) separated by *sep*, empty ones included.
 
-    Commas inside brackets do not split.  The depth counts all bracket
+    A separator inside brackets does not split.  The depth counts all bracket
     kinds as one, so malformed nesting such as ``( ]`` still balances.
     """
     groups: List[Tuple[int, int]] = []
@@ -450,7 +451,7 @@ def split_top_level(stream: TokenStream, begin: int, end: int) -> List[Tuple[int
             depth += 1
         elif text in (")", "]", "}"):
             depth -= 1
-        elif text == "," and depth == 0:
+        elif text == sep and depth == 0:
             groups.append((start, i))
             start = i + 1
     groups.append((start, end))

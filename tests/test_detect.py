@@ -107,6 +107,16 @@ def test_statements_after_a_do_while_are_walked():
     assert (d.kind, d.line) == (DefectKind.MISSING_RELEASE, 1)
 
 
+def test_a_label_inside_an_arm_statement_stays_in_that_statement():
+    # Only a label at the top level of the switch body opens an arm, so
+    # "case 2 : free ( p ) ;" is the then branch of the if and runs once.
+    (d,) = flow("void f ( int n , int a ) { char * p ; p = malloc ( 4 ) ; "
+                "switch ( n ) { case 1 : if ( a ) case 2 : free ( p ) ; break ; "
+                "default : free ( p ) ; } }")
+    assert (d.kind, d.path_c) == (DefectKind.PATH_MISSING_RELEASE,
+                                  [("n", "case:1"), ("a", "else")])
+
+
 def test_loop_skip_variant_carries_no_path_tag():
     source = (
         "void f ( int n ) {\n"

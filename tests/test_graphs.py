@@ -43,7 +43,9 @@ from zkleak.graphs import (
 )
 from zkleak.report import run
 from zkleak.scopes import build_scope_tree
-from zkleak.tokens import tokenize
+from zkleak.tokens import TokenKind, tokenize
+
+from differential import generate
 
 FIXTURES = Path(__file__).parent / "fixtures"
 PLAN_GOLDEN = FIXTURES / "plan_golden.json"
@@ -171,6 +173,27 @@ def test_manifest_structural_invariants(corpus_paths):
             _assert_plan_invariants(build_cfg(scope, stream))
 
 
+def test_every_identifier_of_a_body_lies_in_exactly_one_node():
+    # A token outside every node is never matched for events, and one in
+    # two nodes is matched twice.  Labels are the only identifiers that
+    # belong to no statement.
+    for index in range(300):
+        name, source = generate(9, index)
+        root, stream = _unit(source, name)
+        for scope in root.function_scopes:
+            cfg = build_cfg(scope, stream)
+            covers = [0] * len(stream)
+            for node in cfg.nodes:
+                for k in range(*node.span):
+                    covers[k] += 1
+            in_label = False
+            for k in range(scope.token_begin + 1, scope.token_end - 1):
+                text = stream[k].text
+                in_label = text == "case" or (in_label and text != ":")
+                if stream[k].kind is TokenKind.IDENTIFIER and not in_label:
+                    assert covers[k] == 1, (index, scope.name, stream[k].line, text)
+
+
 def test_straight_line_shape():
     cfg = _cfg("void f ( ) {\n int a ;\n a = 1 ;\n a = 2 ;\n}")
     assert cfg.structure == [SeqStmt(0), SeqStmt(1), SeqStmt(2)]
@@ -249,8 +272,8 @@ def test_goto_degrades_to_a_chain():
 
 # The function body is not a statement, so the innermost statement of an
 # ``if`` plus k blocks sits at depth k + 2, and of k nested switches at
-# depth k + 1.  Three builder frames per level make the switch the deepest
-# Python stack for a given depth.
+# depth k + 1.  The builder spends two frames per level on either, so at
+# the bound its Python stack is about twice MAX_NESTING frames deep.
 _AT_THE_BOUND = {
     "blocks": ("if ( n ) " + "{ " * (MAX_NESTING - 2) + "free ( p ) ; "
                + "} " * (MAX_NESTING - 2)),

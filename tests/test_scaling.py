@@ -55,7 +55,12 @@ def nested_fors(n: int) -> str:
     return _nested("for (;n;) { ", "} ", n)
 
 
-NESTING = [nested_ifs, nested_blocks, nested_whiles, nested_dos, nested_fors]
+def nested_switches(n: int) -> str:
+    return _nested("switch (n) { case 1: ", "} ", n)
+
+
+NESTING = [nested_ifs, nested_blocks, nested_whiles, nested_dos, nested_fors,
+           nested_switches]
 
 
 @pytest.mark.parametrize("make", [nested_templates, many_calls, open_prototypes]
