@@ -344,12 +344,13 @@ class Interp:
                 base.machines.by_id[mid] = m
             else:
                 keep, drop = mine, m
+            # A freed or settled machine's flags say nothing of a live one.
             if keep.state == drop.state:
                 keep.owners |= drop.owners
-            keep.escaped = keep.escaped or drop.escaped
-            keep.tainted = keep.tainted or drop.tainted
-            if keep.partial_path is None:
-                keep.partial_path = drop.partial_path
+                keep.escaped = keep.escaped or drop.escaped
+                keep.tainted = keep.tainted or drop.tainted
+                if keep.partial_path is None:
+                    keep.partial_path = drop.partial_path
         # Keep what either side reaches; an absent global reaches its own
         # storage, so it outweighs a rebound one.
         for var, ref in other.refs.items():

@@ -580,3 +580,20 @@ def test_a_budget_collapse_keeps_a_block_live_on_another_path():
     assert outcome.path_insensitive
     assert [(d.kind, d.line) for d in flow(source)] == [
         (DefectKind.MISSING_RELEASE, 3)]
+
+
+def test_a_budget_collapse_takes_no_flag_from_a_freed_path():
+    # The block from line 3 escapes through use ( p ) only on the a arm,
+    # where it is also freed.  The collapse keeps the live machine of the
+    # else arm and must not take the escape from the freed one.
+    ifs = "".join(f"  if ( b{k} ) {{ n = {k} ; }}\n" for k in range(7))
+    params = "".join(f" , int b{k}" for k in range(7))
+    source = (f"void f ( int a , int n{params} ) {{\n"
+              "  char * p ;\n"
+              "  p = malloc ( 4 ) ;\n"
+              "  if ( a ) { use ( p ) ; free ( p ) ; p = 0 ; }\n"
+              f"{ifs}}}\n")
+    outcome, _ = _outcome(source)
+    assert outcome.path_insensitive
+    assert [(d.kind, d.line) for d in flow(source)] == [
+        (DefectKind.MISSING_RELEASE, 3)]
