@@ -280,13 +280,14 @@ class _CfgBuilder:
 
     def _parse_do(self, i: int):
         body_items, after = self.parse_one(i + 1)
-        # after points at "while"; the statement ends at the ";" past its guard
+        # With a "while" the statement ends at the ";" past its guard;
+        # without one it ends with the body.
         head_span = (i + 1, i + 1)
         if after < self.end and self.stream[after].text == "while":
             head_span, close = self._guard_span(after)
-            after = close + 1
+            after = self.statement_end(close + 1)
         head = self.new_head(head_span)
-        return [LoopStruct(head, body_items, "dowhile")], self.statement_end(after)
+        return [LoopStruct(head, body_items, "dowhile")], after
 
     def _parse_switch(self, i: int):
         """A braced body is read once: a ``case``/``default`` label opens

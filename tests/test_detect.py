@@ -107,6 +107,11 @@ def test_statements_after_a_do_while_are_walked():
     assert (d.kind, d.line) == (DefectKind.MISSING_RELEASE, 1)
 
 
+def test_a_release_after_a_do_with_no_while_is_walked():
+    assert flow("void f ( int n ) { char * p ; p = malloc ( 4 ) ; "
+                "do { n -- ; } free ( p ) ; }") == []
+
+
 def test_a_label_inside_an_arm_statement_stays_in_that_statement():
     # Only a label at the top level of the switch body opens an arm, so
     # "case 2 : free ( p ) ;" is the then branch of the if and runs once.

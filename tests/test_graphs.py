@@ -248,6 +248,13 @@ def test_statements_after_a_do_while_follow_it():
     assert cfg.node(cfg.structure[0].head).guard_text == "n"
 
 
+def test_a_do_with_no_while_ends_with_its_body():
+    # Malformed input: with no "while" after the body, the statement after
+    # the body is not swallowed into the do statement.
+    cfg = _cfg("void f ( int n ) { do { n -- ; } n = 2 ; }")
+    assert _shape(cfg.structure) == [("dowhile", ["s"]), "s"]
+
+
 def test_return_in_the_then_arm_and_the_exit_line():
     cfg = _cfg("void f ( int c ) {\n if ( c ) { return ; }\n c = 1 ;\n}")
     assert cfg.structure == [IfStruct(0, [("then", [ReturnStmt(1)]), ("else", [])]),
