@@ -291,8 +291,10 @@ class _CfgBuilder:
 
     def _parse_switch(self, i: int):
         """A braced body is read once: a ``case``/``default`` label opens
-        an arm, and each statement joins the arm opened last.  Statements
-        before the first label run on no path, so their nodes are dropped."""
+        an arm, and each statement joins the arm opened last.  A bare
+        block is read as more of the body, so its labels open arms too.
+        Statements before the first label run on no path, so their nodes
+        are dropped."""
         span, close = self._guard_span(i)
         branch = self.new_head(span)
         if close + 1 >= self.end or self.stream[close + 1].text != "{":
@@ -302,10 +304,16 @@ class _CfgBuilder:
         body_close = self.match_forward(close + 1)
         arms: List[Tuple[str, list]] = []
         kept = len(self.nodes)
+        ends: List[int] = []  # the "}" of each bare block the scan is in
         k = close + 2
         while k < body_close:
             t = self.stream[k].text
-            if t in ("case", "default"):
+            if ends and k >= ends[-1]:  # a statement may run past its "}"
+                k = max(k, ends.pop() + 1)
+            elif t == "{":
+                ends.append(self.match_forward(k))
+                k += 1
+            elif t in ("case", "default"):
                 colon = k + 1
                 while colon < body_close and self.stream[colon].text != ":":
                     colon += 1

@@ -122,6 +122,12 @@ def test_a_label_inside_an_arm_statement_stays_in_that_statement():
                                   [("n", "case:1"), ("a", "else")])
 
 
+def test_a_label_inside_a_bare_block_of_a_switch_body_opens_an_arm():
+    (d,) = flow("void f ( int n ) { char * p ; p = malloc ( 4 ) ; "
+                "switch ( n ) { { case 1 : free ( p ) ; } } }")
+    assert d.kind is DefectKind.PATH_MISSING_RELEASE
+
+
 def test_loop_skip_variant_carries_no_path_tag():
     source = (
         "void f ( int n ) {\n"

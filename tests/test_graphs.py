@@ -255,6 +255,16 @@ def test_a_do_with_no_while_ends_with_its_body():
     assert _shape(cfg.structure) == [("dowhile", ["s"]), "s"]
 
 
+def test_a_label_in_a_bare_block_of_a_switch_body_opens_an_arm():
+    cfg = _cfg("void f ( int c ) { switch ( c ) { { case 1 : c = 0 ; } "
+               "c = 1 ; { { default : c = 2 ; } } } }")
+    assert _shape(cfg.structure) == [
+        ("switch", {"case:1": ["s", "s"], "default": ["s"]})]
+    # A block after a label is still one statement of that arm.
+    cfg = _cfg("void f ( int c ) { switch ( c ) { case 1 : { c = 0 ; } } }")
+    assert _shape(cfg.structure) == [("switch", {"case:1": ["s"]})]
+
+
 def test_return_in_the_then_arm_and_the_exit_line():
     cfg = _cfg("void f ( int c ) {\n if ( c ) { return ; }\n c = 1 ;\n}")
     assert cfg.structure == [IfStruct(0, [("then", [ReturnStmt(1)]), ("else", [])]),
