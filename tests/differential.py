@@ -27,6 +27,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Tuple
 
@@ -359,11 +360,22 @@ def classify(field: str, here, there) -> str:
             return (f"{field}: kinds only here {kinds_here or '-'}, "
                     f"only at the revision {kinds_there or '-'}")
         if len(here) != len(there):
+            if _sites(here) == _sites(there) and not _claims(here) - _claims(there):
+                return (f"{field}: dedup-only, fewer claims at the same "
+                        f"(kind, line, function) sites")
             return f"{field}: same kinds, a different count"
         keys = ("line", "function", "message", "pathC", "trace")
         changed = sorted({k for a, b in zip(here, there) for k in keys if a[k] != b[k]})
         return f"{field}: same kinds and count, other {', '.join(changed)}"
     return field
+
+
+def _claims(claims: List[dict]) -> Counter:
+    return Counter(json.dumps(d, sort_keys=True) for d in claims)
+
+
+def _sites(claims: List[dict]) -> set:
+    return {(d["kind"], d["line"], d["function"]) for d in claims}
 
 
 def render(value) -> List[str]:
