@@ -15,14 +15,16 @@ for a, b in sorted(LEGAL_EDGES):
 print()
 
 
-def show(title, machine):
+def show(title, machine, error=None):
+    """Print the trace and replay of *machine*, and the error, if any,
+    that the call ending its lifetime returned."""
     print(title)
     for entry in machine.trace:
         print("   ", entry)
     state, ok = machine.replay()
     print(f"  final={machine.state.value}  replay=({state}, {ok})")
-    if machine.error:
-        print(f"  error: {machine.error.kind.value}: {machine.error.message}")
+    if error:
+        print(f"  error: {error.kind.value}: {error.message}")
     print()
 
 
@@ -36,27 +38,23 @@ show("clean:", m)
 # Forgetting the release turns the end of the function into a claim.
 m = Machine(2, AllocRecord(3, "malloc", owner=1))
 m.begin()
-m.finish(9)
-show("leaked:", m)
+show("leaked:", m, m.finish(9))
 
 # Releasing twice trips the trap state on the second call.
 m = Machine(3, AllocRecord(3, "malloc", owner=1))
 m.begin()
 m.release("free", 5)
-m.release("free", 7)
-show("double free:", m)
+show("double free:", m, m.release("free", 7))
 
 # new[] paired with delete is a mismatch even though both "free" memory.
 m = Machine(4, AllocRecord(3, "new_array", owner=1))
 m.begin()
-m.release("delete", 7)
-show("mismatched pair:", m)
+show("mismatched pair:", m, m.release("delete", 7))
 
 # Losing the last pointer while the block is live is its own defect.
 m = Machine(5, AllocRecord(3, "malloc", owner=1))
 m.begin()
-m.drop_owner(1, 6, "nulled")
-show("ownership lost:", m)
+show("ownership lost:", m, m.drop_owner(1, 6, "nulled"))
 
 # A call into code we cannot see taints the machine: the closure edge
 # is the one deliberate exception to the legal set, and replay() knows.

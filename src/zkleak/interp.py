@@ -1,18 +1,21 @@
 """Path-sensitive walk of a function's structure plan.
 
-Each traversal variant carries its own machine set, its path condition
-(branch tags with guard text) and a map from variables to the
-caller-owned storage they reach, named by its ``OwnerRef`` (a pointer
-parameter by position, a global or member by var id).  A global or
-member reaches its own storage, bound on first read; once rebound it
-reaches nothing.  Each variant also keeps two records written at the
-moment of the effect: the first release of each ``OwnerRef``, and the
-``OwnerRef``s that can no longer be tracked (advanced by arithmetic, or
-passed to an unknown callee after the path has read them).  Summary
-extraction reads those records, so rebinding a variable after its
-release does not erase the release.  A release of storage that can no
-longer be tracked is still recorded, so a second one is a double
-release.
+Each traversal variant carries a machine per live block (Alloced or
+Freed), its path condition (branch tags with guard text) and a map from
+variables to the caller-owned storage they reach, named by its
+``OwnerRef`` (a pointer parameter by position, a global or member by var
+id).  A global or member reaches its own storage, bound on first read;
+once rebound it reaches nothing.  Each variant also keeps two records
+written at the moment of the effect: the first release of each
+``OwnerRef``, and the ``OwnerRef``s that can no longer be tracked
+(advanced by arithmetic, or passed to an unknown callee after the path
+has read them).  Summary extraction reads those records, so rebinding a
+variable after its release does not erase the release.  A release of
+storage that can no longer be tracked is still recorded, so a second one
+is a double release.  No event moves a block that has settled (End or
+Error), so after each event such a block leaves the machines and the
+variant keeps only its id: a fork copies, and a merge key compares, live
+blocks alone.
 
 Before every fork, variants whose ownership state is equal (all but
 the path condition and the order) merge into one, as in ESP's property
@@ -54,6 +57,7 @@ to the events of the function's own statements.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import count
 from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence,
@@ -101,19 +105,30 @@ class Variant:
     # Replaced on write, never changed in place, so clones share them.
     released: Dict[OwnerRef, Tuple[int, str]] = field(default_factory=dict)
     lost: FrozenSet[OwnerRef] = frozenset()
+    # ids of the blocks that settled (End or Error) on this path
+    settled: FrozenSet[int] = frozenset()
     paths: int = 1  # paths of the function this variant stands for
     # (order, path) of the earliest of them, when it is not this one's own
     earliest: Optional[Tuple[int, Tuple[PathCond, ...]]] = None
 
     def clone(self, order: int) -> "Variant":
         return Variant(self.machines.clone(), dict(self.refs), self.path,
-                       order, self.released, self.lost, self.paths)
+                       order, self.released, self.lost, self.settled,
+                       self.paths)
 
     def follow(self, tag: PathCond) -> None:
         self.path += (tag,)
         if self.earliest is not None:
             order, path = self.earliest
             self.earliest = (order, path + (tag,))
+
+    def retire(self) -> None:
+        """Move the blocks that settled out of the machines, as ids."""
+        done = [mid for mid, m in self.machines.by_id.items() if m.settled()]
+        if done:
+            self.settled = self.settled.union(done)
+            for mid in done:
+                del self.machines.by_id[mid]
 
     def witness(self) -> Tuple[int, Tuple[PathCond, ...]]:
         """(order, path) of the earliest path this variant stands for."""
@@ -124,7 +139,7 @@ class Variant:
         return (tuple((mid, m.key())
                       for mid, m in sorted(self.machines.by_id.items())),
                 frozenset(self.refs.items()), frozenset(self.released.items()),
-                self.lost)
+                self.lost, self.settled)
 
 
 @dataclass
@@ -308,9 +323,6 @@ class Interp:
 
     # -- merging --------------------------------------------------------------
 
-    _STATE_RANK = {MemState.ALLOCED: 3, MemState.FREED: 2,
-                   MemState.END: 1, MemState.ERROR: 0, MemState.START: 0}
-
     @staticmethod
     def _merge_equal(variants: List[Variant]) -> List[Variant]:
         """One variant per ownership state, the first of each in list
@@ -336,21 +348,17 @@ class Interp:
     def _merge_into(self, base: Variant, other: Variant) -> None:
         for mid, m in other.machines.by_id.items():
             mine = base.machines.by_id.get(mid)
-            if mine is None:
+            # A live block outweighs a settled one, and Alloced outweighs
+            # Freed, whose flags say nothing of an allocated block.
+            if mine is None or (m.state is MemState.ALLOCED
+                                and mine.state is MemState.FREED):
                 base.machines.by_id[mid] = m
-                continue
-            if self._STATE_RANK[m.state] > self._STATE_RANK[mine.state]:
-                keep, drop = m, mine
-                base.machines.by_id[mid] = m
-            else:
-                keep, drop = mine, m
-            # A freed or settled machine's flags say nothing of a live one.
-            if keep.state == drop.state:
-                keep.owners |= drop.owners
-                keep.escaped = keep.escaped or drop.escaped
-                keep.tainted = keep.tainted or drop.tainted
-                if keep.partial_path is None:
-                    keep.partial_path = drop.partial_path
+            elif mine.state is m.state:
+                mine.owners |= m.owners
+                mine.escaped = mine.escaped or m.escaped
+                mine.tainted = mine.tainted or m.tainted
+                if mine.partial_path is None:
+                    mine.partial_path = m.partial_path
         # Keep what either side reaches; an absent global reaches its own
         # storage, so it outweighs a rebound one.
         for var, ref in other.refs.items():
@@ -363,6 +371,8 @@ class Interp:
             base.released = {**other.released, **base.released}
         if other.lost:
             base.lost |= other.lost
+        base.settled = (base.settled | other.settled).difference(
+            base.machines.by_id)
 
     # -- event application ----------------------------------------------------
 
@@ -384,6 +394,7 @@ class Interp:
             elif isinstance(ev, CallEvent):
                 handler = self.call_handler or default_call_effect
                 handler(self, variant, ev)
+            variant.retire()
 
     def allocate(self, variant: Variant, owner: int, fn: str,
                  line: int) -> None:
@@ -422,9 +433,8 @@ class Interp:
         """*var* went where it can no longer be followed.  With *seen_only*
         (an unknown callee) a global or member this path has not read yet
         keeps its storage."""
-        for m in variant.machines.by_id.values():
-            if var in m.owners:
-                m.taint()
+        for m in variant.machines.owning(var):
+            m.taint()
         ref = variant.refs.get(var) if seen_only else self._ref(variant, var)
         if ref is not None and ref not in variant.lost:
             variant.lost = variant.lost | {ref}
@@ -510,35 +520,33 @@ def explore(cfg: Cfg, catalog: Union[Catalog, Sequence[DefectPattern]],
 
 
 def finish_variants(outcome: ExploreOutcome) -> List[Defect]:
-    """Close every machine at function exit and classify leaks.
+    """Close every live machine at function exit and classify leaks.
 
-    A machine leaking in every variant that contains it is an outright
-    missing release (empty path condition).  Leaking on only some paths
-    downgrades to the path-conditional kind, tagged with the first
-    offending variant's path.  Partial releases recorded from callee
-    summaries keep the callee's own path condition.
+    A block is clean on a path whose variant holds it as settled, or
+    whose machine finishes clean.  A block leaking on every path that
+    holds it is an outright missing release (empty path condition).
+    Leaking on only some paths downgrades to the path-conditional kind,
+    tagged with the first offending variant's path.  Partial releases
+    recorded from callee summaries keep the callee's own path condition.
     """
-    per_machine: Dict[int, List[Tuple[Variant, Machine, Optional[MachineError]]]] = {}
+    clean: Counter = Counter()  # block id -> variants it is clean on
+    leaking: Dict[int, List[Tuple[Variant, Machine, MachineError]]] = {}
     for variant in outcome.variants:
-        for mid, machine in sorted(variant.machines.by_id.items()):
-            if machine.settled():
-                err: Optional[MachineError] = None
+        clean.update(variant.settled)
+        for mid, machine in variant.machines.by_id.items():
+            err = machine.finish(outcome.cfg.exit_line)
+            if err is None:
+                clean[mid] += 1
             else:
-                err = machine.finish(outcome.cfg.exit_line)
-            per_machine.setdefault(mid, []).append((variant, machine, err))
+                leaking.setdefault(mid, []).append((variant, machine, err))
 
     results: List[Defect] = []
-    for mid in sorted(per_machine):
-        entries = per_machine[mid]
-        leaks = [(v, m, e) for v, m, e in entries if e is not None]
-        if not leaks:
-            continue
-        first_v, first_m, first_e = min(
-            leaks, key=lambda t: t[0].witness()[0])
+    for mid, leaks in sorted(leaking.items()):
+        first_v, first_m, first_e = min(leaks, key=lambda t: t[0].witness()[0])
         err, path = first_e, ()
         if first_e.kind is DefectKind.PATH_MISSING_RELEASE:
             path = first_m.partial_path or ()
-        elif len(leaks) < len(entries):
+        elif clean[mid]:
             err = MachineError(
                 DefectKind.PATH_MISSING_RELEASE, first_e.line,
                 f"block allocated at line {first_e.line} is released on "

@@ -15,7 +15,9 @@ A machine whose block was passed to an unknown function is *tainted*:
 leak verdicts are suppressed for it (the callee may have kept or freed
 the block) but double-free and mismatch still fire.  A machine whose
 block escaped through ``return`` similarly never produces a leak here;
-responsibility moves to the caller via the summary layer.
+responsibility moves to the caller via the summary layer.  A machine in
+End or Error ignores every further event, and the path walk keeps only
+the id of such a settled block.
 
 A machine's owners, releases, trace and partial path are values that a
 write replaces and never changes in place.  A fork therefore copies
@@ -90,18 +92,17 @@ class Machine:
     escaped: bool = False
     tainted: bool = False
     partial_path: Optional[Tuple[PathCond, ...]] = None
-    error: Optional[MachineError] = None
 
     def clone(self) -> "Machine":
         return Machine(self.id, self.alloc, self.state, self.owners,
                        self.frees, self.trace, self.escaped, self.tainted,
-                       self.partial_path, self.error)
+                       self.partial_path)
 
     def key(self) -> tuple:
         """All the walk and the verdicts read of this machine but its id,
         which fixes ``alloc``."""
         return (self.state, self.owners, self.frees, self.trace, self.escaped,
-                self.tainted, self.partial_path, self.error)
+                self.tainted, self.partial_path)
 
     def _edge(self, new_state: MemState, note: str = "") -> None:
         label = f"{self.state.value}->{new_state.value}"
@@ -154,13 +155,11 @@ class Machine:
         if self.state is MemState.ALLOCED:
             if self.escaped:
                 return None
-            err = MachineError(
+            self._edge(MemState.ERROR, f"lost @{line}")
+            return MachineError(
                 DefectKind.POINTER_OWNERSHIP_LOST, line,
                 f"last reference to the block from line {self.alloc.line} "
                 f"is {cause} before release")
-            self._edge(MemState.ERROR, f"lost @{line}")
-            self.error = err
-            return err
         return None
 
     def mark_escaped(self) -> None:
@@ -178,21 +177,17 @@ class Machine:
             return None
         if self.state is MemState.FREED:
             first = self.frees[0].line if self.frees else self.alloc.line
-            err = MachineError(
+            self._edge(MemState.ERROR, f"{fn} @{line}")
+            return MachineError(
                 DefectKind.DOUBLE_FREE, line,
                 f"block from line {self.alloc.line} released again "
                 f"(first released at line {first})")
-            self._edge(MemState.ERROR, f"{fn} @{line}")
-            self.error = err
-            return err
         if self.alloc.fn not in FREE_MATCH.get(fn, frozenset()):
-            err = MachineError(
+            self._edge(MemState.ERROR, f"{fn} @{line}")
+            return MachineError(
                 DefectKind.MISMATCHED_ALLOC_FREE, line,
                 f"block allocated with {self.alloc.fn} at line "
                 f"{self.alloc.line} released with {fn}")
-            self._edge(MemState.ERROR, f"{fn} @{line}")
-            self.error = err
-            return err
         self.frees += (FreeRecord(line, fn),)
         self._edge(MemState.FREED, f"{fn} @{line}")
         return None
@@ -213,19 +208,15 @@ class Machine:
         if self.escaped:
             return None  # stays Alloced; the caller now owns it
         if self.partial_path is not None:
-            err = MachineError(
+            self._edge(MemState.ERROR, f"partial @{line}")
+            return MachineError(
                 DefectKind.PATH_MISSING_RELEASE, self.alloc.line,
                 f"block from line {self.alloc.line} is released only on "
                 f"some paths of its releasing callee")
-            self._edge(MemState.ERROR, f"partial @{line}")
-            self.error = err
-            return err
-        err = MachineError(
+        self._edge(MemState.ERROR, f"leak @{line}")
+        return MachineError(
             DefectKind.MISSING_RELEASE, self.alloc.line,
             f"block allocated at line {self.alloc.line} is never released")
-        self._edge(MemState.ERROR, f"leak @{line}")
-        self.error = err
-        return err
 
     def replay(self) -> Tuple[str, bool]:
         """Re-run the recorded trace; returns (final state, all edges legal).
@@ -247,7 +238,7 @@ class Machine:
 
 
 class MachineSet:
-    """All machines of one traversal variant, keyed by machine id."""
+    """One variant's machines by id; the walk moves settled ones out."""
 
     def __init__(self) -> None:
         self.by_id: Dict[int, Machine] = {}
@@ -261,11 +252,10 @@ class MachineSet:
         self.by_id[machine.id] = machine
 
     def owning(self, var: int) -> List[Machine]:
-        return [m for mid, m in sorted(self.by_id.items())
-                if var in m.owners and not m.settled()]
+        return [m for _mid, m in sorted(self.by_id.items()) if var in m.owners]
 
     def live(self) -> List[Machine]:
-        return [m for mid, m in sorted(self.by_id.items()) if not m.settled()]
+        return [m for _mid, m in sorted(self.by_id.items())]
 
     def on_alloc(self, new_id: int, owner: int, fn: str,
                  line: int) -> Tuple[Machine, List[MachineError]]:

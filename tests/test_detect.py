@@ -9,7 +9,7 @@ from zkleak.defects import DefectKind, dedup_and_sort
 from zkleak.graphs import build_cfg
 from zkleak.interp import (PATH_BUDGET, REF_PARAM, OwnerRef, Variant,
                            explore)
-from zkleak.machine import (AllocRecord, FreeRecord, Machine, MachineError,
+from zkleak.machine import (AllocRecord, FreeRecord, Machine,
                             MachineSet, MemState)
 from zkleak.patterns import catalog_patterns
 from zkleak.report import run
@@ -492,7 +492,6 @@ def test_the_merge_key_covers_every_field_the_walk_reads():
         "frees": (FreeRecord(2, "free"),), "trace": ("Start->Alloced",),
         "escaped": True, "tainted": True,
         "partial_path": (("a", "then"),),
-        "error": MachineError(DefectKind.DOUBLE_FREE, 3, "again"),
     }
     # state() pairs each key with the machine's id, which fixes alloc.
     assert ({f.name for f in fields(Machine)}
@@ -513,6 +512,7 @@ def test_the_merge_key_covers_every_field_the_walk_reads():
     variant_changes = {
         "machines": holding(machine()), "refs": {3: ref},
         "released": {ref: (2, "free")}, "lost": frozenset({ref}),
+        "settled": frozenset({2}),
     }
     # Merging drops the path and order and adds up paths and earliest.
     assert ({f.name for f in fields(Variant)}
@@ -532,6 +532,23 @@ def test_the_merge_key_covers_every_field_the_walk_reads():
         setattr(changed, name, value)
         hash(changed.state())
         assert changed.state() != bare.state(), name
+
+
+def test_a_variant_keeps_settled_blocks_as_ids_only():
+    # Each pass of the innermost body allocates a block and frees it, and
+    # the next pass's allocation ends the freed one.  A settled block
+    # leaves the variant's machines, and only its id is kept.
+    loops = "".join(f"while ( v{k} ) {{ " for k in range(5))
+    params = " , ".join(f"int v{k}" for k in range(5))
+    source = (f"void f ( {params} ) {{ char * p ; {loops}"
+              f"p = malloc ( 4 ) ; free ( p ) ; {'} ' * 5}}}")
+    outcome, _ = _outcome(source)
+    assert all(m.state in (MemState.ALLOCED, MemState.FREED)
+               for v in outcome.variants for m in v.machines.by_id.values())
+    assert any(v.settled for v in outcome.variants)
+    assert all(not (v.settled & v.machines.by_id.keys())
+               for v in outcome.variants)
+    assert flow(source) == []
 
 
 def test_an_allocation_after_merged_forks_makes_one_machine():
