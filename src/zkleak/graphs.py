@@ -163,7 +163,9 @@ class _CfgBuilder:
         return close if 0 <= close < self.end else self.end - 1
 
     def statement_end(self, i: int) -> int:
-        """Index one past the ``;`` terminating the statement at *i*."""
+        """Index one past the ``;`` terminating the statement at *i*, or
+        the index of a ``}`` past *i* that closes the enclosing block of a
+        statement missing its ``;``."""
         depth = 0
         j = i
         while j < self.end:
@@ -176,6 +178,8 @@ class _CfgBuilder:
                 j = self.match_forward(j)
             elif t == ";" and depth == 0:
                 return j + 1
+            elif t == "}" and depth == 0 and j > i:
+                return j
             j += 1
         return self.end
 

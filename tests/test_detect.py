@@ -112,6 +112,12 @@ def test_a_release_after_a_do_with_no_while_is_walked():
                 "do { n -- ; } free ( p ) ; }") == []
 
 
+def test_a_statement_missing_its_semicolon_does_not_run_past_its_block():
+    # The then arm ends at its "}", so "free ( p ) ;" runs once on each path.
+    assert flow("void f ( int n ) { char * p ; p = malloc ( 4 ) ; "
+                "if ( n ) { n = 1 } free ( p ) ; }") == []
+
+
 def test_a_label_inside_an_arm_statement_stays_in_that_statement():
     # Only a label at the top level of the switch body opens an arm, so
     # "case 2 : free ( p ) ;" is the then branch of the if and runs once.

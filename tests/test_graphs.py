@@ -255,6 +255,16 @@ def test_a_do_with_no_while_ends_with_its_body():
     assert _shape(cfg.structure) == [("dowhile", ["s"]), "s"]
 
 
+def test_a_statement_missing_its_semicolon_ends_at_the_closing_brace():
+    # Malformed input: "n = 1" lacks its ";", so its node ends at the "}"
+    # of the then block and the statement after the if keeps its own node.
+    cfg = _cfg("void f ( int n ) { if ( n ) { n = 1 } free ( n ) ; }")
+    assert _shape(cfg.structure) == [("if", ["s"], []), "s"]
+    (then,) = cfg.structure[0].arms[0][1]
+    stream = cfg.stream
+    assert [stream[k].text for k in range(*cfg.node(then.node).span)] == ["n", "=", "1"]
+
+
 def test_a_label_in_a_bare_block_of_a_switch_body_opens_an_arm():
     cfg = _cfg("void f ( int c ) { switch ( c ) { { case 1 : c = 0 ; } "
                "c = 1 ; { { default : c = 2 ; } } } }")
