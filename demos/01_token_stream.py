@@ -1,10 +1,12 @@
 """Walk the lexer output for a small translation unit.
 
 The analyzer never builds an AST.  Everything downstream works on this
-token list, so the demo pokes at it by index directly.
+token stream: parallel columns in which a token is its index, so the
+demo pokes at it by index directly.
 """
 
 from zkleak import tokenize
+from zkleak.scopes import text_at
 
 SOURCE = """\
 #include <stdlib.h>
@@ -27,16 +29,16 @@ print()
 # Directives and comments never become tokens; punctuation is split
 # apart so patterns can anchor on single glyphs.
 print("idx  line  kind         text")
-for tok in stream:
-    print(f"{tok.index:>3}  {tok.line:>4}  {tok.kind.name:<11}  {tok.text}")
+for i, (text, kind, line) in enumerate(zip(stream.text, stream.kind, stream.line)):
+    print(f"{i:>3}  {line:>4}  {kind.name:<11}  {text}")
 print()
 
-# Each token knows its own index, so its neighbours are one step away:
-# that is what lets the matcher and the event extractor peek around a
-# hit without re-scanning.  ``get`` answers None past either end.
-t = stream[stream.texts().index("malloc")]
+# A token is its index, so its neighbours are one step away: that is
+# what lets the matcher and the event extractor peek around a hit
+# without re-scanning.  ``text_at`` answers "" past either end.
+t = stream.text.index("malloc")
 print("around the malloc token:")
-print("  prev:", stream.get(t.index - 1).text)
-print("  self:", t.text)
-print("  next:", stream.get(t.index + 1).text)
-print("  before the first token:", stream.get(-1))
+print("  prev:", text_at(stream, t - 1))
+print("  self:", stream.text[t])
+print("  next:", text_at(stream, t + 1))
+print("  before the first token:", text_at(stream, -1) or None)

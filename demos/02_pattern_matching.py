@@ -21,9 +21,9 @@ build_scope_tree(stream)  # gives q a var id; "other" is undeclared
 pat = builtin_patterns()["alloc.malloc"]
 print(f"pattern {pat.source!r} over: {code}")
 for span in match_all(stream, pat):
-    tok = span.bindings[0]
+    tok = span.bindings[0]  # the index of the token %var% bound
     print(f"  tokens [{span.first_p}:{span.end_p})  %var% -> "
-          f"{tok.text!r} (var id {tok.var_id})")
+          f"{stream.text[tok]!r} (var id {stream.var_id[tok]})")
 print("(the undeclared 'other' is skipped: %var% wants a resolved name)")
 print()
 
@@ -35,7 +35,7 @@ custom = compile_pattern("%var% = xmalloc (", label="alloc.xmalloc")
 wrapped = tokenize("buf = xmalloc ( 64 ) ;", "wrap.c")
 hits = match_all(wrapped, custom)
 print(f"custom {custom.source!r}: {len(hits)} hit, "
-      f"binds {hits[0].bindings[0].text!r}")
+      f"binds {wrapped.text[hits[0].bindings[0]]!r}")
 
 # Alternation with a trailing bar makes the unit optional.
 opt = compile_pattern("return %var% ;|")

@@ -38,10 +38,10 @@ print()
 # stream.var(id) gives that declaration back (the declarator token in the
 # parameter list stands outside the body and itself stays id 0).
 print("uses of 'v' inside clamp:")
-for t in stream:
-    if t.text == "v" and t.var_id:
-        print(f"  line {t.line}: var id {t.var_id}, "
-              f"declared as {stream.var(t.var_id).type_text} {t.text}")
+for text, var_id, line in zip(stream.text, stream.var_id, stream.line):
+    if text == "v" and var_id:
+        print(f"  line {line}: var id {var_id}, "
+              f"declared as {stream.var(var_id).type_text} {text}")
 print()
 
 # --- control flow ------------------------------------------------------

@@ -25,7 +25,7 @@ from .scopes import (ClassInfo, ScopeKind, ScopeNode, SymbolEntry,
 from .summaries import (BehaviorAction, FunctionSummary, SummaryEntry,
                         apply_summary, dump_summaries, make_call_handler,
                         update_all)
-from .tokens import LexToken, TokenKind, TokenStream, tokenize
+from .tokens import TokenKind, TokenStream, tokenize
 
 __version__ = "0.1.0"
 
@@ -35,7 +35,7 @@ __all__ = [
     "Defect", "DefectKind", "DefectPattern", "DivisionByZeroActual",
     "DivisionByZeroDefects",
     "Fcg", "FileUnit", "FreeRecord", "FuncId", "FunctionSummary",
-    "FREE_MATCH", "LEGAL_EDGES", "LexToken", "Machine", "MachineError",
+    "FREE_MATCH", "LEGAL_EDGES", "Machine", "MachineError",
     "MachineSet", "MemState", "Metrics", "OwnerRef", "Report", "ScopeKind",
     "ScopeNode", "SummaryEntry", "SymbolEntry", "TokenKind", "TokenStream",
     "apply_summary", "build_cfg", "build_fcg",

@@ -176,14 +176,12 @@ def _shallow_assignments(stream: TokenStream, span: Tuple[int, int],
                          owned_ids: Dict[int, str]):
     """``member = other.member`` / ``member = other->member`` in *span*."""
     begin, end = span
-    for i in range(begin, min(end, len(stream)) - 4):
-        t0 = stream[i]
-        if t0.var_id not in owned_ids or stream[i + 1].text != "=":
+    texts, var_id = stream.text, stream.var_id
+    for i in range(begin, min(end, len(texts)) - 4):
+        var = var_id[i]
+        if var not in owned_ids or texts[i + 1] != "=":
             continue
-        holder = stream[i + 2]
-        accessor = stream[i + 3]
-        t4 = stream[i + 4]
-        if (holder.kind is TokenKind.IDENTIFIER
-                and accessor.text in (".", "->")
-                and t4.var_id == t0.var_id):
-            yield t0.line, t0.var_id, owned_ids[t0.var_id]
+        if (stream.kind[i + 2] is TokenKind.IDENTIFIER
+                and texts[i + 3] in (".", "->")
+                and var_id[i + 4] == var):
+            yield stream.line[i], var, owned_ids[var]

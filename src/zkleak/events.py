@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from .graphs import Cfg, CfgNode, FuncId
 from .patterns import Catalog, DefectPattern, MatchSpan, match_in_range
 from .scopes import split_top_level, text_at
-from .tokens import LexToken, TokenKind, TokenStream
+from .tokens import TokenKind, TokenStream
 
 RETURN_SLOT = -1
 
@@ -86,36 +86,31 @@ Event = object  # union of the dataclasses above; kept loose on purpose
 _PRIORITY = {"alloc": 0, "free": 1, "transfer": 2}
 
 
-def _lhs_ok(stream: TokenStream, tok: LexToken) -> bool:
-    """Assignment target guard: plain variable, declarator, or ``this->``.
+def _lhs_ok(stream: TokenStream, i: int) -> bool:
+    """Assignment target guard for the token at *i*: plain variable,
+    declarator, or ``this->``.
 
     A ``*`` right before the variable is fine when it belongs to a
     declarator (``char *a = ...``) but disqualifies a store through the
     pointer (``*q = ...``); the token in front of the star run tells the
     two apart.
     """
-    prev = stream.get(tok.index - 1)
-    if prev is None:
-        return True
-    if prev.text == ".":
+    prev = text_at(stream, i - 1)
+    if prev == ".":
         return False
-    if prev.text == "->":
-        holder = stream.get(prev.index - 1)
-        return holder is not None and holder.text == "this"
-    if prev.text == "*":
-        before = stream.get(prev.index - 1)
-        while before is not None and before.text in ("*", "const"):
-            before = stream.get(before.index - 1)
-        if before is None or before.text == "return":
+    if prev == "->":
+        return text_at(stream, i - 2) == "this"
+    if prev == "*":
+        j = i - 2
+        while text_at(stream, j) in ("*", "const"):
+            j -= 1
+        before = text_at(stream, j)
+        if j < 0 or before == "return":
             return False
-        if before.text == ",":
+        if before == ",":
             return True
-        return before.kind in (TokenKind.IDENTIFIER, TokenKind.KEYWORD)
+        return stream.kind[j] in (TokenKind.IDENTIFIER, TokenKind.KEYWORD)
     return True
-
-
-def _binding_list(span: MatchSpan) -> List[LexToken]:
-    return [span.bindings[k] for k in sorted(span.bindings)]
 
 
 def node_events(cfg: Cfg, node: CfgNode, catalog: Catalog,
@@ -180,71 +175,67 @@ def _extract(stream: TokenStream, span: Tuple[int, int], catalog: Catalog,
 def _to_events(stream: TokenStream, pattern: DefectPattern,
                m: MatchSpan) -> List[Event]:
     label = pattern.label
-    vars_ = [t for t in _binding_list(m) if t.kind is TokenKind.IDENTIFIER]
+    texts, kinds, lines, var_id = stream.text, stream.kind, stream.line, stream.var_id
+    vars_ = [m.bindings[k] for k in sorted(m.bindings)
+             if kinds[m.bindings[k]] is TokenKind.IDENTIFIER]
     if len(vars_) < (2 if label == "transfer.assign" else 1):
         return []  # a user pattern that binds fewer variables than needed
+    var = vars_[0]
     after = text_at(stream, m.end_p)
 
     if label == "alloc.realloc":
-        dst = vars_[0]
-        if not _lhs_ok(stream, dst):
+        if not _lhs_ok(stream, var):
             return []
         out: List[Event] = []
         # The old block is the first call argument, just past the "(".
-        src = stream.get(m.end_p)
-        if (src is not None and src.kind is TokenKind.IDENTIFIER
-                and src.var_id > 0
-                and text_at(stream, m.end_p + 1) in (",", ")")):
-            out.append(FreeEvent(m.first_p, src.line, "free", src.var_id, src.text))
-        out.append(AllocEvent(m.first_p, dst.line, "realloc", dst.var_id, dst.text))
+        src = m.end_p
+        if (src < len(texts) and kinds[src] is TokenKind.IDENTIFIER
+                and var_id[src] > 0
+                and text_at(stream, src + 1) in (",", ")")):
+            out.append(FreeEvent(m.first_p, lines[src], "free", var_id[src], texts[src]))
+        out.append(AllocEvent(m.first_p, lines[var], "realloc", var_id[var], texts[var]))
         return out
 
     if label in ("free.delete", "free.delete_array"):
-        var = vars_[0]
         if after != ";":
             return []
         fn = "delete_array" if label.endswith("array") else "delete"
-        return [FreeEvent(m.first_p, var.line, fn, var.var_id, var.text)]
+        return [FreeEvent(m.first_p, lines[var], fn, var_id[var], texts[var])]
 
     if label == "transfer.assign":
-        dst, src = vars_[0], vars_[1]
+        src = vars_[1]
         if after not in (";", ",", ")"):
             return []
-        if not _lhs_ok(stream, dst) or dst.var_id == src.var_id:
+        if not _lhs_ok(stream, var) or var_id[var] == var_id[src]:
             return []
-        return [AssignEvent(m.first_p, dst.line, dst.var_id, src.var_id)]
+        return [AssignEvent(m.first_p, lines[var], var_id[var], var_id[src])]
 
     if label == "transfer.null_assign":
-        var = vars_[0]
         if after not in (";", ",", ")") or not _lhs_ok(stream, var):
             return []
-        return [NullAssignEvent(m.first_p, var.line, var.var_id)]
+        return [NullAssignEvent(m.first_p, lines[var], var_id[var])]
 
     if label == "transfer.return":
-        var = vars_[0]
         if after != ";":
             return []
-        return [ReturnVarEvent(m.first_p, var.line, var.var_id)]
+        return [ReturnVarEvent(m.first_p, lines[var], var_id[var])]
 
     if label.startswith("transfer.incr") or label.startswith("transfer.decr"):
-        var = vars_[0]
-        return [PtrArithEvent(m.first_p, var.line, var.var_id)]
+        return [PtrArithEvent(m.first_p, lines[var], var_id[var])]
 
     # Every other allocation and release label, built in or from a user
     # catalog: the label tail picks the pairing family, so "alloc.new" and
     # "alloc.xmalloc" track as a new and a malloc, "free.op_delete_array" as
     # a delete [].  Unrecognized tails default to the malloc/free pair.
     if label.startswith("alloc."):
-        dst = vars_[0]
-        if not _lhs_ok(stream, dst):
+        if not _lhs_ok(stream, var):
             return []
         fn = _label_family(label[6:], _ALLOC_FAMILIES, "malloc")
-        return [AllocEvent(m.first_p, dst.line, fn, dst.var_id, dst.text)]
+        return [AllocEvent(m.first_p, lines[var], fn, var_id[var], texts[var])]
 
     if label.startswith("free."):
-        var = vars_[0]
         fn = _label_family(label[5:], _FREE_FAMILIES, "free")
-        return [FreeEvent(m.first_p, var.line, fn, var.var_id, var.text)]
+        return [FreeEvent(m.first_p, lines[var], fn, var_id[var], texts[var])]
 
     return []
 
@@ -266,42 +257,42 @@ _RETURN_ALLOC_FNS = {"malloc": "malloc", "calloc": "calloc"}
 def _return_allocs(stream: TokenStream, begin: int, end: int,
                    covered: Set[int]) -> List[Event]:
     """``return malloc(...)`` and friends allocate into the return slot."""
+    texts, kinds, lines, var_id = stream.text, stream.kind, stream.line, stream.var_id
     events: List[Event] = []
     for i in range(begin, end):
-        if stream[i].text != "return" or i in covered:
+        if texts[i] != "return" or i in covered:
             continue
         nxt = i + 1
         if nxt >= end:
             continue
-        tok = stream[nxt]
-        if tok.text in _RETURN_ALLOC_FNS and text_at(stream, nxt + 1) == "(":
-            events.append(AllocEvent(i, tok.line, _RETURN_ALLOC_FNS[tok.text],
+        name = texts[nxt]
+        if name in _RETURN_ALLOC_FNS and text_at(stream, nxt + 1) == "(":
+            events.append(AllocEvent(i, lines[nxt], _RETURN_ALLOC_FNS[name],
                                      RETURN_SLOT, "<return>"))
             covered.update(range(i, nxt + 2))
-        elif tok.text == "realloc" and text_at(stream, nxt + 1) == "(":
-            arg = stream.get(nxt + 2)
-            if (arg is not None and arg.kind is TokenKind.IDENTIFIER
-                    and arg.var_id > 0
+        elif name == "realloc" and text_at(stream, nxt + 1) == "(":
+            arg = nxt + 2
+            if (arg < len(texts) and kinds[arg] is TokenKind.IDENTIFIER
+                    and var_id[arg] > 0
                     and text_at(stream, nxt + 3) in (",", ")")):
-                events.append(FreeEvent(i, arg.line, "free", arg.var_id, arg.text))
-            events.append(AllocEvent(i, tok.line, "realloc",
+                events.append(FreeEvent(i, lines[arg], "free", var_id[arg], texts[arg]))
+            events.append(AllocEvent(i, lines[nxt], "realloc",
                                      RETURN_SLOT, "<return>"))
             covered.update(range(i, nxt + 2))
-        elif tok.text == "new":
+        elif name == "new":
             fn = "new"
             j = nxt + 1
-            while j < end and stream[j].text not in (";", "[", "("):
+            while j < end and texts[j] not in (";", "[", "("):
                 j += 1
-            if j < end and stream[j].text == "[":
+            if j < end and texts[j] == "[":
                 fn = "new_array"
-            events.append(AllocEvent(i, tok.line, fn, RETURN_SLOT, "<return>"))
+            events.append(AllocEvent(i, lines[nxt], fn, RETURN_SLOT, "<return>"))
             covered.update(range(i, nxt + 1))
     return events
 
 
 def _call_event(stream: TokenStream, site_idx: int, span_end: int,
                 callee: FuncId) -> Optional[CallEvent]:
-    name_tok = stream[site_idx]
     open_idx = site_idx + 1
     close = stream.partner[open_idx]
     if not 0 <= close < span_end:
@@ -313,22 +304,22 @@ def _call_event(stream: TokenStream, site_idx: int, span_end: int,
                 for begin, end in split_top_level(stream, open_idx + 1, close)]
 
     dst: Optional[int] = None
-    prev = stream.get(name_tok.index - 1)
-    if prev is not None and prev.text == "=":
-        target = stream.get(prev.index - 1)
-        if (target is not None and target.kind is TokenKind.IDENTIFIER
-                and target.var_id > 0 and _lhs_ok(stream, target)):
-            dst = target.var_id
-    elif prev is not None and prev.text == "return":
+    prev = text_at(stream, site_idx - 1)
+    if prev == "=":
+        target = site_idx - 2
+        if (target >= 0 and stream.kind[target] is TokenKind.IDENTIFIER
+                and stream.var_id[target] > 0 and _lhs_ok(stream, target)):
+            dst = stream.var_id[target]
+    elif prev == "return":
         dst = RETURN_SLOT
-    return CallEvent(site_idx, name_tok.line, callee, tuple(args), dst)
+    return CallEvent(site_idx, stream.line[site_idx], callee, tuple(args), dst)
 
 
 def _plain_var(stream: TokenStream, begin: int, end: int) -> Optional[int]:
     """Var id when an argument is a bare variable or ``&var``; else None."""
-    toks = [stream[k] for k in range(begin, end)]
-    if len(toks) == 2 and toks[0].text == "&":
-        toks = toks[1:]
-    if len(toks) == 1 and toks[0].kind is TokenKind.IDENTIFIER and toks[0].var_id > 0:
-        return toks[0].var_id
+    if end - begin == 2 and stream.text[begin] == "&":
+        begin += 1
+    if (end - begin == 1 and stream.kind[begin] is TokenKind.IDENTIFIER
+            and stream.var_id[begin] > 0):
+        return stream.var_id[begin]
     return None

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Set, Tuple
 
 from .defects import Defect, DefectKind
-from .scopes import ScopeNode, split_top_level
-from .tokens import Diagnostic, LexToken, TokenKind, TokenStream, TYPE_KEYWORDS
+from .scopes import ScopeNode, split_top_level, text_at
+from .tokens import Diagnostic, TokenKind, TokenStream, TYPE_KEYWORDS
 
 
 @dataclass
@@ -132,6 +132,7 @@ class _Degraded(Exception):
 class _CfgBuilder:
     def __init__(self, stream: TokenStream, end: int, entry_line: int) -> None:
         self.stream = stream
+        self.text = stream.text
         self.end = end
         self.entry_line = entry_line
         self.nodes: List[CfgNode] = []
@@ -141,7 +142,7 @@ class _CfgBuilder:
         """A node for *span*; an empty span takes the previous node's line,
         or the line of the function's ``{``."""
         if span[0] < span[1]:
-            line = self.stream[span[0]].line
+            line = self.stream.line[span[0]]
         elif self.nodes:
             line = self.nodes[-1].line
         else:
@@ -152,8 +153,7 @@ class _CfgBuilder:
     def new_head(self, span: Tuple[int, int], prefix: str = "") -> int:
         """A branch or loop-head node that keeps its guard text."""
         node = self.new_node(span)
-        self.nodes[node].guard_text = prefix + " ".join(
-            self.stream[k].text for k in range(span[0], span[1]))
+        self.nodes[node].guard_text = prefix + " ".join(self.text[span[0]:span[1]])
         return node
 
     def match_forward(self, open_idx: int) -> int:
@@ -166,10 +166,11 @@ class _CfgBuilder:
         """Index one past the ``;`` terminating the statement at *i*, or
         the index of a ``}`` past *i* that closes the enclosing block of a
         statement missing its ``;``."""
+        text = self.text
         depth = 0
         j = i
         while j < self.end:
-            t = self.stream[j].text
+            t = text[j]
             if t in ("(", "["):
                 depth += 1
             elif t in (")", "]"):
@@ -189,7 +190,7 @@ class _CfgBuilder:
         """The plan items of the statements in [i, end)."""
         items: list = []
         while i < end:
-            if self.stream[i].text == ";":
+            if self.text[i] == ";":
                 i += 1
                 continue
             sub, i = self.parse_one(i)
@@ -205,7 +206,7 @@ class _CfgBuilder:
             raise _Degraded(f"statements nested deeper than {MAX_NESTING} levels")
         self.depth += 1
         try:
-            text = self.stream[i].text
+            text = self.text[i]
 
             if text == "{":
                 close = self.match_forward(i)
@@ -243,9 +244,9 @@ class _CfgBuilder:
         """
         open_idx = i + 1
         while (open_idx < self.end
-               and self.stream[open_idx].text not in ("(", ";", "{", "}")):
+               and self.text[open_idx] not in ("(", ";", "{", "}")):
             open_idx += 1
-        if open_idx >= self.end or self.stream[open_idx].text != "(":
+        if open_idx >= self.end or self.text[open_idx] != "(":
             return (i + 1, i + 1), i
         close = self.match_forward(open_idx)
         return (open_idx + 1, close), close
@@ -255,7 +256,7 @@ class _CfgBuilder:
         branch = self.new_head(span)
         then_items, after = self.parse_one(close + 1)
         else_items: list = []
-        if after < self.end and self.stream[after].text == "else":
+        if after < self.end and self.text[after] == "else":
             else_items, after = self.parse_one(after + 1)
         return [IfStruct(branch, [("then", then_items), ("else", else_items)])], after
 
@@ -287,7 +288,7 @@ class _CfgBuilder:
         # With a "while" the statement ends at the ";" past its guard;
         # without one it ends with the body.
         head_span = (i + 1, i + 1)
-        if after < self.end and self.stream[after].text == "while":
+        if after < self.end and self.text[after] == "while":
             head_span, close = self._guard_span(after)
             after = self.statement_end(close + 1)
         head = self.new_head(head_span)
@@ -301,7 +302,7 @@ class _CfgBuilder:
         are dropped."""
         span, close = self._guard_span(i)
         branch = self.new_head(span)
-        if close + 1 >= self.end or self.stream[close + 1].text != "{":
+        if close + 1 >= self.end or self.text[close + 1] != "{":
             # braceless switch: treat the lone statement as a "then" arm
             items, after = self.parse_one(close + 1)
             return [SwitchStruct(branch, [("case:0", items)], False)], after
@@ -311,7 +312,7 @@ class _CfgBuilder:
         ends: List[int] = []  # the "}" of each bare block the scan is in
         k = close + 2
         while k < body_close:
-            t = self.stream[k].text
+            t = self.text[k]
             if ends and k >= ends[-1]:  # a statement may run past its "}"
                 k = max(k, ends.pop() + 1)
             elif t == "{":
@@ -319,9 +320,9 @@ class _CfgBuilder:
                 k += 1
             elif t in ("case", "default"):
                 colon = k + 1
-                while colon < body_close and self.stream[colon].text != ":":
+                while colon < body_close and self.text[colon] != ":":
                     colon += 1
-                expr = " ".join(self.stream[m].text for m in range(k + 1, colon))
+                expr = " ".join(self.text[k + 1:colon])
                 arms.append((f"case:{expr}" if t == "case" else "default", []))
                 k = colon + 1
             elif t == ";":
@@ -337,7 +338,7 @@ class _CfgBuilder:
 
     def _parse_try(self, i: int):
         items, after = self.parse_one(i + 1)
-        while after < self.end and self.stream[after].text == "catch":
+        while after < self.end and self.text[after] == "catch":
             span, close = self._guard_span(after)
             branch = self.new_head(span, "catch ")
             catch_items, after = self.parse_one(close + 1)
@@ -349,13 +350,13 @@ def build_cfg(func_scope: ScopeNode, stream: TokenStream) -> Cfg:
     """Build the structure plan and its nodes for one function body."""
     begin = func_scope.token_begin + 1
     end = max(begin, func_scope.token_end - 1)
-    entry_line = stream[func_scope.token_begin].line
-    exit_line = (stream[func_scope.token_end - 1].line
+    entry_line = stream.line[func_scope.token_begin]
+    exit_line = (stream.line[func_scope.token_end - 1]
                  if func_scope.token_end - 1 < len(stream) else entry_line)
     builder = _CfgBuilder(stream, end, entry_line)
 
     try:
-        if any(stream[k].text == "goto" for k in range(begin, min(end, len(stream)))):
+        if "goto" in stream.text[begin:end]:
             raise _Degraded("goto present")
         items = builder.parse_region(begin, end)
     except _Degraded as why:
@@ -375,7 +376,7 @@ def _linear_chain(builder: _CfgBuilder, begin: int, end: int) -> list:
     items: list = []
     i = begin
     while i < end:
-        text = builder.stream[i].text
+        text = builder.text[i]
         if text in (";", "{", "}", "else", "do", "try"):
             i += 1
             continue
@@ -489,38 +490,34 @@ def build_fcg(units: List[Tuple[ScopeNode, TokenStream]]) -> Fcg:
 
 def _scan_calls(fcg: Fcg, by_key, declared, scope: ScopeNode,
                 stream: TokenStream, caller: FuncId) -> None:
+    texts, kinds, known_types = stream.text, stream.kind, stream.known_types
     begin = scope.token_begin + 1
     end = scope.token_end - 1
-    for i in range(begin, min(end, len(stream))):
-        tok = stream[i]
-        if tok.kind is not TokenKind.IDENTIFIER:
+    for i in range(begin, min(end, len(texts))):
+        if kinds[i] is not TokenKind.IDENTIFIER or text_at(stream, i + 1) != "(":
             continue
-        nxt = stream.get(i + 1)
-        if nxt is None or nxt.text != "(":
-            continue
-        prev = stream.get(i - 1)
+        name = texts[i]
+        prev = text_at(stream, i - 1)
         receiver_class = ""
-        if prev is not None and prev.text == "::":
-            qual = stream.get(i - 2)
-            if qual is not None and qual.text in stream.known_types:
-                receiver_class = qual.text
+        if prev == "::":
+            qual = text_at(stream, i - 2)
+            if qual in known_types:
+                receiver_class = qual
             else:
                 continue
-        elif prev is not None and prev.text == "new" and tok.text in stream.known_types:
-            receiver_class = tok.text  # constructor call
-        elif prev is not None and (prev.text in TYPE_KEYWORDS
-                                   or prev.text in stream.known_types
-                                   or prev.text in _NOT_CALL_PREV):
+        elif prev == "new" and name in known_types:
+            receiver_class = name  # constructor call
+        elif prev in TYPE_KEYWORDS or prev in known_types or prev in _NOT_CALL_PREV:
             continue  # declaration, not a direct call
-        elif prev is not None and prev.text in (".", "->"):
-            recv = stream.get(i - 2)
-            if recv is not None and recv.text == "this":
+        elif prev in (".", "->"):
+            recv = i - 2
+            if text_at(stream, recv) == "this":
                 receiver_class = scope.owner_class
-            elif recv is not None and recv.kind is TokenKind.IDENTIFIER:
-                entry = stream.var(recv.var_id)
+            elif recv >= 0 and kinds[recv] is TokenKind.IDENTIFIER:
+                entry = stream.var(stream.var_id[recv])
                 if entry is not None:
                     for word in entry.type_text.split():
-                        if word in stream.known_types:
+                        if word in known_types:
                             receiver_class = word
                             break
                 if not receiver_class:
@@ -531,16 +528,18 @@ def _scan_calls(fcg: Fcg, by_key, declared, scope: ScopeNode,
         if not 0 <= close <= end:
             continue
         arity = 0 if close == i + 2 else len(split_top_level(stream, i + 2, close))
-        callee = _resolve_call(fcg, by_key, declared, tok, receiver_class,
+        line = stream.line[i]
+        callee = _resolve_call(fcg, by_key, declared, name, line, receiver_class,
                                scope.owner_class, arity, caller)
-        fcg.add_edge(FcgEdge(caller, callee, i, tok.line))
+        fcg.add_edge(FcgEdge(caller, callee, i, line))
 
 
-def _resolve_call(fcg: Fcg, by_key, declared, tok: LexToken, receiver_class: str,
-                  caller_class: str, arity: int, caller: FuncId) -> FuncId:
+def _resolve_call(fcg: Fcg, by_key, declared, name: str, line: int,
+                  receiver_class: str, caller_class: str, arity: int,
+                  caller: FuncId) -> FuncId:
     classes = [receiver_class] if receiver_class else ([caller_class, ""] if caller_class else [""])
     for cls in classes:
-        pool = by_key.get((cls, tok.text, arity), [])
+        pool = by_key.get((cls, name, arity), [])
         if len(pool) == 1:
             return pool[0]
         if len(pool) > 1:
@@ -548,14 +547,14 @@ def _resolve_call(fcg: Fcg, by_key, declared, tok: LexToken, receiver_class: str
             chosen = sorted(same_file or pool)[0]
             fcg.warnings.append(Defect(
                 kind=DefectKind.AMBIGUOUS_CALL_WARNING,
-                file=caller.file_name, line=tok.line, func=caller.render(),
-                message=(f"call to {tok.text}/{arity} matches "
+                file=caller.file_name, line=line, func=caller.render(),
+                message=(f"call to {name}/{arity} matches "
                          f"{len(pool)} definitions; using {chosen.render()}"),
             ))
             return chosen
-        if (cls, tok.text, arity) in declared:
-            return declared[(cls, tok.text, arity)]
-    return FuncId("", receiver_class, tok.text, arity)
+        if (cls, name, arity) in declared:
+            return declared[(cls, name, arity)]
+    return FuncId("", receiver_class, name, arity)
 
 
 def defined_successors(fcg: Fcg) -> Dict[FuncId, List[FuncId]]:

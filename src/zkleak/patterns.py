@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
-from .tokens import LexToken, TokenKind, TokenStream, TYPE_KEYWORDS
+from .tokens import TokenKind, TokenStream, TYPE_KEYWORDS
 
 
 class BadPatternUnit(ValueError):
@@ -89,11 +89,12 @@ class DefectPattern:
 
 @dataclass
 class MatchSpan:
-    """Half-open token index range plus bindings for abstract units."""
+    """Half-open token index range, and the index of the token each
+    abstract unit bound, by unit position."""
 
     first_p: int
     end_p: int
-    bindings: Dict[int, LexToken] = field(default_factory=dict)
+    bindings: Dict[int, int] = field(default_factory=dict)
 
 
 def compile_pattern(text: str, label: str = "") -> DefectPattern:
@@ -137,71 +138,72 @@ def _anchor(units: List[PatternUnit]) -> Optional[Tuple[int, FrozenSet[str]]]:
     return candidates[0] if candidates else None
 
 
-def unit_matches(unit: PatternUnit, token: LexToken, stream: TokenStream) -> bool:
-    """Whether *unit* accepts *token* (alternation emptiness excluded)."""
+def unit_matches(unit: PatternUnit, stream: TokenStream, i: int) -> bool:
+    """Whether *unit* accepts token *i* (alternation emptiness excluded)."""
+    text = stream.text[i]
     if isinstance(unit, Literal):
-        return token.text == unit.text
+        return text == unit.text
     if isinstance(unit, CharClass):
-        return len(token.text) == 1 and token.text in unit.chars
+        return len(text) == 1 and text in unit.chars
     if isinstance(unit, Alternation):
-        return token.text in unit.choices
+        return text in unit.choices
     kind = unit.kind
     if kind == "any":
         return True
+    token_kind = stream.kind[i]
     if kind == "name":
         # A variable or type word: "int a" is "%name% %name%".
-        return token.kind is TokenKind.IDENTIFIER or token.text in TYPE_KEYWORDS
+        return token_kind is TokenKind.IDENTIFIER or text in TYPE_KEYWORDS
     if kind == "type":
-        return token.text in TYPE_KEYWORDS or (
-            token.kind is TokenKind.IDENTIFIER and token.text in stream.known_types
+        return text in TYPE_KEYWORDS or (
+            token_kind is TokenKind.IDENTIFIER and text in stream.known_types
         )
     if kind == "num":
-        return token.kind is TokenKind.NUMBER
+        return token_kind is TokenKind.NUMBER
     if kind == "bool":
-        return token.text in ("true", "false")
+        return text in ("true", "false")
     if kind == "comp":
-        return token.text in COMPARISON_TEXTS
+        return text in COMPARISON_TEXTS
     if kind == "str":
-        return token.kind is TokenKind.STRING_LITERAL
+        return token_kind is TokenKind.STRING_LITERAL
     if kind in ("var", "varid"):
         # On a scope-annotated stream a variable must actually resolve;
         # before annotation any identifier is accepted.
-        if token.kind is not TokenKind.IDENTIFIER:
+        if token_kind is not TokenKind.IDENTIFIER:
             return False
-        return token.var_id > 0 if stream.scoped else True
+        return stream.var_id[i] > 0 if stream.scoped else True
     if kind == "op":
-        return token.kind is TokenKind.OPERATOR
+        return token_kind is TokenKind.OPERATOR
     if kind == "or":
-        return token.text == "|"
+        return text == "|"
     if kind == "oror":
-        return token.text == "||"
+        return text == "||"
     raise AssertionError(f"unhandled abstract kind {kind!r}")
 
 
 def _try_match(stream: TokenStream, pattern: DefectPattern,
-               start: LexToken) -> Optional[MatchSpan]:
-    token: Optional[LexToken] = start
-    bindings: Dict[int, LexToken] = {}
-    consumed = 0
+               start: int) -> Optional[MatchSpan]:
+    texts = stream.text
+    n = len(texts)
+    i = start
+    bindings: Dict[int, int] = {}
     for idx, unit in enumerate(pattern.units):
         if isinstance(unit, Alternation):
-            if token is not None and token.text in unit.choices:
-                consumed += 1
-                token = stream.get(token.index + 1)
+            if i < n and texts[i] in unit.choices:
+                i += 1
             elif unit.allows_empty:
                 continue
             else:
                 return None
         else:
-            if token is None or not unit_matches(unit, token, stream):
+            if i >= n or not unit_matches(unit, stream, i):
                 return None
             if isinstance(unit, Abstract):
-                bindings[idx] = token
-            consumed += 1
-            token = stream.get(token.index + 1)
-    if consumed == 0:
+                bindings[idx] = i
+            i += 1
+    if i == start:
         return None
-    return MatchSpan(start.index, start.index + consumed, bindings)
+    return MatchSpan(start, i, bindings)
 
 
 def match_all(stream: TokenStream, pattern: DefectPattern) -> List[MatchSpan]:
@@ -225,7 +227,7 @@ def match_in_range(stream: TokenStream, pattern: DefectPattern,
     for i in starts:
         if i < resume:
             continue
-        span = _try_match(stream, pattern, stream[i])
+        span = _try_match(stream, pattern, i)
         if span is not None and span.end_p <= end:
             spans.append(span)
             resume = span.end_p
@@ -253,11 +255,11 @@ class Catalog:
         """Pattern index -> ascending candidate starts in [begin, end)."""
         found: Dict[int, List[int]] = {}
         by_text = self.by_text
-        for tok in stream.window(begin, end):
-            hits = by_text.get(tok.text)
+        for i, text in enumerate(stream.text[begin:end], begin):
+            hits = by_text.get(text)
             if hits is not None:
                 for idx, offset in hits:
-                    start = tok.index - offset
+                    start = i - offset
                     if start >= begin:
                         found.setdefault(idx, []).append(start)
         return found

@@ -23,13 +23,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from .tokens import (
-    Diagnostic,
-    LexToken,
-    TokenKind,
-    TokenStream,
-    TYPE_KEYWORDS,
-)
+from .tokens import Diagnostic, TokenKind, TokenStream, TYPE_KEYWORDS
 
 
 class ScopeKind(Enum):
@@ -163,11 +157,11 @@ def build_scope_tree(stream: TokenStream) -> ScopeNode:
     innermost: List[ScopeNode] = []
     stack: List[Tuple[ScopeNode, int, bool, Optional[ScopeNode]]] = [
         (root, len(stream), False, None)]
-    for i, tok in enumerate(stream):
+    for i, text in enumerate(stream.text):
         while i >= stack[-1][1]:
             stack.pop()
         innermost.append(stack[-1][0])
-        if tok.text != "{":
+        if text != "{":
             continue
         parent, _, in_function, cls = stack[-1]
         info = _classify_open(stream, i, parent, in_function)
@@ -208,59 +202,79 @@ _BRACKETS = {"(": (0, True), ")": (0, False), "[": (1, True), "]": (1, False),
 def _pair_brackets(stream: TokenStream) -> None:
     """Split template-closing ``>>`` tokens and fill ``stream.partner``.
 
-    One walk rebuilds the token list, splitting each ``>>`` that closes
-    two templates opened after a name, and pairs the brackets of each
-    kind on a stack of their own.  Unmatched braces and parens become
-    diagnostics: braces first, then parens; within a kind, unmatched
-    closes in token order, then the opens left on the stack, bottom up.
+    One walk pairs the brackets of each kind on a stack of their own and
+    finds each ``>>`` that closes two templates opened after a name; the
+    columns are then rebuilt once with those split in two.  Unmatched
+    braces and parens become diagnostics: braces first, then parens;
+    within a kind, unmatched closes in token order, then the opens left
+    on the stack, bottom up.
     """
-    tokens: List[LexToken] = []
-    partner = array("i", [-1]) * len(stream)
+    texts, kinds = stream.text, stream.kind
+    partner = array("i", [-1]) * len(texts)
     stacks: Tuple[List[int], ...] = ([], [], [])
-    strays: Tuple[List[LexToken], ...] = ([], [], [])
+    strays: Tuple[List[int], ...] = ([], [], [])
+    splits: List[int] = []  # the ">>" tokens to split, by index before it
     templates = 0  # template "<"s open since the last ";", "{", "}" or ")"
-    prev: Optional[LexToken] = None
-    for tok in stream:
-        text = tok.text
+    for i, text in enumerate(texts):
         bracket = _BRACKETS.get(text)
         if bracket is not None:
             kind, opens = bracket
+            at = i + len(splits)  # the index after the splits before it
             if opens:
-                stacks[kind].append(len(tokens))
+                stacks[kind].append(at)
             elif stacks[kind]:
                 j = stacks[kind].pop()
-                partner[j] = len(tokens)
-                partner[len(tokens)] = j
+                partner[j] = at
+                partner[at] = j
             else:
-                strays[kind].append(tok)
+                strays[kind].append(at)
             if text in ("{", "}", ")"):
                 templates = 0
         elif text == ";":
             templates = 0
         elif text == "<":
-            if prev is not None and (prev.kind is TokenKind.IDENTIFIER
-                                     or prev.text in TYPE_KEYWORDS):
+            if i and (kinds[i - 1] is TokenKind.IDENTIFIER
+                      or texts[i - 1] in TYPE_KEYWORDS):
                 templates += 1
         elif text == ">":
             if templates:
                 templates -= 1
         elif text == ">>" and templates >= 2:
             templates -= 2
-            first = LexToken(">", TokenKind.OPERATOR, tok.line, tok.column)
-            first.index = len(tokens)
-            tokens.append(first)
+            splits.append(i)
             partner.append(-1)
-            tok = LexToken(">", TokenKind.OPERATOR, tok.line, tok.column + 1)
-        tok.index = len(tokens)
-        tokens.append(tok)
-        prev = tok
-    stream.replace(tokens)
+    if splits:
+        _split_shifts(stream, splits)
     stream.partner = partner
     for kind, code in ((2, "UnbalancedBraces"), (0, "UnbalancedParens")):
-        for tok in strays[kind] + [tokens[j] for j in stacks[kind]]:
+        for j in strays[kind] + stacks[kind]:
             stream.diagnostics.append(Diagnostic(
-                code, f"unmatched {tok.text!r}", stream.file, tok.line,
-                tok.column))
+                code, f"unmatched {stream.text[j]!r}", stream.file,
+                stream.line[j], stream.col[j]))
+
+
+def _split_shifts(stream: TokenStream, splits: List[int]) -> None:
+    """Rebuild the columns with each ``>>`` at *splits* as two ``>``."""
+    texts, kinds, lines, cols = stream.text, stream.kind, stream.line, stream.col
+    text: List[str] = []
+    kind: List[TokenKind] = []
+    line, col = array("i"), array("i")
+    begin = 0
+    for i in splits:
+        text += texts[begin:i]
+        text += (">", ">")
+        kind += kinds[begin:i]
+        kind += (TokenKind.OPERATOR, TokenKind.OPERATOR)
+        line += lines[begin:i]
+        line.extend((lines[i], lines[i]))
+        col += cols[begin:i]
+        col.extend((cols[i], cols[i] + 1))
+        begin = i + 1
+    text += texts[begin:]
+    kind += kinds[begin:]
+    line += lines[begin:]
+    col += cols[begin:]
+    stream.replace(text, kind, line, col)
 
 
 _INITIALIZER_PRECEDERS = frozenset(["=", ",", "(", "{", "return"])
@@ -273,35 +287,35 @@ def _classify_open(stream: TokenStream, i: int, parent: ScopeNode,
 
     Returns (kind, name, meta) or None for initializer braces.
     """
-    prev = stream[i - 1] if i > 0 else None
-    if prev is None:
+    if i == 0:
         return ScopeKind.BLOCK, "", {}
-    if (prev.index == parent.token_begin and prev.text == "{"
+    prev = stream.text[i - 1]
+    if (i - 1 == parent.token_begin and prev == "{"
             and parent.kind not in _CLASSY and in_function):
         return ScopeKind.BLOCK, "", {}  # a block first in a body
-    if prev.text in _INITIALIZER_PRECEDERS:
+    if prev in _INITIALIZER_PRECEDERS:
         return None
-    if prev.text == "else":
+    if prev == "else":
         return ScopeKind.ELSE, "", {}
-    if prev.text == "do":
+    if prev == "do":
         return ScopeKind.DO_WHILE, "", {}
-    if prev.text == "try":
+    if prev == "try":
         return ScopeKind.TRY, "", {}
-    if prev.text == "namespace":
+    if prev == "namespace":
         return ScopeKind.NAMESPACE, "", {}
 
-    if prev.text == ")":
+    if prev == ")":
         close = i - 1
         open_idx = stream.partner[close]
         if open_idx < 0:
             return ScopeKind.BLOCK, "", {}
-        before = stream[open_idx - 1] if open_idx > 0 else None
+        before = text_at(stream, open_idx - 1)
         control = {
             "if": ScopeKind.IF, "for": ScopeKind.FOR, "while": ScopeKind.WHILE,
             "switch": ScopeKind.SWITCH, "catch": ScopeKind.CATCH,
         }
-        if before is not None and before.text in control:
-            return control[before.text], "", {}
+        if before in control:
+            return control[before], "", {}
         if in_function:
             return ScopeKind.BLOCK, "", {}  # no nested functions in C/C++
         header = _function_header(stream, close)
@@ -325,23 +339,22 @@ def _classify_open(stream: TokenStream, i: int, parent: ScopeNode,
 
 def _class_header(stream: TokenStream, brace_idx: int):
     """Scan back from a ``{`` for ``class|struct|union|namespace|enum X``."""
+    texts, kinds = stream.text, stream.kind
     j = brace_idx - 1
     steps = 0
     while j >= 0 and steps < 64:
-        tok = stream[j]
-        if tok.text in (";", "}", "{", ")", "="):
+        text = texts[j]
+        if text in (";", "}", "{", ")", "="):
             return None
-        if tok.text in ("class", "struct", "union", "namespace", "enum"):
+        if text in ("class", "struct", "union", "namespace", "enum"):
             name = ""
             name_index = -1
-            if j + 1 < brace_idx:
-                nxt = stream[j + 1]
-                if nxt.kind is TokenKind.IDENTIFIER:
-                    name = nxt.text
-                    name_index = j + 1
-            return tok.text, name, j, name_index
-        ok = (tok.kind in (TokenKind.IDENTIFIER, TokenKind.KEYWORD)
-              or tok.text in (":", ",", "::", "<", ">"))
+            if j + 1 < brace_idx and kinds[j + 1] is TokenKind.IDENTIFIER:
+                name = texts[j + 1]
+                name_index = j + 1
+            return text, name, j, name_index
+        ok = (kinds[j] in (TokenKind.IDENTIFIER, TokenKind.KEYWORD)
+              or text in (":", ",", "::", "<", ">"))
         if not ok:
             return None
         j -= 1
@@ -356,33 +369,32 @@ def _function_header(stream: TokenStream, close_paren: int):
     until the real parameter list is found.  Returns None when the shape
     is not function-like.
     """
+    texts, kinds = stream.text, stream.kind
     close = close_paren
     for _ in range(32):  # init lists are short; bound the walk
         open_idx = stream.partner[close]
         if open_idx <= 0:
             return None
         j = open_idx - 1
-        tok = stream[j]
         name = None
         name_start = j
-        if tok.text == "=" and j > 0 and stream[j - 1].text == "operator":
+        if texts[j] == "=" and j > 0 and texts[j - 1] == "operator":
             name = "operator="
             name_start = j - 1
-        elif tok.kind is TokenKind.IDENTIFIER:
-            name = tok.text
-            if j > 0 and stream[j - 1].text == "~":
+        elif kinds[j] is TokenKind.IDENTIFIER:
+            name = texts[j]
+            if j > 0 and texts[j - 1] == "~":
                 name = "~" + name
                 name_start = j - 1
         if name is None:
             return None
         owner_class = ""
-        if name_start > 1 and stream[name_start - 1].text == "::" \
-                and stream[name_start - 2].kind is TokenKind.IDENTIFIER:
-            owner_class = stream[name_start - 2].text
+        if name_start > 1 and texts[name_start - 1] == "::" \
+                and kinds[name_start - 2] is TokenKind.IDENTIFIER:
+            owner_class = texts[name_start - 2]
             name_start = name_start - 2
-        before = stream[name_start - 1] if name_start > 0 else None
-        if before is not None and before.text in (",", ":") and name_start > 1 \
-                and stream[name_start - 2].text == ")":
+        if text_at(stream, name_start - 1) in (",", ":") and name_start > 1 \
+                and texts[name_start - 2] == ")":
             close = name_start - 2  # initializer-list item; keep walking
             continue
         is_virtual = _virtual_in_specifiers(stream, name_start)
@@ -400,7 +412,7 @@ def _virtual_in_specifiers(stream: TokenStream, name_start: int) -> bool:
     j = name_start - 1
     steps = 0
     while j >= 0 and steps < 16:
-        text = stream[j].text
+        text = stream.text[j]
         if text in (";", "}", "{", ")", ":"):
             return False
         if text == "virtual":
@@ -412,26 +424,24 @@ def _virtual_in_specifiers(stream: TokenStream, name_start: int) -> bool:
 
 def _parse_parameters(stream: TokenStream, open_idx: int, close_idx: int,
                       func: ScopeNode) -> None:
+    texts, kinds = stream.text, stream.kind
     for begin, end in split_top_level(stream, open_idx + 1, close_idx):
-        tokens = stream.window(begin, end)
-        if not tokens or (len(tokens) == 1 and tokens[0].text == "void"):
+        if begin >= end or (end - begin == 1 and texts[begin] == "void"):
             continue
-        eq_at = next((n for n, t in enumerate(tokens) if t.text == "="), len(tokens))
-        head = tokens[:eq_at]
-        name_tok = next((t for t in reversed(head)
-                         if t.kind is TokenKind.IDENTIFIER), None)
-        is_pointer = any(t.text == "*" for t in head)
-        type_text = " ".join(t.text for t in head if t is not name_tok)
+        eq_at = next((k for k in range(begin, end) if texts[k] == "="), end)
+        head = range(begin, eq_at)
+        name_at = next((k for k in reversed(head)
+                        if kinds[k] is TokenKind.IDENTIFIER), -1)
         entry = SymbolEntry(
-            name=name_tok.text if name_tok else f"<unnamed{len(func.params)}>",
+            name=texts[name_at] if name_at >= 0 else f"<unnamed{len(func.params)}>",
             var_id=len(stream.vars),
-            type_text=type_text,
-            is_pointer=is_pointer,
-            decl_index=name_tok.index if name_tok else open_idx,
+            type_text=" ".join(texts[k] for k in head if k != name_at),
+            is_pointer=any(texts[k] == "*" for k in head),
+            decl_index=name_at if name_at >= 0 else open_idx,
         )
         stream.vars.append(entry)
         func.params.append(entry)
-        if name_tok is not None:
+        if name_at >= 0:
             func.add_symbol(entry)
 
 
@@ -445,8 +455,7 @@ def split_top_level(stream: TokenStream, begin: int, end: int,
     groups: List[Tuple[int, int]] = []
     depth = 0
     start = begin
-    for i in range(begin, end):
-        text = stream[i].text
+    for i, text in enumerate(stream.text[begin:end], begin):
         if text in ("(", "[", "{"):
             depth += 1
         elif text in (")", "]", "}"):
@@ -462,39 +471,37 @@ def _collect_types(stream: TokenStream, root: ScopeNode) -> None:
     """Register class/struct/union, typedef and using names up front."""
     types: Set[str] = set()
     pointer_typedefs: Set[str] = set()
+    texts, kinds, partner = stream.text, stream.kind, stream.partner
     i = 0
-    n = len(stream)
+    n = len(texts)
     while i < n:
-        text = stream[i].text
+        text = texts[i]
         if text in ("class", "struct", "union") and i + 1 < n:
-            nxt = stream[i + 1]
-            if nxt.kind is TokenKind.IDENTIFIER:
-                after = stream[i + 2].text if i + 2 < n else ""
-                if after in ("{", ":", ";"):
-                    types.add(nxt.text)
+            if kinds[i + 1] is TokenKind.IDENTIFIER:
+                if text_at(stream, i + 2) in ("{", ":", ";"):
+                    types.add(texts[i + 1])
         elif text == "typedef":
             j = i + 1
             saw_star = False
-            while j < n and stream[j].text != ";":
-                if stream[j].text == "{":
-                    j = stream.partner[j] if stream.partner[j] >= 0 else n - 1
-                if stream[j].text == "*":
+            while j < n and texts[j] != ";":
+                if texts[j] == "{":
+                    j = partner[j] if partner[j] >= 0 else n - 1
+                if texts[j] == "*":
                     saw_star = True
                 j += 1
-            name_tok = stream[j - 1] if j - 1 > i else None
-            if name_tok is not None and name_tok.kind is TokenKind.IDENTIFIER:
-                types.add(name_tok.text)
+            if j - 1 > i and kinds[j - 1] is TokenKind.IDENTIFIER:
+                types.add(texts[j - 1])
                 if saw_star:
-                    pointer_typedefs.add(name_tok.text)
+                    pointer_typedefs.add(texts[j - 1])
             i = j
-        elif text == "using" and i + 2 < n and stream[i + 2].text == "=":
-            name_tok = stream[i + 1]
-            if name_tok.kind is TokenKind.IDENTIFIER:
-                types.add(name_tok.text)
+        elif text == "using" and i + 2 < n and texts[i + 2] == "=":
+            if kinds[i + 1] is TokenKind.IDENTIFIER:
+                name = texts[i + 1]
+                types.add(name)
                 j = i + 3
-                while j < n and stream[j].text != ";":
-                    if stream[j].text == "*":
-                        pointer_typedefs.add(name_tok.text)
+                while j < n and texts[j] != ";":
+                    if texts[j] == "*":
+                        pointer_typedefs.add(name)
                     j += 1
         i += 1
     stream.known_types = types
@@ -507,29 +514,30 @@ _STMT_ENDERS = frozenset([";", "{", "}"])
 def _scan_declarations(stream: TokenStream, root: ScopeNode,
                        innermost: List[ScopeNode]) -> None:
     pointer_typedefs = root.pointer_typedefs
-    n = len(stream)
+    texts = stream.text
+    n = len(texts)
     stmt_start = True
     i = 0
     while i < n:
-        tok = stream[i]
-        if stmt_start and (tok.text in TYPE_KEYWORDS
-                           or tok.text in _DECL_QUALIFIERS
-                           or tok.text in _ELABORATION
-                           or tok.text in stream.known_types
-                           or tok.text == "virtual"
-                           or tok.text == "~"
-                           or tok.text == "operator"):
+        text = texts[i]
+        if stmt_start and (text in TYPE_KEYWORDS
+                           or text in _DECL_QUALIFIERS
+                           or text in _ELABORATION
+                           or text in stream.known_types
+                           or text == "virtual"
+                           or text == "~"
+                           or text == "operator"):
             end = _parse_declaration(stream, i, innermost[i], root,
                                      pointer_typedefs)
             if end is not None:
                 i = end
                 stmt_start = True
                 continue
-        if tok.text in _STMT_ENDERS:
+        if text in _STMT_ENDERS:
             stmt_start = True
-        elif tok.text == "(" and i > 0 and stream[i - 1].text == "for":
+        elif text == "(" and i > 0 and texts[i - 1] == "for":
             stmt_start = True  # for-init declarations
-        elif tok.text == ":" and i > 0 and stream[i - 1].text in _ACCESS_WORDS:
+        elif text == ":" and i > 0 and texts[i - 1] in _ACCESS_WORDS:
             stmt_start = True
         else:
             stmt_start = False
@@ -544,7 +552,8 @@ def _parse_declaration(stream: TokenStream, start: int, scope: ScopeNode,
     Returns the index one past the terminating ``;`` on success, or None
     when the tokens do not form a variable or prototype declaration.
     """
-    n = len(stream)
+    texts, kinds, partner = stream.text, stream.kind, stream.partner
+    n = len(texts)
     i = start
     saw_type = False
     static_seen = False
@@ -552,7 +561,7 @@ def _parse_declaration(stream: TokenStream, start: int, scope: ScopeNode,
     type_tokens: List[str] = []
 
     while i < n:
-        text = stream[i].text
+        text = texts[i]
         if text == "static":
             static_seen = True
         elif text == "virtual":
@@ -560,11 +569,10 @@ def _parse_declaration(stream: TokenStream, start: int, scope: ScopeNode,
         elif text in TYPE_KEYWORDS:
             saw_type = True
             type_tokens.append(text)
-        elif text in stream.known_types and stream[i].kind is TokenKind.IDENTIFIER:
+        elif text in stream.known_types and kinds[i] is TokenKind.IDENTIFIER:
             # Known type name, but only in type position (a use like
             # "A = b" never follows a specifier run with more specifiers).
-            nxt = stream[i + 1].text if i + 1 < n else ""
-            if nxt in ("=", ".", "->", "(", "++", "--", "[", ")"):
+            if text_at(stream, i + 1) in ("=", ".", "->", "(", "++", "--", "[", ")"):
                 break
             saw_type = True
             type_tokens.append(text)
@@ -586,44 +594,43 @@ def _parse_declaration(stream: TokenStream, start: int, scope: ScopeNode,
     entries: List[SymbolEntry] = []
     while i < n:
         stars = 0
-        while i < n and stream[i].text in ("*", "&", "const", "volatile"):
-            if stream[i].text == "*":
+        while i < n and texts[i] in ("*", "&", "const", "volatile"):
+            if texts[i] == "*":
                 stars += 1
             i += 1
         if i >= n:
             return None
-        name_tok = stream[i]
-        name = None
-        if name_tok.text == "~" and i + 1 < n \
-                and stream[i + 1].kind is TokenKind.IDENTIFIER:
-            name = "~" + stream[i + 1].text
+        name_at = i
+        if texts[i] == "~" and i + 1 < n \
+                and kinds[i + 1] is TokenKind.IDENTIFIER:
+            name = "~" + texts[i + 1]
             i += 2
-        elif name_tok.text == "operator" and i + 1 < n:
-            name = "operator" + stream[i + 1].text
+        elif texts[i] == "operator" and i + 1 < n:
+            name = "operator" + texts[i + 1]
             i += 2
-        elif name_tok.kind is TokenKind.IDENTIFIER:
-            name = name_tok.text
+        elif kinds[i] is TokenKind.IDENTIFIER:
+            name = texts[i]
             i += 1
         else:
             return None
 
-        if i < n and stream[i].text == "(":
+        if i < n and texts[i] == "(":
             # Function declarator: record a prototype, declare nothing.
-            close = stream.partner[i]
+            close = partner[i]
             if close < 0:
                 return None
             arity = _count_args(stream, i, close)
             j = close + 1
-            while j < n and stream[j].text in ("const", "noexcept", "override"):
+            while j < n and texts[j] in ("const", "noexcept", "override"):
                 j += 1
-            if j < n and stream[j].text == "=":  # pure virtual "= 0"
+            if j < n and texts[j] == "=":  # pure virtual "= 0"
                 j += 2
-            if j < n and stream[j].text == ";":
+            if j < n and texts[j] == ";":
                 class_name = ""
                 cls = scope.enclosing(*_CLASSY)
                 if cls is not None:
                     class_name = cls.name
-                params = " ".join(stream[k].text for k in range(i + 1, close))
+                params = " ".join(texts[i + 1:close])
                 root.declared_funcs.append(DeclaredFunc(
                     name=name, arity=arity, class_name=class_name,
                     file=stream.file,
@@ -642,21 +649,21 @@ def _parse_declaration(stream: TokenStream, start: int, scope: ScopeNode,
             is_pointer=is_pointer,
             is_member=is_member,
             is_global_or_static=is_global,
-            decl_index=name_tok.index,
+            decl_index=name_at,
         )
         stream.vars.append(entry)
         entries.append(entry)
 
         # Array suffixes, then an optional initializer.
-        while i < n and stream[i].text == "[":
-            if stream.partner[i] < 0:
+        while i < n and texts[i] == "[":
+            if partner[i] < 0:
                 return None
-            i = stream.partner[i] + 1
-        if i < n and stream[i].text == "=":
+            i = partner[i] + 1
+        if i < n and texts[i] == "=":
             depth = 0
             i += 1
             while i < n:
-                text = stream[i].text
+                text = texts[i]
                 if text in ("(", "[", "{"):
                     depth += 1
                 elif text in (")", "]", "}"):
@@ -668,10 +675,10 @@ def _parse_declaration(stream: TokenStream, start: int, scope: ScopeNode,
                 i += 1
         if i >= n:
             return None
-        if stream[i].text == ",":
+        if texts[i] == ",":
             i += 1
             continue
-        if stream[i].text == ";":
+        if texts[i] == ";":
             for e in entries:
                 scope.add_symbol(e)
             return i + 1
@@ -680,13 +687,13 @@ def _parse_declaration(stream: TokenStream, start: int, scope: ScopeNode,
 
 
 def text_at(stream: TokenStream, i: int) -> str:
-    return stream[i].text if 0 <= i < len(stream) else ""
+    return stream.text[i] if 0 <= i < len(stream.text) else ""
 
 
 def _count_args(stream: TokenStream, open_idx: int, close_idx: int) -> int:
     if close_idx == open_idx + 1:
         return 0
-    if close_idx == open_idx + 2 and stream[open_idx + 1].text == "void":
+    if close_idx == open_idx + 2 and stream.text[open_idx + 1] == "void":
         return 0
     return sum(1 for begin, end in split_top_level(stream, open_idx + 1, close_idx)
                if begin < end)
@@ -707,7 +714,8 @@ def _annotate_var_ids(stream: TokenStream, root: ScopeNode) -> None:
     scopes = walk_scopes(root)
     upcoming = next(scopes, None)
     boundary = 0  # the next index at which a scope opens or ends
-    for i, tok in enumerate(stream):
+    texts, var_id = stream.text, stream.var_id
+    for i, kind in enumerate(stream.kind):
         if i >= boundary:
             while open_scopes and i >= open_scopes[-1][0]:
                 for table in open_scopes.pop()[1]:
@@ -725,10 +733,10 @@ def _annotate_var_ids(stream: TokenStream, root: ScopeNode) -> None:
             boundary = open_scopes[-1][0]  # the root stays open to the end
             if upcoming is not None:
                 boundary = min(boundary, upcoming.token_begin)
-        if tok.kind is TokenKind.IDENTIFIER:
-            ids = visible.get(tok.text)
+        if kind is TokenKind.IDENTIFIER:
+            ids = visible.get(texts[i])
             if ids:
-                tok.var_id = ids[-1]
+                var_id[i] = ids[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -747,8 +755,8 @@ def collect_class_info(root: ScopeNode, stream: TokenStream) -> List[ClassInfo]:
     for scope in class_scopes:
         if not scope.name:
             continue
-        header_tok = stream[scope.header_index] if scope.header_index >= 0 else stream[scope.token_begin]
-        info = ClassInfo(name=scope.name, line=header_tok.line)
+        header = scope.header_index if scope.header_index >= 0 else scope.token_begin
+        info = ClassInfo(name=scope.name, line=stream.line[header])
         info.bases = _parse_bases(stream, scope)
         for entries in scope.symbols.values():
             for entry in entries:
@@ -803,13 +811,12 @@ def _parse_bases(stream: TokenStream, scope: ScopeNode) -> List[str]:
     i += 1
     current: Optional[str] = None
     while i < scope.token_begin:
-        tok = stream[i]
-        if tok.text == ",":
+        if stream.text[i] == ",":
             if current:
                 bases.append(current)
             current = None
-        elif tok.kind is TokenKind.IDENTIFIER:
-            current = tok.text  # keep the last name of a qualified base
+        elif stream.kind[i] is TokenKind.IDENTIFIER:
+            current = stream.text[i]  # keep the last name of a qualified base
         i += 1
     if current:
         bases.append(current)
@@ -831,8 +838,8 @@ def dump_scopes(root: ScopeNode, stream: TokenStream) -> str:
 
     def line_of(index: int) -> int:
         if 0 <= index < len(stream):
-            return stream[index].line
-        return stream[-1].line if len(stream) else 1
+            return stream.line[index]
+        return stream.line[-1] if len(stream) else 1
 
     stack = [(root, 0)]
     while stack:

@@ -2,9 +2,10 @@
 
 The analyzer never builds an AST; everything downstream (scope discovery,
 pattern matching, control-flow recovery) works directly on the token
-stream produced here.  Tokens sit in one list and know their own index, so
-matching and annotation passes step to a neighbour by index arithmetic,
-and each token records its physical source position.
+stream produced here.  A token is an index into the stream's parallel
+columns (text, kind, physical line and column, var id), so matching and
+annotation passes step to a neighbour by index arithmetic and build no
+object per token.
 
 Scanning is one compiled master pattern, matched again and again from
 the end of the previous match over the raw text: each match is the
@@ -24,7 +25,7 @@ import re
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterator, List, Optional, Set
+from typing import TYPE_CHECKING, List, Optional, Set
 
 if TYPE_CHECKING:
     from .scopes import SymbolEntry
@@ -96,75 +97,45 @@ class Diagnostic:
         return f"{self.file}:{self.line}:{self.column}: {self.code}: {self.message}"
 
 
-@dataclass(eq=False, slots=True)
-class LexToken:
-    text: str
-    kind: TokenKind
-    line: int
-    column: int
-    # Filled in by the scope pass; zero means "names no declaration".
-    var_id: int = 0
-    index: int = -1
-
-    def __repr__(self) -> str:
-        return f"LexToken({self.text!r}, {self.kind.value}, {self.line}:{self.column})"
-
-
 class TokenStream:
-    """Token list for one translation unit; ``stream[i].index == i``.
+    """Token columns for one translation unit; a token is its index.
 
-    The stream is immutable after construction except for the scope pass,
-    which splits ``>>`` where it closes two templates, sets identifiers'
-    var_id, fills ``partner``: per token, the index of the
-    matching bracket for ``()``, ``[]`` and ``{}``, or -1 for any other
-    token and for a bracket left unmatched, and fills ``vars``: every
-    variable declaration in creation order, so that a var id is the index
-    of its declaration there (``vars[0]`` is None).  Neighbours are read
-    by index: ``get(tok.index - 1)`` is the previous token, or None at the
-    start of the stream.  The file name is the stream's alone.
+    ``text[i]``, ``kind[i]``, ``line[i]`` and ``col[i]`` describe token
+    *i*; equal texts are one string object, and ``kind`` holds the shared
+    TokenKind members, so ``kind[i] is TokenKind.X`` tests a kind.  The
+    stream is immutable after construction except for the scope pass,
+    which splits ``>>`` where it closes two templates, writes ``var_id``:
+    per identifier, the var id of the declaration it names, or zero;
+    fills ``partner``: per token, the index of the matching bracket for
+    ``()``, ``[]`` and ``{}``, or -1 for any other token and for a bracket
+    left unmatched; and fills ``vars``: every variable declaration in
+    creation order, so that a var id is the index of its declaration there
+    (``vars[0]`` is None).  The file name is the stream's alone.
     """
 
     def __init__(self, file: str) -> None:
         self.file = file
         self.loc_count = 0
         self.diagnostics: List[Diagnostic] = []
+        self.text: List[str] = []
+        self.kind: List[TokenKind] = []
+        self.line = array("i")
+        self.col = array("i")
+        self.var_id = array("i")
         # Set by the scope pass.
         self.scoped = False
         self.known_types: Set[str] = set()
         self.partner = array("i")
         self.vars: List[Optional[SymbolEntry]] = [None]
-        self._tokens: List[LexToken] = []
 
-    def append(self, token: LexToken) -> None:
-        token.index = len(self._tokens)
-        self._tokens.append(token)
-
-    def replace(self, tokens: List[LexToken]) -> None:
-        """Swap in a re-split token list that keeps ``tokens[i].index == i``
-        (scope pass only)."""
-        self._tokens = tokens
+    def replace(self, text: List[str], kind: List[TokenKind], line: array,
+                col: array) -> None:
+        """Swap in re-split columns with no var ids yet (scope pass only)."""
+        self.text, self.kind, self.line, self.col = text, kind, line, col
+        self.var_id = array("i", [0]) * len(text)
 
     def __len__(self) -> int:
-        return len(self._tokens)
-
-    def __iter__(self) -> Iterator[LexToken]:
-        return iter(self._tokens)
-
-    def __getitem__(self, index: int) -> LexToken:
-        return self._tokens[index]
-
-    def window(self, begin: int, end: int) -> List[LexToken]:
-        """The tokens at indexes [begin, end), clipped to the stream."""
-        return self._tokens[begin:end]
-
-    def get(self, index: int) -> Optional[LexToken]:
-        """The token at *index*, or None outside the stream."""
-        if 0 <= index < len(self._tokens):
-            return self._tokens[index]
-        return None
-
-    def texts(self) -> List[str]:
-        return [t.text for t in self._tokens]
+        return len(self.text)
 
     def var(self, var_id: int) -> Optional[SymbolEntry]:
         """The declaration of *var_id*, or None for an id that names none
@@ -247,7 +218,11 @@ def tokenize(source: str, file: str = "<memory>") -> TokenStream:
     """
     stream = TokenStream(file)
     stream.loc_count = source.count("\n") + (1 if source and not source.endswith("\n") else 0)
-    emit = stream.append
+    share = {}.setdefault  # equal texts become one object
+    add_text = stream.text.append
+    add_kind = stream.kind.append
+    add_line = stream.line.append
+    add_col = stream.col.append
     diagnostics = stream.diagnostics
     match = _MASTER.match
     line = 1
@@ -267,7 +242,10 @@ def tokenize(source: str, file: str = "<memory>") -> TokenStream:
                 text = _SPLICE_RE.sub("", text)
             if text in KEYWORDS:
                 kind = TokenKind.KEYWORD
-            emit(LexToken(text, kind, line, col))
+            add_text(share(text, text))
+            add_kind(kind)
+            add_line(line)
+            add_col(col)
             at_line_start = False
         elif group == "nl":
             at_line_start = True
@@ -283,8 +261,11 @@ def tokenize(source: str, file: str = "<memory>") -> TokenStream:
                                               file, q_line, quote_at - q_start + 1))
             literal = source[quote_at:end].replace("\\\r\n", "\\\n")
             prefix = _SPLICE_RE.sub("", source[pos:quote_at])
-            emit(LexToken(prefix + literal, TokenKind.STRING_LITERAL if quote == '"'
-                          else TokenKind.CHAR_LITERAL, line, col))
+            text = prefix + literal
+            add_text(share(text, text))
+            add_kind(TokenKind.STRING_LITERAL if quote == '"' else TokenKind.CHAR_LITERAL)
+            add_line(line)
+            add_col(col)
             at_line_start = False
         elif group == "block":
             close = source.find("*/", end)
@@ -301,7 +282,10 @@ def tokenize(source: str, file: str = "<memory>") -> TokenStream:
             end = pos + 1
             diagnostics.append(Diagnostic("UnknownGlyph", f"unexpected character {ch!r}",
                                           file, line, col))
-            emit(LexToken(ch, TokenKind.OPERATOR, line, col))
+            add_text(share(ch, ch))
+            add_kind(TokenKind.OPERATOR)
+            add_line(line)
+            add_col(col)
             at_line_start = False
         # Splices, line comments and directives are skipped and leave the
         # line start as it was.
@@ -313,4 +297,5 @@ def tokenize(source: str, file: str = "<memory>") -> TokenStream:
                 line_start = source.rfind("\n", pos, end) + 1
         m = match(source, end)
 
+    stream.var_id = array("i", [0]) * len(stream.text)
     return stream

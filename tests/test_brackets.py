@@ -52,8 +52,10 @@ _HAND_WRITTEN = [
 def _bracket_offsets(text: str) -> List[int]:
     """Source offsets of the single-character bracket tokens of *text*."""
     line_starts = [0] + [k + 1 for k, ch in enumerate(text) if ch == "\n"]
-    offsets = [line_starts[t.line - 1] + t.column - 1
-               for t in tokenize(text) if t.text in _PAIRS or t.text in _PAIRS.values()]
+    stream = tokenize(text)
+    offsets = [line_starts[line - 1] + col - 1
+               for token, line, col in zip(stream.text, stream.line, stream.col)
+               if token in _PAIRS or token in _PAIRS.values()]
     assert all(text[k] in _BRACKETS for k in offsets)
     return offsets
 
@@ -185,8 +187,9 @@ def _expected_diagnostics(stream, partner: List[int]) -> list:
     for code, open_text, close_text in (("UnbalancedBraces", "{", "}"),
                                         ("UnbalancedParens", "(", ")")):
         for text in (close_text, open_text):
-            out += [(code, f"unmatched {text!r}", t.column)
-                    for t in stream if t.text == text and partner[t.index] < 0]
+            out += [(code, f"unmatched {text!r}", stream.col[i])
+                    for i, token in enumerate(stream.text)
+                    if token == text and partner[i] < 0]
     return out
 
 
@@ -196,8 +199,7 @@ def _expected_diagnostics(stream, partner: List[int]) -> list:
 def test_partner_table_equals_a_depth_scan(texts):
     stream = tokenize(" ".join(texts), "p.c")
     build_scope_tree(stream)
-    assert all(stream[i].index == i for i in range(len(stream)))
-    partner = _depth_scan_partners(stream.texts())
+    partner = _depth_scan_partners(stream.text)
     assert list(stream.partner) == partner
     assert [(d.code, d.message, d.column) for d in stream.diagnostics] \
         == _expected_diagnostics(stream, partner)

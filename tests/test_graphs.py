@@ -152,7 +152,7 @@ def _assert_plan_invariants(cfg) -> None:
     assert all(a[1] <= b[0] for a, b in zip(spans, spans[1:])), spans
     for node_id, is_guard in named:
         node = cfg.nodes[node_id]
-        text = " ".join(stream[k].text for k in range(*node.span))
+        text = " ".join(stream.text[slice(*node.span)])
         if not is_guard:
             assert node.guard_text == ""
         elif node.guard_text.startswith("catch "):
@@ -188,10 +188,10 @@ def test_every_identifier_of_a_body_lies_in_exactly_one_node():
                     covers[k] += 1
             in_label = False
             for k in range(scope.token_begin + 1, scope.token_end - 1):
-                text = stream[k].text
+                text = stream.text[k]
                 in_label = text == "case" or (in_label and text != ":")
-                if stream[k].kind is TokenKind.IDENTIFIER and not in_label:
-                    assert covers[k] == 1, (index, scope.name, stream[k].line, text)
+                if stream.kind[k] is TokenKind.IDENTIFIER and not in_label:
+                    assert covers[k] == 1, (index, scope.name, stream.line[k], text)
 
 
 def test_straight_line_shape():
@@ -262,7 +262,7 @@ def test_a_statement_missing_its_semicolon_ends_at_the_closing_brace():
     assert _shape(cfg.structure) == [("if", ["s"], []), "s"]
     (then,) = cfg.structure[0].arms[0][1]
     stream = cfg.stream
-    assert [stream[k].text for k in range(*cfg.node(then.node).span)] == ["n", "=", "1"]
+    assert stream.text[slice(*cfg.node(then.node).span)] == ["n", "=", "1"]
 
 
 def test_a_label_in_a_bare_block_of_a_switch_body_opens_an_arm():
@@ -490,7 +490,7 @@ def test_call_sites_carry_token_positions():
     root, stream = _unit("void g ( ) { }\nvoid f ( ) { g ( ) ; }", "pos.c")
     fcg = build_fcg([(root, stream)])
     (edge,) = fcg.edges
-    assert stream[edge.site_index].text == "g"
+    assert stream.text[edge.site_index] == "g"
     assert edge.site_line == 2
     caller = edge.caller
     assert fcg.call_sites(caller) == {edge.site_index: edge.callee}

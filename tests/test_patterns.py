@@ -1,7 +1,8 @@
 """Pattern compiler and matcher, checked against an exhaustive oracle.
 
-``oracle_match_all`` below is the brute-force matcher: plain token-list
-indexing, one independent attempt per start position, written from the
+``oracle_match_all`` below is the brute-force matcher: plain indexing
+into a list of (text, kind, var id) triples, one independent attempt per
+start position, written from the
 unit table before the production matcher.  The production matcher tries
 only the start positions a pattern's anchor allows and must produce
 identical span sets.
@@ -48,39 +49,44 @@ _TYPE_WORDS = {
 
 
 def _oracle_accepts(unit, tok, stream) -> bool:
+    text, token_kind, var_id = tok
     if isinstance(unit, Literal):
-        return tok.text == unit.text
+        return text == unit.text
     if isinstance(unit, CharClass):
-        return len(tok.text) == 1 and tok.text in unit.chars
+        return len(text) == 1 and text in unit.chars
     if isinstance(unit, Alternation):
-        return tok.text in unit.choices
+        return text in unit.choices
     kind = unit.kind
     if kind == "any":
         return True
     if kind == "name":
-        return tok.kind is TokenKind.IDENTIFIER or tok.text in _TYPE_WORDS
+        return token_kind is TokenKind.IDENTIFIER or text in _TYPE_WORDS
     if kind == "type":
-        return tok.text in _TYPE_WORDS or (
-            tok.kind is TokenKind.IDENTIFIER and tok.text in stream.known_types)
+        return text in _TYPE_WORDS or (
+            token_kind is TokenKind.IDENTIFIER and text in stream.known_types)
     if kind == "num":
-        return tok.kind is TokenKind.NUMBER
+        return token_kind is TokenKind.NUMBER
     if kind == "bool":
-        return tok.text in ("true", "false")
+        return text in ("true", "false")
     if kind == "comp":
-        return tok.text in _COMPARISONS
+        return text in _COMPARISONS
     if kind == "str":
-        return tok.kind is TokenKind.STRING_LITERAL
+        return token_kind is TokenKind.STRING_LITERAL
     if kind in ("var", "varid"):
-        if tok.kind is not TokenKind.IDENTIFIER:
+        if token_kind is not TokenKind.IDENTIFIER:
             return False
-        return tok.var_id > 0 if stream.scoped else True
+        return var_id > 0 if stream.scoped else True
     if kind == "op":
-        return tok.kind is TokenKind.OPERATOR
+        return token_kind is TokenKind.OPERATOR
     if kind == "or":
-        return tok.text == "|"
+        return text == "|"
     if kind == "oror":
-        return tok.text == "||"
+        return text == "||"
     raise AssertionError(kind)
+
+
+def _oracle_tokens(stream):
+    return list(zip(stream.text, stream.kind, stream.var_id))
 
 
 def _oracle_attempt(tokens, stream, pattern, start):
@@ -89,7 +95,7 @@ def _oracle_attempt(tokens, stream, pattern, start):
     bindings = {}
     for idx, unit in enumerate(pattern.units):
         if isinstance(unit, Alternation):
-            if i < len(tokens) and tokens[i].text in unit.choices:
+            if i < len(tokens) and tokens[i][0] in unit.choices:
                 i += 1
             elif unit.allows_empty:
                 continue
@@ -99,7 +105,7 @@ def _oracle_attempt(tokens, stream, pattern, start):
             if i >= len(tokens) or not _oracle_accepts(unit, tokens[i], stream):
                 return None
             if isinstance(unit, Abstract):
-                bindings[idx] = tokens[i]
+                bindings[idx] = i
             i += 1
     if i == start:
         return None
@@ -108,7 +114,7 @@ def _oracle_attempt(tokens, stream, pattern, start):
 
 def oracle_match_all(stream, pattern):
     """Left-to-right scan: resume at end on success, +1 on failure."""
-    tokens = list(stream)
+    tokens = _oracle_tokens(stream)
     found = []
     i = 0
     while i < len(tokens):
@@ -122,12 +128,11 @@ def oracle_match_all(stream, pattern):
 
 
 def _spans_as_tuples(spans):
-    return [(s.first_p, s.end_p, {k: id(t) for k, t in s.bindings.items()})
-            for s in spans]
+    return [(s.first_p, s.end_p, dict(s.bindings)) for s in spans]
 
 
 def _oracle_as_tuples(hits):
-    return [(a, b, {k: id(t) for k, t in binds.items()}) for a, b, binds in hits]
+    return [(a, b, dict(binds)) for a, b, binds in hits]
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +266,7 @@ def test_match_all_equals_oracle_property(seed):
 
 def _oracle_in_window(stream, pattern, begin, end):
     """The oracle scan restricted to [begin, end): clipping re-anchors."""
-    tokens = list(stream)
+    tokens = _oracle_tokens(stream)
     want = []
     i = begin
     while i < end:
@@ -439,15 +444,15 @@ def test_malloc_match_binds_destination():
     assert len(spans) == 1
     span = spans[0]
     assert span.first_p == 0 and span.end_p == 4
-    assert list(span.bindings) == [0]
-    assert span.bindings[0].text == "q"
+    assert span.bindings == {0: 0}
+    assert stream.text[span.bindings[0]] == "q"
 
 
 def test_comparison_binding():
     stream = tokenize("x == y", "c.c")
     spans = match_all(stream, compile_pattern("%var% %comp% %var%"))
     assert len(spans) == 1
-    assert spans[0].bindings[1].text == "=="
+    assert stream.text[spans[0].bindings[1]] == "=="
 
 
 def test_matches_do_not_overlap():

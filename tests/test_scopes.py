@@ -103,7 +103,8 @@ def chain_resolve(name: str, scope, class_scopes=None):
 
 
 def _token_at(stream, name: str, line: int):
-    hits = [i for i, t in enumerate(stream) if t.text == name and t.line == line]
+    hits = [i for i, (text, at) in enumerate(zip(stream.text, stream.line))
+            if text == name and at == line]
     assert len(hits) == 1
     return hits[0]
 
@@ -120,11 +121,11 @@ def test_shadowing_fixtures_resolve_to_the_innermost_declaration():
             entry = chain_resolve(name, scope)
             if depth is None:
                 assert entry is None
-                assert stream[idx].var_id == 0
+                assert stream.var_id[idx] == 0
             else:
                 assert entry is not None
                 assert entry.type_text.split()[0] == _LEVEL_TYPES[depth]
-                assert stream[idx].var_id == entry.var_id > 0
+                assert stream.var_id[idx] == entry.var_id > 0
             checked_uses += 1
     assert checked_uses > 60
 
@@ -234,8 +235,8 @@ def test_a_block_first_in_a_body_opens_a_scope():
     (block,) = f.children
     assert block.kind is ScopeKind.BLOCK
     param, local = f.params[0], block.symbols["a"][0]
-    assert [t.var_id for t in stream.window(f.token_begin, f.token_end)
-            if t.text == "a"] == [local.var_id, local.var_id, param.var_id]
+    assert [stream.var_id[i] for i in range(f.token_begin, f.token_end)
+            if stream.text[i] == "a"] == [local.var_id, local.var_id, param.var_id]
     assert stream.var(param.var_id) is param
     assert stream.var(local.var_id) is local
 
@@ -357,9 +358,9 @@ def test_out_of_line_member_sees_fields():
     root = build_scope_tree(stream)
     m = next(s for s in root.function_scopes
              if s.name == "m" and s.owner_class == "K")
-    (use,) = [t for t in stream.window(m.token_begin, m.token_end)
-              if t.text == "p"]
-    entry = stream.var(use.var_id)
+    (use,) = [i for i in range(m.token_begin, m.token_end)
+              if stream.text[i] == "p"]
+    entry = stream.var(stream.var_id[use])
     assert entry is not None and entry.is_member
     assert entry is root.class_scopes["K"].symbols["p"][-1]
 
@@ -389,12 +390,12 @@ def test_every_identifier_takes_the_chain_walks_answer():
     stream = tokenize(_MEMBERS, "members.cc")
     root = build_scope_tree(stream)
     named = 0
-    for i, tok in enumerate(stream):
-        if tok.kind is not TokenKind.IDENTIFIER:
+    for i, kind in enumerate(stream.kind):
+        if kind is not TokenKind.IDENTIFIER:
             continue
-        entry = chain_resolve(tok.text, innermost_scope(root, i),
+        entry = chain_resolve(stream.text[i], innermost_scope(root, i),
                               root.class_scopes)
-        assert tok.var_id == (entry.var_id if entry else 0), (tok, i)
+        assert stream.var_id[i] == (entry.var_id if entry else 0), (stream.text[i], i)
         named += entry is not None
     assert named > 20
 
@@ -429,8 +430,8 @@ def test_scope_tree_survives_token_soup(seed):
     for child in root.children:
         check(child, 0, len(stream))
     assert stream.scoped
-    for i, tok in enumerate(stream):
-        if tok.kind is TokenKind.IDENTIFIER:
-            entry = chain_resolve(tok.text, innermost_scope(root, i),
+    for i, kind in enumerate(stream.kind):
+        if kind is TokenKind.IDENTIFIER:
+            entry = chain_resolve(stream.text[i], innermost_scope(root, i),
                                   root.class_scopes)
-            assert tok.var_id == (entry.var_id if entry else 0), (tok, i)
+            assert stream.var_id[i] == (entry.var_id if entry else 0), (stream.text[i], i)

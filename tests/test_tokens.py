@@ -8,6 +8,7 @@ over a pile of generated fixture files.
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 import re
@@ -17,12 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zkleak.scopes import build_scope_tree
-from zkleak.tokens import (
-    LexToken,
-    TokenKind,
-    classify_text,
-    tokenize,
-)
+from zkleak.tokens import TokenKind, classify_text, tokenize
 
 # ---------------------------------------------------------------------------
 # Reference scanner (the oracle)
@@ -142,7 +138,7 @@ def test_tokenize_agrees_with_reference_scanner_on_50_fixtures():
         source = generate_source(seed)
         expected = reference_scan(source)
         stream = tokenize(source, f"gen{seed}.c")
-        got = [(t.text, t.line, t.column) for t in stream]
+        got = list(zip(stream.text, stream.line, stream.col))
         assert got == expected, f"seed {seed}"
 
 
@@ -150,8 +146,8 @@ def test_reference_scanner_agreement_includes_kinds():
     # Same fixtures, also checking classify_text is how tokenize labels.
     for seed in range(0, 50, 7):
         stream = tokenize(generate_source(seed), "k.c")
-        for tok in stream:
-            assert tok.kind is classify_text(tok.text)
+        for text, kind in zip(stream.text, stream.kind):
+            assert kind is classify_text(text)
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +192,8 @@ def test_classify_examples():
 
 def test_basic_statement_tokens():
     stream = tokenize("p = malloc(10);", "ex.c")
-    assert stream.texts() == ["p", "=", "malloc", "(", "10", ")", ";"]
-    assert [t.kind for t in stream] == [
+    assert stream.text == ["p", "=", "malloc", "(", "10", ")", ";"]
+    assert stream.kind == [
         TokenKind.IDENTIFIER, TokenKind.OPERATOR, TokenKind.IDENTIFIER,
         TokenKind.PUNCTUATOR, TokenKind.NUMBER, TokenKind.PUNCTUATOR,
         TokenKind.PUNCTUATOR,
@@ -207,29 +203,30 @@ def test_basic_statement_tokens():
 def test_empty_source():
     stream = tokenize("", "empty.c")
     assert len(stream) == 0
-    assert stream.get(0) is None
+    assert stream.text == [] and stream.kind == []
+    assert len(stream.line) == len(stream.col) == len(stream.var_id) == 0
 
 
 def test_comment_dropped_after_delete():
     stream = tokenize("delete [] arr; // done", "d.cc")
-    assert stream.texts() == ["delete", "[", "]", "arr", ";"]
+    assert stream.text == ["delete", "[", "]", "arr", ";"]
 
 
 def test_directive_lines_skipped_whole():
     stream = tokenize('#include <stdio.h>\nint x;\n#define N 4\n', "i.c")
-    assert stream.texts() == ["int", "x", ";"]
+    assert stream.text == ["int", "x", ";"]
 
 
 def test_spliced_line_keeps_physical_line_numbers():
     stream = tokenize("int a\\\n bb;", "s.c")
-    assert stream.texts() == ["int", "a", "bb", ";"]
+    assert stream.text == ["int", "a", "bb", ";"]
     # bb starts on physical line 2.
-    assert [t.line for t in stream] == [1, 1, 2, 2]
+    assert list(stream.line) == [1, 1, 2, 2]
 
 
 def test_shift_right_is_one_token():
     stream = tokenize("a >> b;", "t.cc")
-    assert stream.texts() == ["a", ">>", "b", ";"]
+    assert stream.text == ["a", ">>", "b", ";"]
 
 
 def test_loc_count_is_pre_strip_line_count():
@@ -240,10 +237,39 @@ def test_loc_count_is_pre_strip_line_count():
 @pytest.mark.parametrize("source", ["int L", "x = u8", "L", "u\\\n"])
 def test_string_prefix_word_at_end_of_file_is_an_identifier(source):
     stream = tokenize(source, "eof.c")
-    last = stream[len(stream) - 1]
-    assert last.text in ("L", "u8", "u")
-    assert last.kind is TokenKind.IDENTIFIER
+    assert stream.text[-1] in ("L", "u8", "u")
+    assert stream.kind[-1] is TokenKind.IDENTIFIER
     assert stream.diagnostics == []
+
+
+# ---------------------------------------------------------------------------
+# Columns
+# ---------------------------------------------------------------------------
+
+def test_tokenize_adds_no_collector_object_per_token():
+    # The columns are lists and arrays of ints, strings and shared kinds;
+    # only the containers are tracked by the garbage collector.
+    source = "void f ( int n ) { char * p ; p = malloc ( n ) ; free ( p ) ; }\n" * 600
+    gc.collect()
+    before = len(gc.get_objects())
+    stream = tokenize(source, "gc.c")
+    added = len(gc.get_objects()) - before
+    assert len(stream) >= 10_000
+    assert added < len(stream) / 10
+
+
+def test_equal_texts_in_a_stream_are_one_string_object():
+    stream = tokenize("vector < vector < int >> block_size ;\n"
+                      "block_size = block_size + 100000 ; other = 100000 >> 2 ;\n",
+                      "share.cc")
+    for scoped in (False, True):
+        if scoped:
+            build_scope_tree(stream)  # splits the first ">>" in every column
+        first = {}
+        for text in stream.text:
+            assert first.setdefault(text, text) is text, (scoped, text)
+        assert stream.text.count("block_size") == 3
+        assert stream.text.count("100000") == 2
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +293,8 @@ def test_tokenize_matches_the_golden_snippets(fixtures_dir):
         stream = tokenize(case["source"], "g.c")
         got = {
             "source": case["source"],
-            "tokens": [[t.text, t.kind.value, t.line, t.column] for t in stream],
+            "tokens": [[text, kind.value, line, col] for text, kind, line, col
+                       in zip(stream.text, stream.kind, stream.line, stream.col)],
             "diagnostics": [[d.code, d.message, d.line, d.column]
                             for d in stream.diagnostics],
             "loc_count": stream.loc_count,
@@ -283,21 +310,21 @@ def test_unterminated_string_reported_and_scan_continues():
     stream = tokenize('char *s = "oops;\nint k;', "u.c")
     codes = [d.code for d in stream.diagnostics]
     assert "UnterminatedString" in codes
-    assert "int" in stream.texts() and "k" in stream.texts()
+    assert "int" in stream.text and "k" in stream.text
 
 
 def test_unterminated_comment_reported():
     stream = tokenize("int a; /* never closed", "u2.c")
     codes = [d.code for d in stream.diagnostics]
     assert codes == ["UnterminatedComment"]
-    assert stream.texts() == ["int", "a", ";"]
+    assert stream.text == ["int", "a", ";"]
 
 
 def test_unknown_glyph_becomes_operator_with_warning():
     stream = tokenize("int a @ b;", "g.c")
     assert "UnknownGlyph" in [d.code for d in stream.diagnostics]
-    at = [t for t in stream if t.text == "@"]
-    assert len(at) == 1 and at[0].kind is TokenKind.OPERATOR
+    at = [i for i, text in enumerate(stream.text) if text == "@"]
+    assert len(at) == 1 and stream.kind[at[0]] is TokenKind.OPERATOR
 
 
 # ---------------------------------------------------------------------------
@@ -310,30 +337,35 @@ def test_round_trip_whitespace_insensitive(seed):
     stream = tokenize(generate_source(seed), "r.c")
     # The ";" anchor keeps a leading "#" token off column one, where it
     # would otherwise start a (skipped) directive line.
-    again = tokenize("; " + " ".join(stream.texts()), "r2.c")
-    assert again.texts()[1:] == stream.texts()
-    assert [t.kind for t in again][1:] == [t.kind for t in stream]
+    again = tokenize("; " + " ".join(stream.text), "r2.c")
+    assert again.text[1:] == stream.text
+    assert again.kind[1:] == stream.kind
 
 
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=60, deadline=None)
 def test_index_integrity(seed):
-    # The nested template's ">>" is split in place by the scope pass.
+    # The nested template's ">>" is split in place by the scope pass, in
+    # every column.
     stream = tokenize("vector < vector < int >> v ;\n" + generate_source(seed),
                       "ii.cc")
-    assert all(stream[i].index == i for i in range(len(stream)))
+    columns = (stream.text, stream.kind, stream.line, stream.col, stream.var_id)
+    assert {len(column) for column in columns} == {len(stream)}
     build_scope_tree(stream)
-    assert stream.texts()[:8] == ["vector", "<", "vector", "<", "int",
-                                  ">", ">", "v"]
-    assert all(stream[i].index == i for i in range(len(stream)))
-    assert stream.get(-1) is None and stream.get(len(stream)) is None
+    columns = (stream.text, stream.kind, stream.line, stream.col,
+               stream.var_id, stream.partner)
+    assert {len(column) for column in columns} == {len(stream)}
+    assert stream.text[:8] == ["vector", "<", "vector", "<", "int",
+                               ">", ">", "v"]
+    assert list(stream.col[5:7]) == [23, 24]
+    assert stream.kind[5:7] == [TokenKind.OPERATOR, TokenKind.OPERATOR]
 
 
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=60, deadline=None)
 def test_positions_strictly_increase(seed):
     stream = tokenize(generate_source(seed), "pos.c")
-    positions = [(t.line, t.column) for t in stream]
+    positions = list(zip(stream.line, stream.col))
     assert positions == sorted(positions)
     assert len(set(positions)) == len(positions)
 
@@ -342,5 +374,5 @@ def test_positions_strictly_increase(seed):
 @settings(max_examples=60, deadline=None)
 def test_no_token_spans_a_newline(seed):
     stream = tokenize(generate_source(seed), "nl.c")
-    for tok in stream:
-        assert "\n" not in tok.text
+    for text in stream.text:
+        assert "\n" not in text
