@@ -13,7 +13,7 @@ import os
 import sys
 from typing import List, Optional, Tuple
 
-from .graphs import dump_cfg, dump_fcg
+from .graphs import build_cfg, dump_cfg, dump_fcg, func_id_of
 from .patterns import BadPatternUnit, builtin_patterns, load_pattern_file
 from .report import Annotation, load_annotation_file, run
 from .scopes import dump_scopes
@@ -119,11 +119,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         wanted = args.dump_cfg
         shown = 0
         # Every body with that name, same-id twins in source order.
-        for cfg in sorted(report.summary_run.cfgs, key=lambda c: c.func):
-            fid = cfg.func
+        bodies = sorted(((func_id_of(scope, unit.stream), scope, unit.stream)
+                         for unit in report.units
+                         for scope in unit.root.function_scopes),
+                        key=lambda body: body[0])
+        for fid, scope, stream in bodies:
             if wanted in (fid.func_name, fid.qualified()):
                 print(f"== {fid.render()}")
-                print(dump_cfg(cfg))
+                print(dump_cfg(build_cfg(scope, stream)))
                 shown += 1
         if not shown:
             print(f"zkleak: error: no function named {wanted}", file=sys.stderr)

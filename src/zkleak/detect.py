@@ -47,14 +47,15 @@ def load_source(name: str, text: str) -> FileUnit:
 # Class-shape rules
 # ---------------------------------------------------------------------------
 
-# The walked CFG of each function body in one file, by its token span.
+# The walked CFG of each member-function body in one file, by its token span.
 _Bodies = Dict[Tuple[int, int], Cfg]
 
 
 def special_check(units: List[FileUnit], cfgs: List[Cfg],
                   catalog: Union[Catalog, Sequence[DefectPattern], None] = None
                   ) -> List[Defect]:
-    """The class-shape rules; *cfgs* holds the walked CFG of every body."""
+    """The class-shape rules; *cfgs* holds the walked CFG of every member
+    function body."""
     catalog = compile_catalog(catalog)
     bodies_of: Dict[TokenStream, _Bodies] = {}
     for cfg in cfgs:

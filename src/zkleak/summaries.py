@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .defects import Defect, DefectKind, PathCond
 from .graphs import (Cfg, Fcg, FuncId, build_cfg, defined_successors,
-                     find_rings, post_order)
+                     find_rings, func_id_of, post_order)
 from .interp import (ExploreOutcome, Interp, OwnerRef, REF_GLOBAL,
                      REF_PARAM, REF_RETURN, Variant,
                      default_call_effect, explore, finish_variants, outlives)
@@ -200,25 +200,30 @@ def extract_entries(outcome: ExploreOutcome) -> List[SummaryEntry]:
 
 @dataclass
 class SummaryRun:
+    """What ``update_all`` leaves: every summary, the walk's defects, the
+    call rings, and the walked CFG of each member function, the bodies
+    the class-shape rules read.  Any other body's CFG is dropped after its
+    walk; ``build_cfg(scope, stream)`` builds it again."""
+
     summaries: Dict[FuncId, FunctionSummary]
     defects: List[Defect]
     rings: List[List[FuncId]]
-    cfgs: List[Cfg]  # one per function body, in source order
+    cfgs: List[Cfg]  # member-function bodies, in walk order
 
 
 def update_all(units: List[Tuple[ScopeNode, TokenStream]], fcg: Fcg,
                catalog: Union[Catalog, Sequence[DefectPattern]],
                strict: bool = False) -> SummaryRun:
     """Walk every function body, callees first, and collect defects; the
-    bodies that share a ``FuncId`` are walked at its post-order position."""
+    bodies that share a ``FuncId`` are walked at its post-order position.
+    Each body's CFG is built right before its walk and, unless it belongs
+    to a class member, dropped right after it."""
     catalog = compile_catalog(catalog)
-    cfgs: List[Cfg] = []
-    bodies: Dict[FuncId, List[Cfg]] = {}
+    bodies: Dict[FuncId, List[Tuple[ScopeNode, TokenStream]]] = {}
     for root, stream in units:
         for scope in root.function_scopes:
-            cfg = build_cfg(scope, stream)
-            cfgs.append(cfg)
-            bodies.setdefault(cfg.func, []).append(cfg)
+            bodies.setdefault(func_id_of(scope, stream), []).append(
+                (scope, stream))
 
     summaries: Dict[FuncId, FunctionSummary] = {}
     defects: List[Defect] = []
@@ -231,23 +236,29 @@ def update_all(units: List[Tuple[ScopeNode, TokenStream]], fcg: Fcg,
             summaries[member] = ring_summary(member, fcg.defined[member])
         head = ring[0]
         cycle = " -> ".join(f.render() for f in ring + [head])
+        scope = fcg.defined[head]
         defects.append(Defect(
             kind=DefectKind.RECURSIVE_CALL_RING,
             file=head.file_name,
-            line=next(cfg.entry_line for cfg in bodies[head]
-                      if cfg.func_scope is fcg.defined[head]),
+            line=next(stream.line[scope.token_begin]
+                      for body, stream in bodies[head] if body is scope),
             func=head.qualified(),
             message=f"call ring never summarized precisely: {cycle}"))
 
+    cfgs: List[Cfg] = []
     handler = make_call_handler(summaries)
     for fid in post_order(defined_successors(fcg)):
-        for cfg in bodies[fid]:
+        for scope, stream in bodies[fid]:
+            cfg = build_cfg(scope, stream)
             outcome = explore(cfg, catalog, fcg.call_sites(fid), handler,
                               strict)
-            if fid not in ring_members and cfg.func_scope is fcg.defined[fid]:
+            if fid not in ring_members and scope is fcg.defined[fid]:
                 entries = extract_entries(outcome)
                 summaries[fid] = FunctionSummary(fid, entries)
             defects += outcome.mid_errors + finish_variants(outcome)
+            if scope.owner_class:
+                cfgs.append(cfg)
+            del cfg, outcome  # so the next build does not overlap this one
 
     return SummaryRun(summaries, defects, rings, cfgs)
 

@@ -22,6 +22,7 @@ from typing import List, Tuple
 from hypothesis import given, settings, strategies as st
 
 from zkleak.events import _extract
+from zkleak.graphs import build_cfg
 from zkleak.patterns import compile_catalog
 from zkleak.report import run
 from zkleak.scopes import build_scope_tree
@@ -122,8 +123,9 @@ def test_stray_close_reports_the_brace_first():
 # ---------------------------------------------------------------------------
 
 def _cfg_of(report, name: str):
-    return next(cfg for cfg in report.summary_run.cfgs
-                if cfg.func.func_name == name)
+    # The run keeps member-function CFGs only; a free function's is rebuilt.
+    return next(build_cfg(scope, unit.stream) for unit in report.units
+                for scope in unit.root.function_scopes if scope.name == name)
 
 
 def test_a_guard_closing_past_the_body_is_clipped_to_it():

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zkleak.events import _extract
+from zkleak.graphs import build_cfg
 from zkleak.patterns import (
     Abstract,
     Alternation,
@@ -298,8 +299,10 @@ def test_dispatched_extraction_equals_a_full_scan_on_the_corpus(corpus_paths):
     full_scan = Catalog([dataclasses.replace(p, anchor=None)
                          for p in dispatched.patterns])
     report = run([(str(p), p.read_text()) for p in corpus_paths])
+    cfgs = [build_cfg(scope, unit.stream) for unit in report.units
+            for scope in unit.root.function_scopes]
     cases = [(cfg.stream, node.span, report.fcg.call_sites(cfg.func))
-             for cfg in report.summary_run.cfgs
+             for cfg in cfgs
              for node in cfg.nodes]
     # Whole member-function bodies stay as cases: they are the longest
     # spans in the corpus (the class rules themselves read the nodes).
@@ -329,8 +332,9 @@ class _UnscannableSites(dict):
 def test_call_events_look_sites_up_instead_of_scanning_the_map():
     report = run([("sites.c", "void g ( char * p ) { }\n"
                                "void f ( ) { char * q ; g ( q ) ; h ( ) ; g ( q ) ; }")])
-    cfg = next(cfg for cfg in report.summary_run.cfgs
-               if cfg.func.func_name == "f")
+    root, stream = report.units[0].root, report.units[0].stream
+    cfg = next(build_cfg(scope, stream) for scope in root.function_scopes
+               if scope.name == "f")
     catalog = compile_catalog(None)
     site_map = report.fcg.call_sites(cfg.func)
     want = [_extract(cfg.stream, node.span, catalog, site_map) for node in cfg.nodes]

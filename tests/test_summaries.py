@@ -7,12 +7,16 @@ the same defect multiset.
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 from collections import Counter
 
+from zkleak import summaries
 from zkleak.graphs import (Fcg, FcgEdge, FuncId, build_fcg, defined_successors,
                            post_order)
 from zkleak.patterns import catalog_patterns
+from zkleak.report import run as run_report
 from zkleak.scopes import build_scope_tree
 from zkleak.summaries import (
     ACTION_UNKNOWN,
@@ -409,3 +413,46 @@ def test_call_form_and_inlined_form_agree():
         with_calls = Counter(k for k, _ in claims(run(call_form, "a.c")))
         inlined = Counter(k for k, _ in claims(run(inline_form, "b.c")))
         assert with_calls == inlined, call_form
+
+
+# ---------------------------------------------------------------------------
+# CFG lifetime
+# ---------------------------------------------------------------------------
+
+_FREE_AND_MEMBERS = (
+    "char * mk ( ) { char * p ; p = malloc ( 4 ) ; return p ; }\n"
+    "void rel ( char * p ) { free ( p ) ; }\n"
+    "void use ( ) { char * q ; q = mk ( ) ; rel ( q ) ; }\n"
+    "void leak ( ) { char * r ; r = mk ( ) ; }\n"
+    "class Buf { public : Buf ( ) { data = new char [ 8 ] ; }\n"
+    "  ~ Buf ( ) { delete [ ] data ; } void reset ( ) ; char * data ; } ;\n"
+    "void Buf :: reset ( ) { delete [ ] data ; data = 0 ; }\n")
+
+
+def test_a_free_function_cfg_is_dropped_after_its_walk(monkeypatch):
+    built = []  # (weak reference to the CFG, whether it is a member's)
+    free_alive = []  # free-function CFGs still alive at each build
+    original = summaries.build_cfg
+
+    def recording_build_cfg(scope, stream):
+        free_alive.append(sum(ref() is not None for ref, member in built
+                              if not member))
+        cfg = original(scope, stream)
+        built.append((weakref.ref(cfg), bool(scope.owner_class)))
+        return cfg
+
+    monkeypatch.setattr(summaries, "build_cfg", recording_build_cfg)
+    # Only reference counting may free a CFG here, not a collector pass.
+    gc.disable()
+    try:
+        report = run_report([("m.cc", _FREE_AND_MEMBERS)])
+    finally:
+        gc.enable()
+
+    assert len(built) == 7 and sum(member for _ref, member in built) == 3
+    assert max(free_alive) == 0  # not even the previous body's
+    kept = report.summary_run.cfgs
+    assert sorted(id(cfg) for cfg in kept) == sorted(
+        id(ref()) for ref, member in built if member)
+    assert sorted(cfg.func.qualified() for cfg in kept) == [
+        "Buf::Buf", "Buf::reset", "Buf::~Buf"]
