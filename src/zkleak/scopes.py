@@ -99,11 +99,11 @@ class ScopeNode:
     # Class-like only: token indices of the name and of the keyword.
     name_index: int = -1
     header_index: int = -1
-    # Root-only registries.
-    class_scopes: Dict[str, "ScopeNode"] = field(default_factory=dict)
-    function_scopes: List["ScopeNode"] = field(default_factory=list)
-    declared_funcs: List[DeclaredFunc] = field(default_factory=list)
-    pointer_typedefs: Set[str] = field(default_factory=set)
+    # Root-only registries, None on every other scope.
+    class_scopes: Optional[Dict[str, "ScopeNode"]] = None
+    function_scopes: Optional[List["ScopeNode"]] = None
+    declared_funcs: Optional[List[DeclaredFunc]] = None
+    pointer_typedefs: Optional[Set[str]] = None
 
     def add_symbol(self, entry: SymbolEntry) -> None:
         self.symbols.setdefault(entry.name, []).append(entry)
@@ -148,7 +148,9 @@ def build_scope_tree(stream: TokenStream) -> ScopeNode:
     """
     _pair_brackets(stream)
 
-    root = ScopeNode(ScopeKind.GLOBAL, "", None, 0, len(stream))
+    root = ScopeNode(ScopeKind.GLOBAL, "", None, 0, len(stream),
+                     class_scopes={}, function_scopes=[], declared_funcs=[],
+                     pointer_typedefs=set())
     _collect_types(stream, root)
 
     # Scope creation walk.  Each stack entry is (scope, token_end, whether
@@ -279,6 +281,18 @@ def _split_shifts(stream: TokenStream, splits: List[int]) -> None:
 
 _INITIALIZER_PRECEDERS = frozenset(["=", ",", "(", "{", "return"])
 
+# The keyword before a ``( … ) {`` that makes the brace a control body.
+_CONTROL_SCOPES = {
+    "if": ScopeKind.IF, "for": ScopeKind.FOR, "while": ScopeKind.WHILE,
+    "switch": ScopeKind.SWITCH, "catch": ScopeKind.CATCH,
+}
+
+# The head keyword of a class-like body; ``enum`` opens a plain block.
+_CLASS_KEYWORD_SCOPES = {
+    "class": ScopeKind.CLASS, "struct": ScopeKind.STRUCT,
+    "union": ScopeKind.UNION, "namespace": ScopeKind.NAMESPACE,
+}
+
 
 def _classify_open(stream: TokenStream, i: int, parent: ScopeNode,
                    in_function: bool):
@@ -310,12 +324,8 @@ def _classify_open(stream: TokenStream, i: int, parent: ScopeNode,
         if open_idx < 0:
             return ScopeKind.BLOCK, "", {}
         before = text_at(stream, open_idx - 1)
-        control = {
-            "if": ScopeKind.IF, "for": ScopeKind.FOR, "while": ScopeKind.WHILE,
-            "switch": ScopeKind.SWITCH, "catch": ScopeKind.CATCH,
-        }
-        if before in control:
-            return control[before], "", {}
+        if before in _CONTROL_SCOPES:
+            return _CONTROL_SCOPES[before], "", {}
         if in_function:
             return ScopeKind.BLOCK, "", {}  # no nested functions in C/C++
         header = _function_header(stream, close)
@@ -327,10 +337,7 @@ def _classify_open(stream: TokenStream, i: int, parent: ScopeNode,
     head = _class_header(stream, i)
     if head is not None:
         keyword, name, header_index, name_index = head
-        kind = {
-            "class": ScopeKind.CLASS, "struct": ScopeKind.STRUCT,
-            "union": ScopeKind.UNION, "namespace": ScopeKind.NAMESPACE,
-        }.get(keyword)
+        kind = _CLASS_KEYWORD_SCOPES.get(keyword)
         if kind is None:  # enum bodies hold no variables worth scoping
             return ScopeKind.BLOCK, "", {}
         return kind, name, {"header_index": header_index, "name_index": name_index}
