@@ -5,11 +5,19 @@ emission time: every block declares its variables with a type unique to
 its nesting depth, so the type of a resolved entry reveals which
 declaration won.  A plain chain-walking resolver is the reference that
 the var ids on the tokens are checked against.
+
+``fixtures/scopes_golden.json`` pins the scope tree of every corpus file
+and of ``catalog_exemplars.cc``: the ``dump_scopes`` listing, the var id
+of every token, and every declaration in ``stream.vars``.  Regenerate it
+(``PYTHONPATH=src python tests/test_scopes.py``) only from a commit whose
+scope trees are known good.
 """
 
 from __future__ import annotations
 
+import json
 import random
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
@@ -435,3 +443,51 @@ def test_scope_tree_survives_token_soup(seed):
             entry = chain_resolve(stream.text[i], innermost_scope(root, i),
                                   root.class_scopes)
             assert stream.var_id[i] == (entry.var_id if entry else 0), (stream.text[i], i)
+
+
+# ---------------------------------------------------------------------------
+# Golden scope trees
+# ---------------------------------------------------------------------------
+
+FIXTURES = Path(__file__).parent / "fixtures"
+SCOPE_GOLDEN = FIXTURES / "scopes_golden.json"
+
+
+def scope_golden_inputs() -> list:
+    """(name, source): every corpus file, then the catalog exemplars."""
+    paths = sorted((FIXTURES / "corpus").iterdir())
+    paths.append(FIXTURES / "catalog_exemplars.cc")
+    return [(p.relative_to(FIXTURES).as_posix(), p.read_text(encoding="utf-8"))
+            for p in paths]
+
+
+def _scope_case(name: str, source: str) -> dict:
+    stream = tokenize(source, name)
+    root = build_scope_tree(stream)
+    return {
+        "input": name,
+        "scopes": dump_scopes(root, stream).split("\n"),
+        "var_id": list(stream.var_id),
+        "vars": [[e.name, e.type_text, e.is_pointer, e.is_member,
+                  e.is_global_or_static, e.decl_index] for e in stream.vars[1:]],
+    }
+
+
+def test_scope_trees_match_the_golden_file():
+    golden = json.loads(SCOPE_GOLDEN.read_text(encoding="utf-8"))
+    cases = [_scope_case(name, source) for name, source in scope_golden_inputs()]
+    assert [c["input"] for c in golden] == [c["input"] for c in cases]
+    assert sum(len(c["vars"]) for c in cases) > 100
+    for want, got in zip(golden, cases):
+        assert got == want, want["input"]
+
+
+def write_scope_golden() -> int:
+    cases = [_scope_case(name, source) for name, source in scope_golden_inputs()]
+    SCOPE_GOLDEN.write_text("[\n" + ",\n".join(json.dumps(c) for c in cases) + "\n]\n",
+                            encoding="utf-8")
+    return len(cases)
+
+
+if __name__ == "__main__":
+    print(f"wrote {write_scope_golden()} cases to {SCOPE_GOLDEN}")
