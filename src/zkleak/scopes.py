@@ -21,7 +21,8 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .tokens import Diagnostic, TokenKind, TokenStream, TYPE_KEYWORDS
 
@@ -57,7 +58,7 @@ _ELABORATION = frozenset(["struct", "class", "union", "enum"])
 _ACCESS_WORDS = frozenset(["public", "protected", "private"])
 
 
-@dataclass
+@dataclass(slots=True)
 class SymbolEntry:
     name: str
     var_id: int
@@ -83,17 +84,31 @@ class DeclaredFunc:
     param_text: str = ""
 
 
-@dataclass(eq=False)
+# The symbols of every scope that declares nothing.  It is read-only, so a
+# write that skips ``add_symbol`` raises instead of reaching all of them.
+_NO_SYMBOLS: Mapping[str, List[SymbolEntry]] = MappingProxyType({})
+
+
+@dataclass(eq=False, slots=True)
 class ScopeNode:
+    """One lexical scope, ``[token_begin, token_end)`` in the stream.
+
+    Most scopes are control bodies that declare nothing and hold no
+    nested scope, so ``children``, ``symbols`` and ``params`` start as
+    shared empties (a tuple, a read-only mapping, a tuple) and become a
+    list or dict of their own on their first write.  Only the scope pass
+    here writes them; every later reader only reads.
+    """
+
     kind: ScopeKind
     name: str = ""
     parent: Optional["ScopeNode"] = None
     token_begin: int = 0
     token_end: int = 0
-    children: List["ScopeNode"] = field(default_factory=list)
-    symbols: Dict[str, List[SymbolEntry]] = field(default_factory=dict)
+    children: Sequence["ScopeNode"] = ()
+    symbols: Mapping[str, List[SymbolEntry]] = field(default_factory=lambda: _NO_SYMBOLS)
     # Function-only metadata.
-    params: List[SymbolEntry] = field(default_factory=list)
+    params: Sequence[SymbolEntry] = ()
     owner_class: str = ""
     is_virtual: bool = False
     # Class-like only: token indices of the name and of the keyword.
@@ -106,6 +121,8 @@ class ScopeNode:
     pointer_typedefs: Optional[Set[str]] = None
 
     def add_symbol(self, entry: SymbolEntry) -> None:
+        if not self.symbols:
+            self.symbols = {}
         self.symbols.setdefault(entry.name, []).append(entry)
 
     def enclosing(self, *kinds: ScopeKind) -> Optional["ScopeNode"]:
@@ -172,6 +189,8 @@ def build_scope_tree(stream: TokenStream) -> ScopeNode:
         kind, name, meta = info
         close = stream.partner[i] if stream.partner[i] >= 0 else len(stream) - 1
         node = ScopeNode(kind, name, parent, i, close + 1)
+        if not parent.children:
+            parent.children = []
         parent.children.append(node)
         innermost[i] = node
         if kind in _CLASSY:
@@ -432,6 +451,7 @@ def _virtual_in_specifiers(stream: TokenStream, name_start: int) -> bool:
 def _parse_parameters(stream: TokenStream, open_idx: int, close_idx: int,
                       func: ScopeNode) -> None:
     texts, kinds = stream.text, stream.kind
+    params: List[SymbolEntry] = []
     for begin, end in split_top_level(stream, open_idx + 1, close_idx):
         if begin >= end or (end - begin == 1 and texts[begin] == "void"):
             continue
@@ -440,16 +460,18 @@ def _parse_parameters(stream: TokenStream, open_idx: int, close_idx: int,
         name_at = next((k for k in reversed(head)
                         if kinds[k] is TokenKind.IDENTIFIER), -1)
         entry = SymbolEntry(
-            name=texts[name_at] if name_at >= 0 else f"<unnamed{len(func.params)}>",
+            name=texts[name_at] if name_at >= 0 else f"<unnamed{len(params)}>",
             var_id=len(stream.vars),
             type_text=" ".join(texts[k] for k in head if k != name_at),
             is_pointer=any(texts[k] == "*" for k in head),
             decl_index=name_at if name_at >= 0 else open_idx,
         )
         stream.vars.append(entry)
-        func.params.append(entry)
+        params.append(entry)
         if name_at >= 0:
             func.add_symbol(entry)
+    if params:
+        func.params = params
 
 
 def split_top_level(stream: TokenStream, begin: int, end: int,

@@ -15,10 +15,13 @@ scope trees are known good.
 
 from __future__ import annotations
 
+import gc
 import json
 import random
+import tracemalloc
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from zkleak.scopes import (
@@ -443,6 +446,48 @@ def test_scope_tree_survives_token_soup(seed):
             entry = chain_resolve(stream.text[i], innermost_scope(root, i),
                                   root.class_scopes)
             assert stream.var_id[i] == (entry.var_id if entry else 0), (stream.text[i], i)
+
+
+# ---------------------------------------------------------------------------
+# Footprint
+# ---------------------------------------------------------------------------
+
+def _retained_scope_tree(lines: int):
+    """The tree of a function with *lines* one-line ``if`` bodies, and the
+    bytes ``build_scope_tree`` leaves allocated on return."""
+    body = "if ( a ) { r = 1 ; }\n" * lines
+    stream = tokenize(f"void f ( int a ) {{ int r ;\n{body}}}\n", "ifs.c")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        root = build_scope_tree(stream)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return root, retained
+
+
+def test_an_empty_control_body_costs_at_most_300_bytes():
+    """Each added ``if ( a ) { r = 1 ; }`` line keeps one scope alive,
+    plus its ten tokens' bracket partners.  The body declares nothing and
+    holds no scope, so it owns no container and no ``__dict__``."""
+    _retained_scope_tree(100)  # one-time allocations
+    _, small = _retained_scope_tree(500)
+    root, large = _retained_scope_tree(2500)
+    assert (large - small) / 2000 <= 300
+    (f,) = root.children
+    assert len(f.children) == 2500
+    first = f.children[0]
+    assert first.kind is ScopeKind.IF
+    assert not first.children and not first.symbols and not first.params
+    for body in f.children:
+        assert body.children is first.children
+        assert body.symbols is first.symbols
+        assert body.params is first.params
+        assert not hasattr(body, "__dict__")
+    assert not hasattr(f.params[0], "__dict__")
+    with pytest.raises(TypeError):
+        first.symbols["r"] = []
 
 
 # ---------------------------------------------------------------------------
