@@ -204,7 +204,7 @@ def build_scope_tree(stream: TokenStream) -> ScopeNode:
             node.owner_class = meta["owner_class"] or (cls.name if cls else "")
             node.is_virtual = meta["is_virtual"]
             _parse_parameters(stream, meta["params_open"], meta["params_close"],
-                              node)
+                              node, root.pointer_typedefs)
             root.function_scopes.append(node)
         stack.append((node, node.token_end, in_function, cls))
 
@@ -449,7 +449,13 @@ def _virtual_in_specifiers(stream: TokenStream, name_start: int) -> bool:
 
 
 def _parse_parameters(stream: TokenStream, open_idx: int, close_idx: int,
-                      func: ScopeNode) -> None:
+                      func: ScopeNode, pointer_typedefs: Set[str]) -> None:
+    """Declare each parameter of *func*.
+
+    The name is the last identifier before a default value or the first
+    top-level ``[``, so ``char buf[SIZE]`` names ``buf``.  An array
+    parameter is a pointer in C, as is one whose type is a pointer typedef.
+    """
     texts, kinds = stream.text, stream.kind
     params: List[SymbolEntry] = []
     for begin, end in split_top_level(stream, open_idx + 1, close_idx):
@@ -457,13 +463,27 @@ def _parse_parameters(stream: TokenStream, open_idx: int, close_idx: int,
             continue
         eq_at = next((k for k in range(begin, end) if texts[k] == "="), end)
         head = range(begin, eq_at)
-        name_at = next((k for k in reversed(head)
+        name_end = eq_at
+        depth = 0
+        for k in head:
+            text = texts[k]
+            if text == "[" and depth == 0:
+                name_end = k
+                break
+            if text in ("(", "[", "{"):
+                depth += 1
+            elif text in (")", "]", "}"):
+                depth -= 1
+        name_at = next((k for k in reversed(range(begin, name_end))
                         if kinds[k] is TokenKind.IDENTIFIER), -1)
         entry = SymbolEntry(
             name=texts[name_at] if name_at >= 0 else f"<unnamed{len(params)}>",
             var_id=len(stream.vars),
             type_text=" ".join(texts[k] for k in head if k != name_at),
-            is_pointer=any(texts[k] == "*" for k in head),
+            is_pointer=(name_end < eq_at
+                        or any(texts[k] == "*" or (k != name_at
+                                                   and texts[k] in pointer_typedefs)
+                               for k in head)),
             decl_index=name_at if name_at >= 0 else open_idx,
         )
         stream.vars.append(entry)

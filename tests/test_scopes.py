@@ -238,6 +238,20 @@ def test_parameters_resolve_with_pointerness():
     assert not chain_resolve("n", f).is_pointer
 
 
+def test_array_and_pointer_typedef_parameters_are_pointers():
+    source = ("typedef char * str ;\n"
+              "void f ( char buf [ SIZE ] , str s , int v [ ] , int ( * m ) [ 4 ] ,"
+              " int n ) { }\n")
+    stream = tokenize(source, "arr.c")
+    root = build_scope_tree(stream)
+    (f,) = root.children
+    assert [(p.name, p.is_pointer) for p in f.params] == [
+        ("buf", True), ("s", True), ("v", True), ("m", True), ("n", False)]
+    assert f.params[0].type_text == "char [ SIZE ]"
+    assert [stream.var_id[i] for i, text in enumerate(stream.text)
+            if text == "SIZE"] == [0]
+
+
 def test_a_block_first_in_a_body_opens_a_scope():
     stream = tokenize("void f ( char * a ) { { char * a ; a = 0 ; } a = 0 ; }",
                       "blk.c")

@@ -68,6 +68,16 @@ def test_releaser_summary():
     assert rendered(result, "rel") == [("param0", "free(free)")]
 
 
+def test_array_and_pointer_typedef_parameters_are_released():
+    caller = "void g ( void ) { char * p ; p = malloc ( 4 ) ; rel ( p ) ; free ( p ) ; }\n"
+    for head, param in (("", "char buf [ ]"), ("", "char buf [ SIZE ]"),
+                        ("typedef char * str ;\n", "str buf")):
+        source = f"{head}void rel ( {param} ) {{ free ( buf ) ; }}\n{caller}"
+        result = run(source)
+        assert rendered(result, "rel") == [("param0", "free(free)")], param
+        assert claims(result) == [("DoubleFree", source.count("\n"))], param
+
+
 def test_balanced_local_pair_summarizes_to_nothing():
     result = run("void ok ( ) { char * p ; p = malloc ( 8 ) ; free ( p ) ; }")
     assert rendered(result, "ok") == []
