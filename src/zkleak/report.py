@@ -21,8 +21,9 @@ from __future__ import annotations
 import json
 import re
 import time
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from .defects import Defect, DefectKind, dedup_and_sort
 from .detect import FileUnit, load_source, special_check
@@ -114,30 +115,38 @@ class Metrics:
 
 
 def score(defects: Sequence[Defect], annotations: Sequence[Annotation]) -> Metrics:
-    """Match claims to annotations: same file and kind, lines within 1."""
+    """Match claims to annotations: same file and kind, lines within 1.
+
+    Claims are taken in sort order.  Each takes the nearest unmatched
+    annotation, the earliest of them on a tie, and that annotation
+    matches no other claim.
+    """
     claims = [d for d in defects if not d.is_warning()]
-    available = list(annotations)
+    # (file, kind, line) -> positions in *annotations* not matched yet.
+    available: Dict[Tuple[str, str, int], Deque[int]] = {}
+    for n, ann in enumerate(annotations):
+        available.setdefault((ann.file, ann.kind, ann.line), deque()).append(n)
     matched = 0
     fp_matched = 0
     unmatched_claims = 0
     for claim in sorted(claims, key=lambda d: d.sort_key()):
-        best = None
-        for ann in available:
-            if (ann.file == claim.file and ann.kind == claim.kind.value
-                    and abs(ann.line - claim.line) <= 1):
-                if best is None or abs(ann.line - claim.line) < abs(best.line - claim.line):
-                    best = ann
-        if best is None:
+        file, kind, line = claim.file, claim.kind.value, claim.line
+        at = available.get((file, kind, line))
+        if not at:
+            sides = [q for q in (available.get((file, kind, line - 1)),
+                                 available.get((file, kind, line + 1))) if q]
+            at = min(sides, key=lambda q: q[0], default=None)
+        if not at:
             unmatched_claims += 1
             continue
-        available.remove(best)
-        if best.expect_fp:
+        if annotations[at.popleft()].expect_fp:
             fp_matched += 1
         else:
             matched += 1
 
     actual = sum(1 for a in annotations if not a.expect_fp)
-    missed = sum(1 for a in available if not a.expect_fp)
+    missed = sum(1 for at in available.values() for n in at
+                 if not annotations[n].expect_fp)
     c = len(claims)
     fc = fp_matched + unmatched_claims
     fpr = compute_fpr(c, fc) if c else None

@@ -6,6 +6,7 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import zkleak.cli
 import zkleak.report
@@ -15,6 +16,7 @@ from zkleak.report import (
     Annotation,
     DivisionByZeroActual,
     DivisionByZeroDefects,
+    Metrics,
     compute_fnr,
     compute_fpr,
     load_annotation_file,
@@ -153,6 +155,62 @@ def test_score_ignores_warnings():
                _claim(DefectKind.AMBIGUOUS_CALL_WARNING, 9)]
     metrics = score(defects, [Annotation("a.c", 5, "MissingRelease")])
     assert metrics.claims == 1 and metrics.fpr == 0.0
+
+
+def _reference_score(defects, annotations) -> Metrics:
+    """The quadratic matcher ``score`` replaced: each claim scans every
+    annotation still available."""
+    claims = [d for d in defects if not d.is_warning()]
+    available = list(annotations)
+    matched = fp_matched = unmatched_claims = 0
+    for claim in sorted(claims, key=lambda d: d.sort_key()):
+        best = None
+        for ann in available:
+            if (ann.file == claim.file and ann.kind == claim.kind.value
+                    and abs(ann.line - claim.line) <= 1):
+                if best is None or abs(ann.line - claim.line) < abs(best.line - claim.line):
+                    best = ann
+        if best is None:
+            unmatched_claims += 1
+            continue
+        available.remove(best)
+        if best.expect_fp:
+            fp_matched += 1
+        else:
+            matched += 1
+    actual = sum(1 for a in annotations if not a.expect_fp)
+    c = len(claims)
+    fc = fp_matched + unmatched_claims
+    return Metrics(c, fc, actual, matched,
+                   sum(1 for a in available if not a.expect_fp),
+                   compute_fpr(c, fc) if c else None,
+                   compute_fnr(actual, c) if actual else None)
+
+
+_SCORED_KINDS = [DefectKind.MISSING_RELEASE, DefectKind.DOUBLE_FREE,
+                 DefectKind.AMBIGUOUS_CALL_WARNING]
+_FILES = st.sampled_from(["a.c", "a.c", "b.c"])
+_LINES = st.integers(min_value=1, max_value=3)
+
+
+@given(st.lists(st.builds(_claim, st.sampled_from(_SCORED_KINDS), _LINES, _FILES),
+                max_size=12),
+       st.lists(st.builds(Annotation, _FILES, _LINES,
+                          st.sampled_from([k.value for k in _SCORED_KINDS]),
+                          st.booleans()),
+                max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_score_matches_the_quadratic_reference(defects, annotations):
+    assert score(defects, annotations) == _reference_score(defects, annotations)
+
+
+def test_score_breaks_a_tie_by_annotation_order():
+    claims = [_claim(DefectKind.MISSING_RELEASE, 5),
+              _claim(DefectKind.MISSING_RELEASE, 6)]
+    anns = [Annotation("a.c", 4, "MissingRelease"),
+            Annotation("a.c", 6, "MissingRelease")]
+    assert score(claims, anns).matched == 2  # line 5 takes line 4, the earlier
+    assert score(claims, anns[::-1]).matched == 1  # line 5 takes line 6
 
 
 def test_metrics_json_keys():
