@@ -452,9 +452,9 @@ def _parse_parameters(stream: TokenStream, open_idx: int, close_idx: int,
                       func: ScopeNode, pointer_typedefs: Set[str]) -> None:
     """Declare each parameter of *func*.
 
-    The name is the last identifier before a default value or the first
-    top-level ``[``, so ``char buf[SIZE]`` names ``buf``.  An array
-    parameter is a pointer in C, as is one whose type is a pointer typedef.
+    The name is the last identifier before a default value or an array
+    declarator, so ``char buf[SIZE]`` names ``buf``.  An array parameter
+    is a pointer in C, as is one whose type is a pointer typedef.
     """
     texts, kinds = stream.text, stream.kind
     params: List[SymbolEntry] = []
@@ -463,27 +463,21 @@ def _parse_parameters(stream: TokenStream, open_idx: int, close_idx: int,
             continue
         eq_at = next((k for k in range(begin, end) if texts[k] == "="), end)
         head = range(begin, eq_at)
-        name_end = eq_at
-        depth = 0
-        for k in head:
-            text = texts[k]
-            if text == "[" and depth == 0:
-                name_end = k
-                break
-            if text in ("(", "[", "{"):
-                depth += 1
-            elif text in (")", "]", "}"):
-                depth -= 1
+        # An array suffix or a trailing "[[...]]" attribute follows the name
+        # or a parenthesized declarator; a leading attribute follows neither.
+        name_end = next((k for k in head if texts[k] == "[" and (
+            texts[k - 1] == ")" or kinds[k - 1] is TokenKind.IDENTIFIER)), eq_at)
         name_at = next((k for k in reversed(range(begin, name_end))
                         if kinds[k] is TokenKind.IDENTIFIER), -1)
+        is_array = name_end < eq_at and texts[name_end + 1] != "["
+        is_pointer = is_array or any(
+            texts[k] == "*" or (k != name_at and texts[k] in pointer_typedefs)
+            for k in head)
         entry = SymbolEntry(
             name=texts[name_at] if name_at >= 0 else f"<unnamed{len(params)}>",
             var_id=len(stream.vars),
             type_text=" ".join(texts[k] for k in head if k != name_at),
-            is_pointer=(name_end < eq_at
-                        or any(texts[k] == "*" or (k != name_at
-                                                   and texts[k] in pointer_typedefs)
-                               for k in head)),
+            is_pointer=is_pointer,
             decl_index=name_at if name_at >= 0 else open_idx,
         )
         stream.vars.append(entry)

@@ -241,12 +241,13 @@ def test_parameters_resolve_with_pointerness():
 def test_array_and_pointer_typedef_parameters_are_pointers():
     source = ("typedef char * str ;\n"
               "void f ( char buf [ SIZE ] , str s , int v [ ] , int ( * m ) [ 4 ] ,"
-              " int n ) { }\n")
+              " int n , [ [ maybe_unused ] ] int k , int j [ [ maybe_unused ] ] ) { }\n")
     stream = tokenize(source, "arr.c")
     root = build_scope_tree(stream)
     (f,) = root.children
     assert [(p.name, p.is_pointer) for p in f.params] == [
-        ("buf", True), ("s", True), ("v", True), ("m", True), ("n", False)]
+        ("buf", True), ("s", True), ("v", True), ("m", True), ("n", False),
+        ("k", False), ("j", False)]
     assert f.params[0].type_text == "char [ SIZE ]"
     assert [stream.var_id[i] for i, text in enumerate(stream.text)
             if text == "SIZE"] == [0]
