@@ -529,8 +529,11 @@ def _scan_calls(fcg: Fcg, by_key, declared, scope: ScopeNode,
             continue
         arity = 0 if close == i + 2 else len(split_top_level(stream, i + 2, close))
         line = stream.line[i]
-        callee = _resolve_call(fcg, by_key, declared, name, line, receiver_class,
-                               scope.owner_class, arity, caller)
+        if stream.var_id[i] and not receiver_class:
+            callee = FuncId("", "", name, arity)  # through a pointer: unresolved
+        else:
+            callee = _resolve_call(fcg, by_key, declared, name, line, receiver_class,
+                                   scope.owner_class, arity, caller)
         fcg.add_edge(FcgEdge(caller, callee, i, line))
 
 

@@ -450,34 +450,17 @@ def _virtual_in_specifiers(stream: TokenStream, name_start: int) -> bool:
 
 def _parse_parameters(stream: TokenStream, open_idx: int, close_idx: int,
                       func: ScopeNode, pointer_typedefs: Set[str]) -> None:
-    """Declare each parameter of *func*.
-
-    The name is the last identifier before a default value or an array
-    declarator, so ``char buf[SIZE]`` names ``buf``.  An array parameter
-    is a pointer in C, as is one whose type is a pointer typedef.
-    """
-    texts, kinds = stream.text, stream.kind
+    """Declare each parameter of *func*; an array parameter is a pointer."""
+    texts = stream.text
     params: List[SymbolEntry] = []
-    for begin, end in split_top_level(stream, open_idx + 1, close_idx):
-        if begin >= end or (end - begin == 1 and texts[begin] == "void"):
-            continue
-        eq_at = next((k for k in range(begin, end) if texts[k] == "="), end)
-        head = range(begin, eq_at)
-        # An array suffix or a trailing "[[...]]" attribute follows the name
-        # or a parenthesized declarator; a leading attribute follows neither.
-        name_end = next((k for k in head if texts[k] == "[" and (
-            texts[k - 1] == ")" or kinds[k - 1] is TokenKind.IDENTIFIER)), eq_at)
-        name_at = next((k for k in reversed(range(begin, name_end))
-                        if kinds[k] is TokenKind.IDENTIFIER), -1)
-        is_array = name_end < eq_at and texts[name_end + 1] != "["
-        is_pointer = is_array or any(
-            texts[k] == "*" or (k != name_at and texts[k] in pointer_typedefs)
-            for k in head)
+    for begin, end in _param_groups(stream, open_idx, close_idx):
+        name_at, is_pointer, is_array, stop = _read_declarator(
+            stream, begin, end, pointer_typedefs)
         entry = SymbolEntry(
             name=texts[name_at] if name_at >= 0 else f"<unnamed{len(params)}>",
             var_id=len(stream.vars),
-            type_text=" ".join(texts[k] for k in head if k != name_at),
-            is_pointer=is_pointer,
+            type_text=" ".join(texts[k] for k in range(begin, stop) if k != name_at),
+            is_pointer=is_pointer or is_array,
             decl_index=name_at if name_at >= 0 else open_idx,
         )
         stream.vars.append(entry)
@@ -486,6 +469,63 @@ def _parse_parameters(stream: TokenStream, open_idx: int, close_idx: int,
             func.add_symbol(entry)
     if params:
         func.params = params
+
+
+def _param_groups(stream: TokenStream, open_idx: int,
+                  close_idx: int) -> List[Tuple[int, int]]:
+    """The parameters between two parens; ``( )`` and ``( void )`` have none."""
+    return [(begin, end) for begin, end in split_top_level(stream, open_idx + 1, close_idx)
+            if begin < end and not (end - begin == 1 and stream.text[begin] == "void")]
+
+
+# Tokens that end a declarator: an initializer, the next declarator, the
+# statement's end, a bit-field width, a body, or a bracket closing around it.
+_DECLARATOR_ENDS = frozenset(["=", ",", ";", ":", "{", "}", ")", "]"])
+
+
+def _read_declarator(stream: TokenStream, begin: int, end: int,
+                     pointer_typedefs: Set[str],
+                     specifiers: Sequence[str] = ()) -> Tuple[int, bool, bool, int]:
+    """Read one declarator from *begin*, before *end* at most.
+
+    Returns (name, pointer, array, stop): the index of the last identifier,
+    ``~ X`` or ``operator X`` outside brackets, or -1, so specifiers may
+    lead the range; whether a ``*``, a ``( * name )`` group or a pointer
+    typedef (among *specifiers* or the other tokens) makes it a pointer;
+    whether an array suffix follows the name; and the index where it ends,
+    at an ``=``, ``,``, ``;``, a function's parameter list or a token no
+    declarator holds.  ``[[...]]`` attributes are skipped.
+    """
+    texts, kinds, partner = stream.text, stream.kind, stream.partner
+    name, pointer, array = -1, False, False
+    i = begin
+    while i < end and texts[i] not in _DECLARATOR_ENDS:
+        text, close = texts[i], partner[i]
+        if text in ("(", "["):
+            if not i < close < end:
+                break
+            if text == "[":
+                array = array or texts[i + 1] != "["
+            elif texts[i + 1] in ("*", "&"):  # a "( * name )" group
+                inner, star, suffix, _ = _read_declarator(stream, i + 1, close,
+                                                          pointer_typedefs)
+                name = inner if inner >= 0 else name
+                pointer, array = pointer or star, array or suffix
+            elif texts[i - 1] != ")":
+                break  # a function's parameter list
+            i = close + 1
+            continue
+        if text == "*":
+            pointer = True
+        elif text in ("~", "operator") and i + 1 < end:
+            name = i
+            i += 1
+        elif kinds[i] is TokenKind.IDENTIFIER:
+            name = i
+        i += 1
+    pointer = pointer or not pointer_typedefs.isdisjoint(
+        [*specifiers, *(texts[k] for k in range(begin, i) if k != name)])
+    return name, pointer, array, i
 
 
 def split_top_level(stream: TokenStream, begin: int, end: int,
@@ -524,28 +564,20 @@ def _collect_types(stream: TokenStream, root: ScopeNode) -> None:
                 if text_at(stream, i + 2) in ("{", ":", ";"):
                     types.add(texts[i + 1])
         elif text == "typedef":
-            j = i + 1
-            saw_star = False
-            while j < n and texts[j] != ";":
-                if texts[j] == "{":
-                    j = partner[j] if partner[j] >= 0 else n - 1
-                if texts[j] == "*":
-                    saw_star = True
-                j += 1
-            if j - 1 > i and kinds[j - 1] is TokenKind.IDENTIFIER:
-                types.add(texts[j - 1])
-                if saw_star:
-                    pointer_typedefs.add(texts[j - 1])
+            name, is_pointer, _, j = _read_declarator(stream, i + 1, n, pointer_typedefs)
+            if text_at(stream, j) == "{" and partner[j] > j:  # the name follows a body
+                name, is_pointer, _, j = _read_declarator(stream, partner[j] + 1, n,
+                                                          pointer_typedefs)
+            if name >= 0:
+                types.add(texts[name])
+                if is_pointer:
+                    pointer_typedefs.add(texts[name])
             i = j
         elif text == "using" and i + 2 < n and texts[i + 2] == "=":
             if kinds[i + 1] is TokenKind.IDENTIFIER:
-                name = texts[i + 1]
-                types.add(name)
-                j = i + 3
-                while j < n and texts[j] != ";":
-                    if texts[j] == "*":
-                        pointer_typedefs.add(name)
-                    j += 1
+                types.add(texts[i + 1])
+                if _read_declarator(stream, i + 3, n, pointer_typedefs)[1]:
+                    pointer_typedefs.add(texts[i + 1])
         i += 1
     stream.known_types = types
     root.pointer_typedefs = pointer_typedefs
@@ -553,25 +585,23 @@ def _collect_types(stream: TokenStream, root: ScopeNode) -> None:
 
 _STMT_ENDERS = frozenset([";", "{", "}"])
 
+# The words a declaration may start with, besides class and typedef names.
+_DECL_STARTS = TYPE_KEYWORDS | _DECL_QUALIFIERS | _ELABORATION | {"~", "operator"}
+
 
 def _scan_declarations(stream: TokenStream, root: ScopeNode,
                        innermost: List[ScopeNode]) -> None:
-    pointer_typedefs = root.pointer_typedefs
-    texts = stream.text
+    texts, partner = stream.text, stream.partner
     n = len(texts)
     stmt_start = True
     i = 0
     while i < n:
         text = texts[i]
-        if stmt_start and (text in TYPE_KEYWORDS
-                           or text in _DECL_QUALIFIERS
-                           or text in _ELABORATION
-                           or text in stream.known_types
-                           or text == "virtual"
-                           or text == "~"
-                           or text == "operator"):
-            end = _parse_declaration(stream, i, innermost[i], root,
-                                     pointer_typedefs)
+        if stmt_start and text == "[" and partner[i] > i and texts[i + 1] == "[":
+            i = partner[i] + 1  # a leading "[[...]]" attribute
+            continue
+        if stmt_start and (text in _DECL_STARTS or text in stream.known_types):
+            end = _parse_declaration(stream, i, innermost[i], root)
             if end is not None:
                 i = end
                 stmt_start = True
@@ -588,19 +618,17 @@ def _scan_declarations(stream: TokenStream, root: ScopeNode,
 
 
 def _parse_declaration(stream: TokenStream, start: int, scope: ScopeNode,
-                       root: ScopeNode,
-                       pointer_typedefs: Set[str]) -> Optional[int]:
+                       root: ScopeNode) -> Optional[int]:
     """Try to parse one declaration statement starting at *start*.
 
     Returns the index one past the terminating ``;`` on success, or None
-    when the tokens do not form a variable or prototype declaration.
+    when the tokens do not form a variable or prototype declaration.  Its
+    names reach ``stream.vars`` only on success.
     """
     texts, kinds, partner = stream.text, stream.kind, stream.partner
     n = len(texts)
     i = start
-    saw_type = False
-    static_seen = False
-    virtual_seen = False
+    saw_type = static_seen = virtual_seen = False
     type_tokens: List[str] = []
 
     while i < n:
@@ -625,121 +653,78 @@ def _parse_declaration(stream: TokenStream, start: int, scope: ScopeNode,
             break
         i += 1
 
-    if not saw_type and text_at(stream, i) not in ("~", "operator"):
-        # Constructor prototypes carry no return type: "Name ( ... ) ;"
-        # directly inside class Name.
-        ctor_like = (scope.kind in _CLASSY
-                     and text_at(stream, i) == scope.name
-                     and text_at(stream, i + 1) == "(")
-        if not ctor_like:
-            return None
+    # Constructor prototypes carry no return type: "Name ( ... ) ;"
+    # directly inside class Name.
+    if not (saw_type or text_at(stream, i) in ("~", "operator")
+            or (scope.kind in _CLASSY and text_at(stream, i) == scope.name
+                and text_at(stream, i + 1) == "(")):
+        return None
 
     entries: List[SymbolEntry] = []
-    while i < n:
-        stars = 0
-        while i < n and texts[i] in ("*", "&", "const", "volatile"):
-            if texts[i] == "*":
-                stars += 1
-            i += 1
-        if i >= n:
+    while True:
+        begin = i
+        name_at, is_pointer, _, i = _read_declarator(
+            stream, i, n, root.pointer_typedefs, type_tokens)
+        if name_at < 0:
             return None
-        name_at = i
-        if texts[i] == "~" and i + 1 < n \
-                and kinds[i + 1] is TokenKind.IDENTIFIER:
-            name = "~" + texts[i + 1]
-            i += 2
-        elif texts[i] == "operator" and i + 1 < n:
-            name = "operator" + texts[i + 1]
-            i += 2
-        elif kinds[i] is TokenKind.IDENTIFIER:
-            name = texts[i]
-            i += 1
-        else:
-            return None
-
-        if i < n and texts[i] == "(":
+        name = texts[name_at]
+        if kinds[name_at] is not TokenKind.IDENTIFIER:  # "~ X" or "operator X"
+            name += text_at(stream, name_at + 1)
+        if text_at(stream, i) == "(":
             # Function declarator: record a prototype, declare nothing.
             close = partner[i]
             if close < 0:
                 return None
-            arity = _count_args(stream, i, close)
             j = close + 1
             while j < n and texts[j] in ("const", "noexcept", "override"):
                 j += 1
             if j < n and texts[j] == "=":  # pure virtual "= 0"
                 j += 2
             if j < n and texts[j] == ";":
-                class_name = ""
                 cls = scope.enclosing(*_CLASSY)
-                if cls is not None:
-                    class_name = cls.name
-                params = " ".join(texts[i + 1:close])
                 root.declared_funcs.append(DeclaredFunc(
-                    name=name, arity=arity, class_name=class_name,
-                    file=stream.file,
-                    is_virtual=virtual_seen, param_text=params))
+                    name=name, arity=len(_param_groups(stream, i, close)),
+                    class_name=cls.name if cls is not None else "",
+                    file=stream.file, is_virtual=virtual_seen,
+                    param_text=" ".join(texts[i + 1:close])))
                 return j + 1
             return None
 
-        is_pointer = stars > 0 or any(t in pointer_typedefs for t in type_tokens)
-        is_member = scope.kind in _CLASSY and not static_seen
-        is_global = (scope.kind in (ScopeKind.GLOBAL, ScopeKind.NAMESPACE)
-                     or static_seen)
-        entry = SymbolEntry(
+        stars = texts[begin:name_at].count("*")
+        entries.append(SymbolEntry(
             name=name,
-            var_id=len(stream.vars),
+            var_id=0,  # numbered when the statement is accepted
             type_text=" ".join(type_tokens) + (" " + "*" * stars if stars else ""),
             is_pointer=is_pointer,
-            is_member=is_member,
-            is_global_or_static=is_global,
+            is_member=scope.kind in _CLASSY and not static_seen,
+            is_global_or_static=(scope.kind in (ScopeKind.GLOBAL, ScopeKind.NAMESPACE)
+                                 or static_seen),
             decl_index=name_at,
-        )
-        stream.vars.append(entry)
-        entries.append(entry)
-
-        # Array suffixes, then an optional initializer.
-        while i < n and texts[i] == "[":
-            if partner[i] < 0:
-                return None
-            i = partner[i] + 1
-        if i < n and texts[i] == "=":
+        ))
+        if text_at(stream, i) == "=":  # counts depth; see README.md
             depth = 0
             i += 1
-            while i < n:
-                text = texts[i]
-                if text in ("(", "[", "{"):
+            while i < n and (depth or texts[i] not in (",", ";")):
+                if texts[i] in ("(", "[", "{"):
                     depth += 1
-                elif text in (")", "]", "}"):
+                elif texts[i] in (")", "]", "}"):
                     if depth == 0:
                         return None
                     depth -= 1
-                elif depth == 0 and text in (",", ";"):
-                    break
                 i += 1
-        if i >= n:
-            return None
-        if texts[i] == ",":
-            i += 1
-            continue
-        if texts[i] == ";":
-            for e in entries:
-                scope.add_symbol(e)
+        if text_at(stream, i) == ";":
+            for entry in entries:
+                entry.var_id = len(stream.vars)
+                stream.vars.append(entry)
+                scope.add_symbol(entry)
             return i + 1
-        return None
-    return None
+        if text_at(stream, i) != ",":
+            return None
+        i += 1
 
 
 def text_at(stream: TokenStream, i: int) -> str:
     return stream.text[i] if 0 <= i < len(stream.text) else ""
-
-
-def _count_args(stream: TokenStream, open_idx: int, close_idx: int) -> int:
-    if close_idx == open_idx + 1:
-        return 0
-    if close_idx == open_idx + 2 and stream.text[open_idx + 1] == "void":
-        return 0
-    return sum(1 for begin, end in split_top_level(stream, open_idx + 1, close_idx)
-               if begin < end)
 
 
 def _annotate_var_ids(stream: TokenStream, root: ScopeNode) -> None:

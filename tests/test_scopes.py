@@ -253,6 +253,28 @@ def test_array_and_pointer_typedef_parameters_are_pointers():
             if text == "SIZE"] == [0]
 
 
+@pytest.mark.parametrize("source, declared", [
+    # an array local, unlike an array parameter, is not a pointer
+    ("void f ( ) { char * p [ [ maybe_unused ] ] , q [ 4 ] ; }",
+     [("p", True), ("q", False)]),
+    ("void f ( ) { [ [ maybe_unused ] ] char * p ; p = 0 ; }", [("p", True)]),
+    ("void f ( ) { void ( * fp ) ( char * ) ; }", [("fp", True)]),
+    ("void call ( void ( * cb ) ( char * q ) , char * r ) { }",
+     [("cb", True), ("r", True)]),
+    # a function-pointer typedef, and a typedef of it, are pointer typedefs
+    ("typedef void ( * fn_t ) ( char * ) ; typedef fn_t fn ; void f ( fn cb ) { }",
+     [("cb", True)]),
+    # a header or a bit-field that fails to parse leaves no entry behind
+    ("class K { char * op ( int n ) ; } ;\n"
+     "char * K :: op ( int n ) { return 0 ; }", [("n", False)]),
+    ("struct S { unsigned flags : 3 ; char * p ; } ;", [("p", True)]),
+])
+def test_one_reader_names_each_declarator(source, declared):
+    stream = tokenize(source, "decl.cc")
+    build_scope_tree(stream)
+    assert [(e.name, e.is_pointer) for e in stream.vars[1:]] == declared
+
+
 def test_a_block_first_in_a_body_opens_a_scope():
     stream = tokenize("void f ( char * a ) { { char * a ; a = 0 ; } a = 0 ; }",
                       "blk.c")
@@ -337,6 +359,12 @@ def test_class_member_lists():
     infos = _class_infos()
     assert [m.name for m in infos["Plain"].pointer_members] == ["buf"]
     assert infos["Derived"].pointer_members == []
+
+
+def test_an_attribute_before_a_member_keeps_it_a_pointer_member():
+    stream = tokenize("struct S { [[deprecated]] char *n; int k; char *m; };", "attr.cc")
+    (info,) = collect_class_info(build_scope_tree(stream), stream)
+    assert [m.name for m in info.pointer_members] == ["n", "m"]
 
 
 def test_special_member_manifest():

@@ -78,6 +78,24 @@ def test_array_and_pointer_typedef_parameters_are_released():
         assert claims(result) == [("DoubleFree", source.count("\n"))], param
 
 
+def test_a_call_through_a_function_pointer_parameter_links_to_no_definition():
+    # The parameter cb hides the global cb, so cb ( p ) may do anything to
+    # p: the free after it is no second release.
+    source = ("void call ( void ( * cb ) ( char * q ) , char * r ) {\n"
+              "  char * p ; p = malloc ( 4 ) ; cb ( p ) ; free ( p ) ; }\n"
+              "void cb ( char * x ) { free ( x ) ; }\n")
+    stream = tokenize(source, "s.c")
+    fcg = build_fcg([(build_scope_tree(stream), stream)])
+    assert [e.callee for e in fcg.edges if e.callee.func_name == "cb"] == [
+        FuncId("", "", "cb", 1)]
+    assert claims(run(source)) == []
+
+
+def test_an_attribute_before_a_local_keeps_its_leak():
+    source = "void f ( ) { [ [ maybe_unused ] ] char * p ; p = malloc ( 8 ) ; }"
+    assert claims(run(source)) == [("MissingRelease", 1)]
+
+
 def test_balanced_local_pair_summarizes_to_nothing():
     result = run("void ok ( ) { char * p ; p = malloc ( 8 ) ; free ( p ) ; }")
     assert rendered(result, "ok") == []
