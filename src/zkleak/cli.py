@@ -3,6 +3,7 @@
 Exit status: 0 when no defects were claimed, 1 when at least one defect
 was (warnings never affect the status), 2 on usage or input errors, 3
 when the analysis itself failed (an internal error, reported on stderr).
+A reader that closes the pipe early changes none of these.
 """
 
 from __future__ import annotations
@@ -34,6 +35,15 @@ def _gather(paths: List[str]) -> List[str]:
         else:
             files.append(path)
     return files
+
+
+def _print(text: str) -> None:
+    """Print *text*; once the reader has closed the pipe, print nothing."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # Later prints and the flush at exit go to the null device instead.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,8 +122,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     dumped = False
     if args.dump_scopes:
         for unit in report.units:
-            print(f"== {unit.stream.file}")
-            print(dump_scopes(unit.root, unit.stream))
+            _print(f"== {unit.stream.file}")
+            _print(dump_scopes(unit.root, unit.stream))
         dumped = True
     if args.dump_cfg:
         wanted = args.dump_cfg
@@ -125,26 +135,26 @@ def main(argv: Optional[List[str]] = None) -> int:
                         key=lambda body: body[0])
         for fid, scope, stream in bodies:
             if wanted in (fid.func_name, fid.qualified()):
-                print(f"== {fid.render()}")
-                print(dump_cfg(build_cfg(scope, stream)))
+                _print(f"== {fid.render()}")
+                _print(dump_cfg(build_cfg(scope, stream)))
                 shown += 1
         if not shown:
             print(f"zkleak: error: no function named {wanted}", file=sys.stderr)
             return 2
         dumped = True
     if args.dump_fcg:
-        print(dump_fcg(report.fcg))
+        _print(dump_fcg(report.fcg))
         dumped = True
     if args.dump_summaries:
-        print(dump_summaries(report.summary_run))
+        _print(dump_summaries(report.summary_run))
         dumped = True
     if dumped:
         return 0
 
     if args.format == "json":
-        print(json.dumps(report.to_json(), indent=2, sort_keys=True))
+        _print(json.dumps(report.to_json(), indent=2, sort_keys=True))
     else:
-        print(report.render_text())
+        _print(report.render_text())
     return 1 if report.defects else 0
 
 

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -302,6 +305,22 @@ def test_cli_exit_codes_follow_the_verdicts(tmp_path, capsys):
     assert "0 defect(s)" in out
     assert main([leaky]) == 1
     assert "MissingRelease" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("source, status", [(_CLEAN, 0), (_LEAKY, 1)])
+def test_cli_ends_quietly_on_a_closed_pipe(tmp_path, source, status):
+    """``zkleak f.c | head -0``: the reader is gone before the report is
+    written, and the exit status still follows the verdicts."""
+    path = _write(tmp_path, "f.c", source)
+    env = dict(os.environ, PYTHONPATH=str(Path(zkleak.cli.__file__).parents[1]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "zkleak.cli", path],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (status, b"")
 
 
 def test_cli_warnings_do_not_flip_the_exit_code(tmp_path, capsys):
