@@ -9,7 +9,10 @@ subprocess per tree: once with ``--format json`` and once with
 ``--dump-summaries``.  It compares the exit codes, the defects and
 warnings (traces included), the summaries and the error output.  Each
 class of difference is printed with its count and one example, and the
-exit status is 1 when any program differs, else 0.
+exit status is 1 when any program differs, else 0.  A difference that
+goes away when each side's var ids are renumbered in order of first
+appearance is classed "var ids renumbered only": the same verdicts on
+declarations numbered differently.
 
 REV is extracted with ``git archive`` into a temporary directory, as are
 the programs.  The file's name keeps it out of the pytest run.
@@ -23,6 +26,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tarfile
@@ -351,8 +355,23 @@ def run_tree(src: str, paths: List[str], cwd: str) -> Dict[str, dict]:
 # Comparison
 # ---------------------------------------------------------------------------
 
+_VAR_ID = re.compile(r"\b([vg])(\d+)\b")
+
+
+def renumbered(value) -> str:
+    """*value* as text, with the var ids of its ``v<N>`` and ``g<N>`` names
+    renamed 0, 1, 2, ... in order of first appearance.  Each id gets its
+    own new number, so two texts are equal after this only when one
+    renaming of ids, one to one, turns the first into the second."""
+    ids: Dict[str, int] = {}
+    text = value if isinstance(value, str) else json.dumps(value, sort_keys=True)
+    return _VAR_ID.sub(lambda m: f"{m[1]}{ids.setdefault(m[2], len(ids))}", text)
+
+
 def classify(field: str, here, there) -> str:
     """Name the class of a difference in *field*."""
+    if renumbered(here) == renumbered(there):
+        return "var ids renumbered only"
     if field in ("defects", "warnings") and here is not None and there is not None:
         kinds_here = sorted({d["kind"] for d in here} - {d["kind"] for d in there})
         kinds_there = sorted({d["kind"] for d in there} - {d["kind"] for d in here})
@@ -435,7 +454,7 @@ def main(argv: Optional[List[str]] = None) -> int:
               f"{differing} differ")
         for label, hits in sorted(classes.items(), key=lambda kv: (-len(kv[1]), kv[0])):
             path, field = hits[0]
-            print(f"\n== {len(hits)} program(s): {label}")
+            print(f"\n== {len({p for p, _ in hits})} program(s): {label}")
             print(f"-- example {os.path.basename(path)}:")
             print(sources[path], end="")
             diff = difflib.unified_diff(render(there[path][field]),

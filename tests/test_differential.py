@@ -45,3 +45,20 @@ def test_other_classes_are_unchanged():
     assert classify("defects", [LEAK], [LEAK_OTHER_TRACE]) == (
         "defects: same kinds and count, other trace")
     assert classify("summaries", "a", "b") == "summaries"
+
+
+def test_var_ids_renumbered_one_to_one_are_their_own_class():
+    there = [_claim("MissingRelease", 3, trace=("Start->Alloced v12=malloc @3",
+                                                 "Alloced->Alloced assign v14=v12 @4"))]
+    here = [_claim("MissingRelease", 3, trace=("Start->Alloced v11=malloc @3",
+                                                "Alloced->Alloced assign v13=v11 @4"))]
+    assert classify("defects", here, there) == "var ids renumbered only"
+    assert classify("summaries", "f | g26 | alloc(new)\nf | g31 | free(free)",
+                    "f | g25 | alloc(new)\nf | g30 | free(free)") == (
+        "var ids renumbered only")
+    # two ids at the revision are one here: no renaming maps one onto the other
+    merged = [_claim("MissingRelease", 3, trace=("Start->Alloced v11=malloc @3",
+                                                  "Alloced->Alloced assign v11=v11 @4"))]
+    assert classify("defects", merged, there) == "defects: same kinds and count, other trace"
+    assert classify("summaries", "f | g1 | alloc(new)\nf | g1 | free(free)",
+                    "f | g1 | alloc(new)\nf | g2 | free(free)") == "summaries"
