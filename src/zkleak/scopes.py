@@ -306,6 +306,10 @@ _CONTROL_SCOPES = {
     "switch": ScopeKind.SWITCH, "catch": ScopeKind.CATCH,
 }
 
+# The keyword right before a ``{`` that opens a body of its own.
+_KEYWORD_SCOPES = {"else": ScopeKind.ELSE, "do": ScopeKind.DO_WHILE,
+                   "try": ScopeKind.TRY, "namespace": ScopeKind.NAMESPACE}
+
 # The head keyword of a class-like body; ``enum`` opens a plain block.
 _CLASS_KEYWORD_SCOPES = {
     "class": ScopeKind.CLASS, "struct": ScopeKind.STRUCT,
@@ -328,14 +332,8 @@ def _classify_open(stream: TokenStream, i: int, parent: ScopeNode,
         return ScopeKind.BLOCK, "", {}  # a block first in a body
     if prev in _INITIALIZER_PRECEDERS:
         return None
-    if prev == "else":
-        return ScopeKind.ELSE, "", {}
-    if prev == "do":
-        return ScopeKind.DO_WHILE, "", {}
-    if prev == "try":
-        return ScopeKind.TRY, "", {}
-    if prev == "namespace":
-        return ScopeKind.NAMESPACE, "", {}
+    if prev in _KEYWORD_SCOPES:
+        return _KEYWORD_SCOPES[prev], "", {}
 
     if prev == ")":
         close = i - 1
@@ -373,12 +371,8 @@ def _class_header(stream: TokenStream, brace_idx: int):
         if text in (";", "}", "{", ")", "="):
             return None
         if text in ("class", "struct", "union", "namespace", "enum"):
-            name = ""
-            name_index = -1
-            if j + 1 < brace_idx and kinds[j + 1] is TokenKind.IDENTIFIER:
-                name = texts[j + 1]
-                name_index = j + 1
-            return text, name, j, name_index
+            named = j + 1 < brace_idx and kinds[j + 1] is TokenKind.IDENTIFIER
+            return text, texts[j + 1] if named else "", j, j + 1 if named else -1
         ok = (kinds[j] in (TokenKind.IDENTIFIER, TokenKind.KEYWORD)
               or text in (":", ",", "::", "<", ">"))
         if not ok:
@@ -423,28 +417,18 @@ def _function_header(stream: TokenStream, close_paren: int):
                 and texts[name_start - 2] == ")":
             close = name_start - 2  # initializer-list item; keep walking
             continue
-        is_virtual = _virtual_in_specifiers(stream, name_start)
-        return {
-            "name": name,
-            "owner_class": owner_class,
-            "is_virtual": is_virtual,
-            "params_open": open_idx,
-            "params_close": close,
-        }
+        return {"name": name, "owner_class": owner_class,
+                "is_virtual": _virtual_in_specifiers(stream, name_start),
+                "params_open": open_idx, "params_close": close}
     return None
 
 
 def _virtual_in_specifiers(stream: TokenStream, name_start: int) -> bool:
-    j = name_start - 1
-    steps = 0
-    while j >= 0 and steps < 16:
-        text = stream.text[j]
+    for text in stream.text[max(name_start - 16, 0):name_start][::-1]:
         if text in (";", "}", "{", ")", ":"):
             return False
         if text == "virtual":
             return True
-        j -= 1
-        steps += 1
     return False
 
 
@@ -563,15 +547,24 @@ def _collect_types(stream: TokenStream, root: ScopeNode) -> None:
             if kinds[i + 1] is TokenKind.IDENTIFIER:
                 if text_at(stream, i + 2) in ("{", ":", ";"):
                     types.add(texts[i + 1])
-        elif text == "typedef":
-            name, is_pointer, _, j = _read_declarator(stream, i + 1, n, pointer_typedefs)
-            if text_at(stream, j) == "{" and partner[j] > j:  # the name follows a body
-                name, is_pointer, _, j = _read_declarator(stream, partner[j] + 1, n,
-                                                          pointer_typedefs)
-            if name >= 0:
+        elif text == "typedef":  # each comma group up to the ";" names a type
+            j, specifiers = i + 1, []
+            while j < n:
+                start = j
+                name, is_pointer, _, j = _read_declarator(stream, j, n, pointer_typedefs,
+                                                          specifiers)
+                if text_at(stream, j) == "{" and partner[j] > j:  # the names follow a body
+                    j = partner[j] + 1
+                    continue
+                if name < 0:
+                    break
                 types.add(texts[name])
                 if is_pointer:
                     pointer_typedefs.add(texts[name])
+                specifiers = specifiers or texts[start:name]  # the first group's
+                if text_at(stream, j) != ",":
+                    break
+                j += 1
             i = j
         elif text == "using" and i + 2 < n and texts[i + 2] == "=":
             if kinds[i + 1] is TokenKind.IDENTIFIER:

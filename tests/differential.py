@@ -181,8 +181,8 @@ def _function(rng: random.Random, head: str, ptrs: List[str],
     body = _Body(rng, ptrs, calls, returns_ptr)
     for k in range(locals_):
         init = rng.choice(["", " = NULL", f" = {body.alloc()}"])
-        body.emit(1, f"char *v{k}{init};")
-        body.ptrs.append(f"v{k}")
+        body.emit(1, f"char *loc{k}{init};")
+        body.ptrs.append(f"loc{k}")
     body.emit(1, "int i;")
     body.block(1, rng.randint(2, 7))
     if returns_ptr or rng.random() < 0.2:
@@ -194,7 +194,8 @@ def generate_c(rng: random.Random) -> str:
     """Functions over pointer parameters, locals and globals that call
     the ones defined before them."""
     lines: List[str] = []
-    globals_ = [f"g{k}" for k in range(rng.randint(0, 2))]
+    # No name matches _VAR_ID, so renumbering touches var ids only.
+    globals_ = [f"glob{k}" for k in range(rng.randint(0, 2))]
     for g in globals_:
         lines.append(f"{rng.choice(['', 'static '])}char *{g};")
     calls: List[Tuple[str, int, bool]] = []

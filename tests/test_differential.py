@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from differential import classify
+from differential import _VAR_ID, classify, generate
 
 
 def _claim(kind: str, line: int, path=(), trace=("Start->Alloced malloc @1",)) -> dict:
@@ -62,3 +62,11 @@ def test_var_ids_renumbered_one_to_one_are_their_own_class():
     assert classify("defects", merged, there) == "defects: same kinds and count, other trace"
     assert classify("summaries", "f | g1 | alloc(new)\nf | g1 | free(free)",
                     "f | g1 | alloc(new)\nf | g2 | free(free)") == "summaries"
+
+
+def test_generated_names_are_never_taken_for_var_ids():
+    # A defect that moves from one source name to another must not be
+    # classed "var ids renumbered only".
+    for index in range(40):
+        name, source = generate(7, index)
+        assert _VAR_ID.search(source) is None, name

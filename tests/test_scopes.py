@@ -264,6 +264,11 @@ def test_array_and_pointer_typedef_parameters_are_pointers():
     # a function-pointer typedef, and a typedef of it, are pointer typedefs
     ("typedef void ( * fn_t ) ( char * ) ; typedef fn_t fn ; void f ( fn cb ) { }",
      [("cb", True)]),
+    # every comma group of a typedef names a type, a pointer one by its own group
+    ("typedef struct _F { int a ; } F , * PF ; void f ( PF p , F q ) { }",
+     [("p", True), ("q", False), ("a", False)]),
+    ("typedef char * str , * * pstr , c ; void f ( str a , pstr b , c d ) { }",
+     [("a", True), ("b", True), ("d", False)]),
     # a header or a bit-field that fails to parse leaves no entry behind
     ("class K { char * op ( int n ) ; } ;\n"
      "char * K :: op ( int n ) { return 0 ; }", [("n", False)]),

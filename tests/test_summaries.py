@@ -12,6 +12,8 @@ import random
 import weakref
 from collections import Counter
 
+import pytest
+
 from zkleak import summaries
 from zkleak.graphs import (Fcg, FcgEdge, FuncId, build_fcg, defined_successors,
                            post_order)
@@ -91,8 +93,12 @@ def test_a_call_through_a_function_pointer_parameter_links_to_no_definition():
     assert claims(run(source)) == []
 
 
-def test_an_attribute_before_a_local_keeps_its_leak():
-    source = "void f ( ) { [ [ maybe_unused ] ] char * p ; p = malloc ( 8 ) ; }"
+@pytest.mark.parametrize("source", [
+    "void f ( ) { [ [ maybe_unused ] ] char * p ; p = malloc ( 8 ) ; }",
+    # a pointer typedef named after the first comma of a typedef
+    "typedef struct _F { int a ; } F , * PF ; void g ( ) { PF p ; p = malloc ( 4 ) ; }",
+])
+def test_a_declaration_the_reader_names_keeps_its_leak(source):
     assert claims(run(source)) == [("MissingRelease", 1)]
 
 
