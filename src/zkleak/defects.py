@@ -1,10 +1,38 @@
-"""Defect records shared by the state machine, detectors and reporting."""
+"""Records shared across the pipeline: ``Record``, the base of every
+record that is compared or hashed, and the defects that the state
+machine, detectors and reporting exchange."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Tuple
+from operator import attrgetter
+from typing import List, Optional, Tuple
+
+
+class Record:
+    """A plain slotted record, equal only to a record of its own class with
+    equal fields, and hashed as the tuple of its fields.  The package's
+    records that are never compared are bare slotted classes."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        get = attrgetter(*cls.__slots__)
+        cls._fields = staticmethod(get if len(cls.__slots__) > 1
+                                   else lambda record: (get(record),))
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return self._fields(self) == self._fields(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self.__slots__, self._fields(self)))
+        return f"{type(self).__name__}({fields})"
 
 
 class DefectKind(Enum):
@@ -30,15 +58,16 @@ WARNING_KINDS = frozenset({
 PathCond = Tuple[str, str]
 
 
-@dataclass
 class Defect:
-    kind: DefectKind
-    file: str
-    line: int
-    func: str
-    message: str
-    path_c: List[PathCond] = field(default_factory=list)
-    trace: List[str] = field(default_factory=list)
+    __slots__ = ("kind", "file", "line", "func", "message", "path_c", "trace")
+
+    def __init__(self, kind: DefectKind, file: str, line: int, func: str,
+                 message: str, path_c: Optional[List[PathCond]] = None,
+                 trace: Optional[List[str]] = None) -> None:
+        self.kind, self.file, self.line, self.func = kind, file, line, func
+        self.message = message
+        self.path_c = [] if path_c is None else path_c
+        self.trace = [] if trace is None else trace
 
     def dedup_key(self) -> tuple:
         return (self.kind, self.file, self.line, self.func, tuple(self.path_c))

@@ -17,11 +17,10 @@ nodes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .defects import Defect, DefectKind
-from .events import AllocEvent, FreeEvent, node_events
+from .events import Event, node_events
 from .graphs import Cfg
 from .machine import FREE_MATCH
 from .patterns import Catalog, DefectPattern, compile_catalog
@@ -29,11 +28,12 @@ from .scopes import ClassInfo, ScopeNode, build_scope_tree, collect_class_info
 from .tokens import TokenKind, TokenStream, tokenize
 
 
-@dataclass
 class FileUnit:
-    stream: TokenStream
-    root: ScopeNode
-    classes: List[ClassInfo]
+    __slots__ = ("stream", "root", "classes")
+
+    def __init__(self, stream: TokenStream, root: ScopeNode,
+                 classes: List[ClassInfo]) -> None:
+        self.stream, self.root, self.classes = stream, root, classes
 
 
 def load_source(name: str, text: str) -> FileUnit:
@@ -89,17 +89,14 @@ def special_check(units: List[FileUnit], cfgs: List[Cfg],
 def _member_events(body: Optional[Cfg], catalog: Catalog,
                    member_ids: Dict[int, str]):
     """(alloc, free) events of the body's CFG nodes that target members."""
-    allocs: List[AllocEvent] = []
-    frees: List[FreeEvent] = []
+    found: Dict[str, List[Event]] = {"alloc": [], "free": []}
     for node in body.nodes if body is not None else ():
         # Alloc and free events do not depend on the call-site map, so a
         # node the walk never applied is extracted without one.
         for ev in node_events(body, node, catalog, {}):
-            if isinstance(ev, AllocEvent) and ev.owner in member_ids:
-                allocs.append(ev)
-            elif isinstance(ev, FreeEvent) and ev.var in member_ids:
-                frees.append(ev)
-    return allocs, frees
+            if ev.kind in found and ev.var in member_ids:
+                found[ev.kind].append(ev)
+    return found["alloc"], found["free"]
 
 
 def _ctor_dtor_rules(unit: FileUnit, cls: ClassInfo,
@@ -109,31 +106,31 @@ def _ctor_dtor_rules(unit: FileUnit, cls: ClassInfo,
     if not member_ids:
         return defects
 
-    ctor_allocs: List[AllocEvent] = []
+    ctor_allocs: List[Event] = []
     for span in cls.ctors:
         allocs, _ = _member_events(bodies.get(span), catalog, member_ids)
         ctor_allocs.extend(allocs)
 
-    dtor_frees: Dict[int, FreeEvent] = {}
+    dtor_frees: Dict[int, Event] = {}
     _, frees = _member_events(bodies.get(cls.dtor), catalog, member_ids)
     for ev in frees:
         dtor_frees.setdefault(ev.var, ev)
 
     qualified = f"{cls.name}::{cls.name}"
     for ev in ctor_allocs:
-        release = dtor_frees.get(ev.owner)
+        release = dtor_frees.get(ev.var)
         if release is None:
             defects.append(Defect(
                 kind=DefectKind.CTOR_DTOR_MISMATCH,
                 file=unit.stream.file, line=ev.line, func=qualified,
-                message=(f"member {ev.owner_name} allocated with {ev.fn} in "
+                message=(f"member {ev.name} allocated with {ev.fn} in "
                          f"the constructor is never released in the "
                          f"destructor of {cls.name}")))
         elif ev.fn not in FREE_MATCH.get(release.fn, frozenset()):
             defects.append(Defect(
                 kind=DefectKind.CTOR_DTOR_MISMATCH,
                 file=unit.stream.file, line=ev.line, func=qualified,
-                message=(f"member {ev.owner_name} allocated with {ev.fn} in "
+                message=(f"member {ev.name} allocated with {ev.fn} in "
                          f"the constructor is released with {release.fn} in "
                          f"the destructor of {cls.name}")))
 
@@ -144,9 +141,9 @@ def _ctor_dtor_rules(unit: FileUnit, cls: ClassInfo,
 
 
 def _shallow_copy_rule(unit: FileUnit, cls: ClassInfo,
-                       ctor_allocs: List[AllocEvent],
+                       ctor_allocs: List[Event],
                        bodies: _Bodies, catalog: Catalog) -> List[Defect]:
-    owned_ids = {ev.owner: ev.owner_name for ev in ctor_allocs}
+    owned_ids = {ev.var: ev.name for ev in ctor_allocs}
     if cls.copy_ctor is None and cls.assign_op is None:
         names = ", ".join(sorted(set(owned_ids.values())))
         return [Defect(
@@ -161,7 +158,7 @@ def _shallow_copy_rule(unit: FileUnit, cls: ClassInfo,
         if span is None:
             continue
         allocs, _ = _member_events(bodies.get(span), catalog, owned_ids)
-        realloced = {ev.owner for ev in allocs}
+        realloced = {ev.var for ev in allocs}
         for line, var, name in _shallow_assignments(unit.stream, span, owned_ids):
             if var in realloced:
                 continue

@@ -1,8 +1,10 @@
 """Memory events recovered from CFG node spans.
 
 Each CFG node span is pattern matched against the release/allocation/
-transfer catalog; hits become typed events, cached per node, that the
+transfer catalog; hits become events, cached per node, that the
 interpreter feeds to ownership machines and the class rules read back.
+An event's ``kind`` names what it does, and the interpreter and the
+class rules dispatch on it.
 Adjacency guards keep the fuzzy patterns from firing on lookalikes
 (``q = p + 1`` is not an ownership copy, ``free(a[i])`` does not
 release ``a``).
@@ -13,9 +15,9 @@ in a return expression.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
+from .defects import Record
 from .graphs import Cfg, CfgNode, FuncId
 from .patterns import Catalog, DefectPattern, MatchSpan, match_in_range
 from .scopes import split_top_level, text_at
@@ -24,63 +26,28 @@ from .tokens import TokenKind, TokenStream
 RETURN_SLOT = -1
 
 
-@dataclass(frozen=True)
-class AllocEvent:
-    pos: int
-    line: int
-    fn: str  # malloc | calloc | realloc | new | new_array
-    owner: int
-    owner_name: str
+class Event(Record):
+    """A memory event at token *pos*, on *line*, acting on variable *var*.
 
+    ``alloc`` gives *var* a new block from *fn* (malloc, calloc, realloc,
+    new or new_array), ``free`` releases it with *fn* (free, delete or
+    delete_array); *name* is the variable's text.  ``assign`` is ``var =
+    src``; ``null``, ``arith`` and ``return`` set *var* to null, advance it
+    by arithmetic or return it.  ``call`` stores the result of *callee* in
+    *var*, or nowhere for None; *args* holds the var id of each argument
+    that is a bare variable, else None.
+    """
 
-@dataclass(frozen=True)
-class FreeEvent:
-    pos: int
-    line: int
-    fn: str  # free | delete | delete_array
-    var: int
-    var_name: str
+    __slots__ = ("kind", "pos", "line", "var", "fn", "name", "src", "callee",
+                 "args")
 
-
-@dataclass(frozen=True)
-class AssignEvent:
-    pos: int
-    line: int
-    dst: int
-    src: int
-
-
-@dataclass(frozen=True)
-class NullAssignEvent:
-    pos: int
-    line: int
-    var: int
-
-
-@dataclass(frozen=True)
-class PtrArithEvent:
-    pos: int
-    line: int
-    var: int
-
-
-@dataclass(frozen=True)
-class ReturnVarEvent:
-    pos: int
-    line: int
-    var: int
-
-
-@dataclass(frozen=True)
-class CallEvent:
-    pos: int
-    line: int
-    callee: FuncId
-    args: Tuple[Optional[int], ...]
-    dst: Optional[int]
-
-
-Event = object  # union of the dataclasses above; kept loose on purpose
+    def __init__(self, kind: str, pos: int, line: int, var: Optional[int],
+                 fn: str = "", name: str = "", src: int = 0,
+                 callee: Optional[FuncId] = None,
+                 args: Tuple[Optional[int], ...] = ()) -> None:
+        self.kind, self.pos, self.line = kind, pos, line
+        self.var, self.fn, self.name = var, fn, name
+        self.src, self.callee, self.args = src, callee, args
 
 
 _PRIORITY = {"alloc": 0, "free": 1, "transfer": 2}
@@ -168,7 +135,7 @@ def _extract(stream: TokenStream, span: Tuple[int, int], catalog: Catalog,
             if call is not None:
                 events.append(call)
 
-    events.sort(key=lambda e: e.pos)  # type: ignore[attr-defined]
+    events.sort(key=lambda e: e.pos)
     return events
 
 
@@ -192,15 +159,15 @@ def _to_events(stream: TokenStream, pattern: DefectPattern,
         if (src < len(texts) and kinds[src] is TokenKind.IDENTIFIER
                 and var_id[src] > 0
                 and text_at(stream, src + 1) in (",", ")")):
-            out.append(FreeEvent(m.first_p, lines[src], "free", var_id[src], texts[src]))
-        out.append(AllocEvent(m.first_p, lines[var], "realloc", var_id[var], texts[var]))
+            out.append(Event("free", m.first_p, lines[src], var_id[src], "free", texts[src]))
+        out.append(Event("alloc", m.first_p, lines[var], var_id[var], "realloc", texts[var]))
         return out
 
     if label in ("free.delete", "free.delete_array"):
         if after != ";":
             return []
         fn = "delete_array" if label.endswith("array") else "delete"
-        return [FreeEvent(m.first_p, lines[var], fn, var_id[var], texts[var])]
+        return [Event("free", m.first_p, lines[var], var_id[var], fn, texts[var])]
 
     if label == "transfer.assign":
         src = vars_[1]
@@ -208,20 +175,20 @@ def _to_events(stream: TokenStream, pattern: DefectPattern,
             return []
         if not _lhs_ok(stream, var) or var_id[var] == var_id[src]:
             return []
-        return [AssignEvent(m.first_p, lines[var], var_id[var], var_id[src])]
+        return [Event("assign", m.first_p, lines[var], var_id[var], src=var_id[src])]
 
     if label == "transfer.null_assign":
         if after not in (";", ",", ")") or not _lhs_ok(stream, var):
             return []
-        return [NullAssignEvent(m.first_p, lines[var], var_id[var])]
+        return [Event("null", m.first_p, lines[var], var_id[var])]
 
     if label == "transfer.return":
         if after != ";":
             return []
-        return [ReturnVarEvent(m.first_p, lines[var], var_id[var])]
+        return [Event("return", m.first_p, lines[var], var_id[var])]
 
     if label.startswith("transfer.incr") or label.startswith("transfer.decr"):
-        return [PtrArithEvent(m.first_p, lines[var], var_id[var])]
+        return [Event("arith", m.first_p, lines[var], var_id[var])]
 
     # Every other allocation and release label, built in or from a user
     # catalog: the label tail picks the pairing family, so "alloc.new" and
@@ -231,11 +198,11 @@ def _to_events(stream: TokenStream, pattern: DefectPattern,
         if not _lhs_ok(stream, var):
             return []
         fn = _label_family(label[6:], _ALLOC_FAMILIES, "malloc")
-        return [AllocEvent(m.first_p, lines[var], fn, var_id[var], texts[var])]
+        return [Event("alloc", m.first_p, lines[var], var_id[var], fn, texts[var])]
 
     if label.startswith("free."):
         fn = _label_family(label[5:], _FREE_FAMILIES, "free")
-        return [FreeEvent(m.first_p, lines[var], fn, var_id[var], texts[var])]
+        return [Event("free", m.first_p, lines[var], var_id[var], fn, texts[var])]
 
     return []
 
@@ -267,17 +234,17 @@ def _return_allocs(stream: TokenStream, begin: int, end: int,
             continue
         name = texts[nxt]
         if name in _RETURN_ALLOC_FNS and text_at(stream, nxt + 1) == "(":
-            events.append(AllocEvent(i, lines[nxt], _RETURN_ALLOC_FNS[name],
-                                     RETURN_SLOT, "<return>"))
+            events.append(Event("alloc", i, lines[nxt], RETURN_SLOT,
+                                _RETURN_ALLOC_FNS[name], "<return>"))
             covered.update(range(i, nxt + 2))
         elif name == "realloc" and text_at(stream, nxt + 1) == "(":
             arg = nxt + 2
             if (arg < len(texts) and kinds[arg] is TokenKind.IDENTIFIER
                     and var_id[arg] > 0
                     and text_at(stream, nxt + 3) in (",", ")")):
-                events.append(FreeEvent(i, lines[arg], "free", var_id[arg], texts[arg]))
-            events.append(AllocEvent(i, lines[nxt], "realloc",
-                                     RETURN_SLOT, "<return>"))
+                events.append(Event("free", i, lines[arg], var_id[arg], "free", texts[arg]))
+            events.append(Event("alloc", i, lines[nxt], RETURN_SLOT, "realloc",
+                                "<return>"))
             covered.update(range(i, nxt + 2))
         elif name == "new":
             fn = "new"
@@ -286,13 +253,13 @@ def _return_allocs(stream: TokenStream, begin: int, end: int,
                 j += 1
             if j < end and texts[j] == "[":
                 fn = "new_array"
-            events.append(AllocEvent(i, lines[nxt], fn, RETURN_SLOT, "<return>"))
+            events.append(Event("alloc", i, lines[nxt], RETURN_SLOT, fn, "<return>"))
             covered.update(range(i, nxt + 1))
     return events
 
 
 def _call_event(stream: TokenStream, site_idx: int, span_end: int,
-                callee: FuncId) -> Optional[CallEvent]:
+                callee: FuncId) -> Optional[Event]:
     open_idx = site_idx + 1
     close = stream.partner[open_idx]
     if not 0 <= close < span_end:
@@ -312,7 +279,8 @@ def _call_event(stream: TokenStream, site_idx: int, span_end: int,
             dst = stream.var_id[target]
     elif prev == "return":
         dst = RETURN_SLOT
-    return CallEvent(site_idx, stream.line[site_idx], callee, tuple(args), dst)
+    return Event("call", site_idx, stream.line[site_idx], dst, callee=callee,
+                 args=tuple(args))
 
 
 def _plain_var(stream: TokenStream, begin: int, end: int) -> Optional[int]:

@@ -16,28 +16,38 @@ statement nodes with a diagnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from functools import total_ordering
+from typing import Dict, List, Sequence, Set, Tuple
 
-from .defects import Defect, DefectKind
+from .defects import Defect, DefectKind, Record
 from .scopes import ScopeNode, split_top_level, text_at
 from .tokens import Diagnostic, TokenKind, TokenStream, TYPE_KEYWORDS
 
 
-@dataclass
 class CfgNode:
-    id: int
-    span: Tuple[int, int]  # half-open token index range
-    line: int
-    guard_text: str = ""
+    __slots__ = ("id", "span", "line", "guard_text")
+
+    def __init__(self, id: int, span: Tuple[int, int], line: int,
+                 guard_text: str = "") -> None:
+        self.id, self.line, self.guard_text = id, line, guard_text
+        self.span = span  # half-open token index range
 
 
-@dataclass(frozen=True, order=True)
-class FuncId:
-    file_name: str
-    class_name: str
-    func_name: str
-    arity: int
+@total_ordering
+class FuncId(Record):
+    """A function by file, class, name and arity; ordered field by field."""
+
+    __slots__ = ("file_name", "class_name", "func_name", "arity")
+
+    def __init__(self, file_name: str, class_name: str, func_name: str,
+                 arity: int) -> None:
+        self.file_name, self.class_name = file_name, class_name
+        self.func_name, self.arity = func_name, arity
+
+    def __lt__(self, other: FuncId):
+        if other.__class__ is FuncId:
+            return self._fields(self) < other._fields(other)
+        return NotImplemented
 
     def render(self) -> str:
         return f"{self.file_name}::{self.class_name}::{self.func_name}/{self.arity}"
@@ -50,58 +60,37 @@ class FuncId:
 
 # --- structure plan items (walked by the interpreter) ---
 
-@dataclass
-class SeqStmt:
-    node: int
+class PlanItem(Record):
+    """One item of a structure plan.
+
+    A statement (*kind* ``seq``, ``return``, ``break`` or ``continue``)
+    runs its node.  A branch (``if`` or ``switch``) runs its head node,
+    then one of its *arms*: (tag, items) pairs in source order, ``then``
+    and ``else`` for an if.  A loop (``while``, ``for`` or ``dowhile``)
+    runs its head node around the arm ``body``, followed by the arm
+    ``trailer`` when a ``for`` has an increment.
+    """
+
+    __slots__ = ("kind", "node", "arms")
+
+    def __init__(self, kind: str, node: int,
+                 arms: Sequence[Tuple[str, list]] = ()) -> None:
+        self.kind, self.node, self.arms = kind, node, arms
 
 
-@dataclass
-class ReturnStmt:
-    node: int
-
-
-@dataclass
-class BreakStmt:
-    node: int
-
-
-@dataclass
-class ContinueStmt:
-    node: int
-
-
-@dataclass
-class IfStruct:
-    branch: int
-    arms: List[Tuple[str, list]]
-
-
-@dataclass
-class LoopStruct:
-    head: int
-    body: list
-    style: str  # "while" | "for" | "dowhile"
-    trailer: list = field(default_factory=list)  # for-increment items
-
-
-@dataclass
-class SwitchStruct:
-    branch: int
-    arms: List[Tuple[str, list]]
-    has_default: bool
-
-
-@dataclass
 class Cfg:
-    func: FuncId
-    func_scope: ScopeNode
-    stream: TokenStream
-    nodes: List[CfgNode]
-    entry_line: int
-    exit_line: int
-    structure: list
-    # Per-node memory event cache, filled lazily by the event extractor.
-    node_events: Dict[int, list] = field(default_factory=dict)
+    # A weak reference shows a test that a body's CFG is dropped after its walk.
+    __slots__ = ("func", "func_scope", "stream", "nodes", "entry_line",
+                 "exit_line", "structure", "node_events", "__weakref__")
+
+    def __init__(self, func: FuncId, func_scope: ScopeNode,
+                 stream: TokenStream, nodes: List[CfgNode], entry_line: int,
+                 exit_line: int, structure: list) -> None:
+        self.func, self.func_scope, self.stream = func, func_scope, stream
+        self.nodes, self.structure = nodes, structure
+        self.entry_line, self.exit_line = entry_line, exit_line
+        # Per-node memory event cache, filled lazily by the event extractor.
+        self.node_events: Dict[int, list] = {}
 
     def node(self, node_id: int) -> CfgNode:
         return self.nodes[node_id]
@@ -114,8 +103,6 @@ def func_id_of(scope: ScopeNode, stream: TokenStream) -> FuncId:
 # ---------------------------------------------------------------------------
 # CFG construction
 # ---------------------------------------------------------------------------
-
-_LEAF_KINDS = {"return": ReturnStmt, "break": BreakStmt, "continue": ContinueStmt}
 
 # Deepest statement nesting the builder follows; a deeper body becomes a
 # linear chain.  The builder spends two frames per level (parse_one and
@@ -231,8 +218,8 @@ class _CfgBuilder:
                 return self._parse_try(i)
 
             stmt_end = self.statement_end(i)
-            node = self.new_node((i, stmt_end))
-            return [_LEAF_KINDS.get(text, SeqStmt)(node)], stmt_end
+            kind = text if text in ("return", "break", "continue") else "seq"
+            return [PlanItem(kind, self.new_node((i, stmt_end)))], stmt_end
         finally:
             self.depth -= 1
 
@@ -258,29 +245,29 @@ class _CfgBuilder:
         else_items: list = []
         if after < self.end and self.text[after] == "else":
             else_items, after = self.parse_one(after + 1)
-        return [IfStruct(branch, [("then", then_items), ("else", else_items)])], after
+        return [PlanItem("if", branch, [("then", then_items), ("else", else_items)])], after
 
     def _parse_while(self, i: int):
         span, close = self._guard_span(i)
         head = self.new_head(span)
         body_items, after = self.parse_one(close + 1)
-        return [LoopStruct(head, body_items, "while")], after
+        return [PlanItem("while", head, [("body", body_items)])], after
 
     def _parse_for(self, i: int):
         clause, close = self._guard_span(i)
         parts = split_top_level(self.stream, clause[0], close, ";")
         items: list = []
         if len(parts) >= 3:  # the init node keeps its ";"
-            items.append(SeqStmt(self.new_node((clause[0], parts[0][1] + 1))))
+            items.append(PlanItem("seq", self.new_node((clause[0], parts[0][1] + 1))))
             cond_span, incr_span = parts[1], (parts[2][0], close)
         else:  # malformed; treat the whole clause as the guard
             cond_span, incr_span = clause, (close, close)
         head = self.new_head(cond_span)
         body_items, after = self.parse_one(close + 1)
-        trailer: list = []
+        arms = [("body", body_items)]
         if incr_span[0] < incr_span[1]:
-            trailer.append(SeqStmt(self.new_node(incr_span)))
-        items.append(LoopStruct(head, body_items, "for", trailer))
+            arms.append(("trailer", [PlanItem("seq", self.new_node(incr_span))]))
+        items.append(PlanItem("for", head, arms))
         return items, after
 
     def _parse_do(self, i: int):
@@ -292,7 +279,7 @@ class _CfgBuilder:
             head_span, close = self._guard_span(after)
             after = self.statement_end(close + 1)
         head = self.new_head(head_span)
-        return [LoopStruct(head, body_items, "dowhile")], after
+        return [PlanItem("dowhile", head, [("body", body_items)])], after
 
     def _parse_switch(self, i: int):
         """A braced body is read once: a ``case``/``default`` label opens
@@ -305,7 +292,7 @@ class _CfgBuilder:
         if close + 1 >= self.end or self.text[close + 1] != "{":
             # braceless switch: treat the lone statement as a "then" arm
             items, after = self.parse_one(close + 1)
-            return [SwitchStruct(branch, [("case:0", items)], False)], after
+            return [PlanItem("switch", branch, [("case:0", items)])], after
         body_close = self.match_forward(close + 1)
         arms: List[Tuple[str, list]] = []
         kept = len(self.nodes)
@@ -333,8 +320,7 @@ class _CfgBuilder:
                     arms[-1][1].extend(items)
                 else:
                     del self.nodes[kept:]
-        has_default = any(tag == "default" for tag, _arm in arms)
-        return [SwitchStruct(branch, arms, has_default)], body_close + 1
+        return [PlanItem("switch", branch, arms)], body_close + 1
 
     def _parse_try(self, i: int):
         items, after = self.parse_one(i + 1)
@@ -342,7 +328,7 @@ class _CfgBuilder:
             span, close = self._guard_span(after)
             branch = self.new_head(span, "catch ")
             catch_items, after = self.parse_one(close + 1)
-            items.append(IfStruct(branch, [("then", catch_items), ("else", [])]))
+            items.append(PlanItem("if", branch, [("then", catch_items), ("else", [])]))
         return items, after
 
 
@@ -385,13 +371,13 @@ def _linear_chain(builder: _CfgBuilder, begin: int, end: int) -> list:
             stmt_end = close + 1
         else:
             stmt_end = builder.statement_end(i)
-        items.append(SeqStmt(builder.new_node((i, stmt_end))))
+        items.append(PlanItem("seq", builder.new_node((i, stmt_end))))
         i = stmt_end
     return items
 
 
-_LEAF_NAMES = {SeqStmt: "Statement", ReturnStmt: "Return", BreakStmt: "Break",
-               ContinueStmt: "Continue"}
+_LEAF_NAMES = {"seq": "Statement", "return": "Return", "break": "Break",
+               "continue": "Continue"}
 
 
 def dump_cfg(cfg: Cfg) -> str:
@@ -406,19 +392,13 @@ def dump_cfg(cfg: Cfg) -> str:
         if isinstance(item, str):
             lines.append(f"{pad}{item}:")
             continue
-        if type(item) in _LEAF_NAMES:
-            lines.append(f"{pad}{cfg.node(item.node).line} {_LEAF_NAMES[type(item)]}")
+        head = cfg.node(item.node)
+        if item.kind in _LEAF_NAMES:
+            lines.append(f"{pad}{head.line} {_LEAF_NAMES[item.kind]}")
             continue
-        if isinstance(item, LoopStruct):
-            head, kind = cfg.node(item.head), f"Loop {item.style}"
-            parts = [("body", item.body)] + ([("trailer", item.trailer)]
-                                             if item.trailer else [])
-        else:
-            head = cfg.node(item.branch)
-            kind = "If" if isinstance(item, IfStruct) else "Switch"
-            parts = item.arms
-        lines.append(f"{pad}{head.line} {kind} ({head.guard_text})")
-        for tag, sub in reversed(parts):
+        name = {"if": "If", "switch": "Switch"}.get(item.kind, f"Loop {item.kind}")
+        lines.append(f"{pad}{head.line} {name} ({head.guard_text})")
+        for tag, sub in reversed(item.arms):
             stack.extend((depth + 2, x) for x in reversed(sub))
             stack.append((depth + 1, tag))
     lines.append(f"Exit {cfg.exit_line}")
@@ -429,22 +409,25 @@ def dump_cfg(cfg: Cfg) -> str:
 # Function-call graph
 # ---------------------------------------------------------------------------
 
-@dataclass
 class FcgEdge:
-    caller: FuncId
-    callee: FuncId
-    site_index: int
-    site_line: int
+    __slots__ = ("caller", "callee", "site_index", "site_line")
+
+    def __init__(self, caller: FuncId, callee: FuncId, site_index: int,
+                 site_line: int) -> None:
+        self.caller, self.callee = caller, callee
+        self.site_index, self.site_line = site_index, site_line
 
 
-@dataclass
 class Fcg:
-    edges: List[FcgEdge] = field(default_factory=list)
-    defined: Dict[FuncId, ScopeNode] = field(default_factory=dict)
-    warnings: List[Defect] = field(default_factory=list)
-    # caller -> {site token index: callee} in token order, filled by
-    # add_edge so that lookups never scan ``edges``.
-    sites: Dict[FuncId, Dict[int, FuncId]] = field(default_factory=dict)
+    __slots__ = ("edges", "defined", "warnings", "sites")
+
+    def __init__(self) -> None:
+        self.edges: List[FcgEdge] = []
+        self.defined: Dict[FuncId, ScopeNode] = {}
+        self.warnings: List[Defect] = []
+        # caller -> {site token index: callee} in token order, filled by
+        # add_edge so that lookups never scan ``edges``.
+        self.sites: Dict[FuncId, Dict[int, FuncId]] = {}
 
     def add_edge(self, edge: FcgEdge) -> None:
         self.edges.append(edge)

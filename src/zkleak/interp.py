@@ -58,17 +58,13 @@ to the events of the function's own statements.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import count
 from typing import (Callable, Dict, FrozenSet, List, Optional, Sequence,
                     Tuple, Union)
 
-from .defects import Defect, DefectKind, PathCond
-from .events import (AllocEvent, AssignEvent, CallEvent, FreeEvent,
-                     NullAssignEvent, PtrArithEvent, RETURN_SLOT,
-                     ReturnVarEvent, node_events)
-from .graphs import (BreakStmt, Cfg, ContinueStmt, FuncId, IfStruct,
-                     LoopStruct, ReturnStmt, SeqStmt, SwitchStruct)
+from .defects import Defect, DefectKind, PathCond, Record
+from .events import Event, RETURN_SLOT, node_events
+from .graphs import Cfg, FuncId, PlanItem
 from .machine import Machine, MachineError, MachineSet, MemState
 from .patterns import Catalog, DefectPattern, compile_catalog
 from .tokens import Diagnostic, TokenStream
@@ -80,11 +76,14 @@ REF_RETURN = "return"
 REF_GLOBAL = "global"
 
 
-@dataclass(frozen=True)
-class OwnerRef:
+class OwnerRef(Record):
     """Storage that outlives the function: who owns it across the call."""
-    kind: str  # REF_PARAM | REF_RETURN | REF_GLOBAL
-    index: int = 0  # parameter position, or global/member var id
+
+    __slots__ = ("kind", "index")
+
+    def __init__(self, kind: str, index: int = 0) -> None:
+        self.kind = kind  # REF_PARAM | REF_RETURN | REF_GLOBAL
+        self.index = index  # parameter position, or global/member var id
 
     def render(self) -> str:
         if self.kind == REF_PARAM:
@@ -94,22 +93,28 @@ class OwnerRef:
         return f"g{self.index}"
 
 
-@dataclass
 class Variant:
-    machines: MachineSet
-    # var id -> the caller-owned storage it reaches; None once a global or
-    # member is rebound (an absent one is unread and reaches its own).
-    refs: Dict[int, Optional[OwnerRef]]
-    path: Tuple[PathCond, ...]
-    order: int = 0
-    # Replaced on write, never changed in place, so clones share them.
-    released: Dict[OwnerRef, Tuple[int, str]] = field(default_factory=dict)
-    lost: FrozenSet[OwnerRef] = frozenset()
-    # ids of the blocks that settled (End or Error) on this path
-    settled: FrozenSet[int] = frozenset()
-    paths: int = 1  # paths of the function this variant stands for
-    # (order, path) of the earliest of them, when it is not this one's own
-    earliest: Optional[Tuple[int, Tuple[PathCond, ...]]] = None
+    __slots__ = ("machines", "refs", "path", "order", "released", "lost",
+                 "settled", "paths", "earliest")
+
+    def __init__(self, machines: MachineSet, refs: Dict[int, Optional[OwnerRef]],
+                 path: Tuple[PathCond, ...], order: int = 0,
+                 released: Optional[Dict[OwnerRef, Tuple[int, str]]] = None,
+                 lost: FrozenSet[OwnerRef] = frozenset(),
+                 settled: FrozenSet[int] = frozenset(), paths: int = 1) -> None:
+        self.machines = machines
+        # var id -> the caller-owned storage it reaches; None once a global
+        # or member is rebound (an absent one is unread and reaches its own).
+        self.refs = refs
+        self.path, self.order = path, order
+        # Replaced on write, never changed in place, so clones share them.
+        self.released = {} if released is None else released
+        self.lost = lost
+        # ids of the blocks that settled (End or Error) on this path
+        self.settled = settled
+        self.paths = paths  # paths of the function this variant stands for
+        # (order, path) of the earliest of them, when it is not this one's own
+        self.earliest: Optional[Tuple[int, Tuple[PathCond, ...]]] = None
 
     def clone(self, order: int) -> "Variant":
         return Variant(self.machines.clone(), dict(self.refs), self.path,
@@ -142,15 +147,16 @@ class Variant:
                 self.lost, self.settled)
 
 
-@dataclass
 class ExploreOutcome:
-    variants: List[Variant]
-    mid_errors: List[Defect]
-    path_insensitive: bool
-    cfg: Cfg
+    __slots__ = ("variants", "mid_errors", "path_insensitive", "cfg")
+
+    def __init__(self, variants: List[Variant], mid_errors: List[Defect],
+                 path_insensitive: bool, cfg: Cfg) -> None:
+        self.variants, self.mid_errors = variants, mid_errors
+        self.path_insensitive, self.cfg = path_insensitive, cfg
 
 
-CallHandler = Callable[["Interp", Variant, CallEvent], None]
+CallHandler = Callable[["Interp", Variant, Event], None]
 
 
 def outlives(stream: TokenStream, var: int) -> bool:
@@ -230,27 +236,19 @@ class Interp:
             flow = self._run_item(item, flow)
         return flow
 
-    def _run_item(self, item, variants: List[Variant]) -> List[Variant]:
-        if isinstance(item, SeqStmt):
+    def _run_item(self, item: PlanItem,
+                  variants: List[Variant]) -> List[Variant]:
+        kind = item.kind
+        if kind in ("seq", "return"):
             for v in variants:
                 self._apply_node(v, item.node)
-            return variants
-        if isinstance(item, ReturnStmt):
-            for v in variants:
-                self._apply_node(v, item.node)
+            if kind == "seq":
+                return variants
             self.finished.extend(variants)
-        elif isinstance(item, BreakStmt):
-            self.breaks[-1].extend(variants)
-        elif isinstance(item, ContinueStmt):
-            self.continues[-1].extend(variants)
-        elif isinstance(item, IfStruct):
-            return self._run_if(item, variants)
-        elif isinstance(item, LoopStruct):
-            return self._run_loop(item, variants)
-        elif isinstance(item, SwitchStruct):
-            return self._run_switch(item, variants)
+        elif kind in ("break", "continue"):
+            (self.breaks if kind == "break" else self.continues)[-1].extend(variants)
         else:
-            raise TypeError(f"unknown structure item {item!r}")
+            return _BRANCHES[kind](self, item, variants)
         return []
 
     def _split(self, variants: List[Variant], ways: int) -> List[Variant]:
@@ -260,12 +258,15 @@ class Interp:
             return [self._merge_all(variants)]
         return variants
 
-    def _run_if(self, item: IfStruct, variants: List[Variant]) -> List[Variant]:
-        branch = self.cfg.node(item.branch)
+    def _enter(self, item: PlanItem, variants: List[Variant],
+               ways: int) -> Tuple[List[Variant], str]:
+        """The variants past a head node, merged for a *ways* fork, and its guard."""
         for v in variants:
-            self._apply_node(v, item.branch)
-        variants = self._split(variants, 2)
-        guard = branch.guard_text
+            self._apply_node(v, item.node)
+        return self._split(variants, ways), self.cfg.node(item.node).guard_text
+
+    def _run_if(self, item: PlanItem, variants: List[Variant]) -> List[Variant]:
+        variants, guard = self._enter(item, variants, 2)
         (then_tag, then_items), (else_tag, else_items) = item.arms
         then_in = [self._fork(v, (guard, then_tag)) for v in variants]
         for v in variants:
@@ -273,44 +274,39 @@ class Interp:
         return (self._run_seq(then_items, then_in)
                 + self._run_seq(else_items, variants))
 
-    def _run_loop(self, item: LoopStruct,
+    def _run_loop(self, item: PlanItem,
                   variants: List[Variant]) -> List[Variant]:
-        if item.style == "dowhile":
+        if item.kind == "dowhile":
             flow = variants
             skipping: List[Variant] = []
         else:
-            for v in variants:
-                self._apply_node(v, item.head)
-            variants = self._split(variants, 2)
-            guard = self.cfg.node(item.head).guard_text
+            variants, guard = self._enter(item, variants, 2)
             flow = [self._fork(v, (guard, "loop")) for v in variants]
             skipping = variants
+        arms = dict(item.arms)
 
         broken: List[Variant] = []
         self.breaks.append(broken)
         for _pass in range(2):
             continued: List[Variant] = []
             self.continues.append(continued)
-            flow = self._run_seq(item.body, flow)
+            flow = self._run_seq(arms["body"], flow)
             self.continues.pop()
             # continue rejoins before the trailer
-            flow = self._run_seq(item.trailer, flow + continued)
+            flow = self._run_seq(arms.get("trailer", []), flow + continued)
             for v in flow:
-                self._apply_node(v, item.head)
+                self._apply_node(v, item.node)
             if _paths(flow) > PATH_BUDGET:
                 self.path_insensitive = True
                 flow = [self._merge_all(flow)]
         self.breaks.pop()
         return skipping + flow + broken
 
-    def _run_switch(self, item: SwitchStruct,
+    def _run_switch(self, item: PlanItem,
                     variants: List[Variant]) -> List[Variant]:
-        branch = self.cfg.node(item.branch)
-        for v in variants:
-            self._apply_node(v, item.branch)
-        ways = len(item.arms) + (0 if item.has_default else 1)
-        variants = self._split(variants, max(ways, 1))
-        guard = branch.guard_text
+        has_default = any(tag == "default" for tag, _items in item.arms)
+        ways = len(item.arms) + (0 if has_default else 1)
+        variants, guard = self._enter(item, variants, max(ways, 1))
 
         broken: List[Variant] = []  # break leaves the switch, not a loop
         self.breaks.append(broken)
@@ -319,7 +315,7 @@ class Interp:
             fall = self._run_seq(
                 items, [self._fork(v, (guard, tag)) for v in variants] + fall)
         self.breaks.pop()
-        return fall + broken + ([] if item.has_default else variants)
+        return fall + broken + ([] if has_default else variants)
 
     # -- merging --------------------------------------------------------------
 
@@ -379,21 +375,7 @@ class Interp:
     def _apply_node(self, variant: Variant, node_id: int) -> None:
         node = self.cfg.node(node_id)
         for ev in node_events(self.cfg, node, self.catalog, self.site_map):
-            if isinstance(ev, AllocEvent):
-                self.allocate(variant, ev.owner, ev.fn, ev.line)
-            elif isinstance(ev, FreeEvent):
-                self._do_free(variant, ev)
-            elif isinstance(ev, AssignEvent):
-                self._do_assign(variant, ev)
-            elif isinstance(ev, NullAssignEvent):
-                self.repoint(variant, ev.var, ev.line, "set to null")
-            elif isinstance(ev, PtrArithEvent):
-                self._do_arith(variant, ev)
-            elif isinstance(ev, ReturnVarEvent):
-                self._do_return(variant, ev)
-            elif isinstance(ev, CallEvent):
-                handler = self.call_handler or default_call_effect
-                handler(self, variant, ev)
+            _EFFECTS[ev.kind](self, variant, ev)
             variant.retire()
 
     def allocate(self, variant: Variant, owner: int, fn: str,
@@ -439,29 +421,29 @@ class Interp:
         if ref is not None and ref not in variant.lost:
             variant.lost = variant.lost | {ref}
 
-    def _do_free(self, variant: Variant, ev: FreeEvent) -> None:
+    def _do_free(self, variant: Variant, ev: Event) -> None:
         self.release(variant, ev.var, ev.fn, ev.line, lambda first: (
-            f"{ev.var_name} released again (first released at line {first})"))
+            f"{ev.name} released again (first released at line {first})"))
 
-    def _do_assign(self, variant: Variant, ev: AssignEvent) -> None:
+    def _do_assign(self, variant: Variant, ev: Event) -> None:
         for m in variant.machines.live():
-            self.record(m.assign(ev.dst, ev.src, ev.line, self.strict),
+            self.record(m.assign(ev.var, ev.src, ev.line, self.strict),
                         variant, m.trace)
         ref = (None if variant.machines.owning(ev.src)
                else self._ref(variant, ev.src))
         if ref is None:
-            self._unbind(variant, ev.dst)
+            self._unbind(variant, ev.var)
         else:
-            variant.refs[ev.dst] = ref
+            variant.refs[ev.var] = ref
 
-    def _do_arith(self, variant: Variant, ev: PtrArithEvent) -> None:
+    def _do_arith(self, variant: Variant, ev: Event) -> None:
         for m in variant.machines.owning(ev.var):
             self.record(m.drop_owner(ev.var, ev.line,
                                      "advanced by pointer arithmetic"),
                         variant, m.trace)
         self.taint(variant, ev.var)  # no block owns it any more
 
-    def _do_return(self, variant: Variant, ev: ReturnVarEvent) -> None:
+    def _do_return(self, variant: Variant, ev: Event) -> None:
         for m in variant.machines.owning(ev.var):
             m.owners |= {RETURN_SLOT}  # as if returned where allocated
             m.mark_escaped()
@@ -499,7 +481,7 @@ def _defect(cfg: Cfg, err: MachineError, path: Sequence[PathCond],
                   path_c=list(path), trace=list(trace))
 
 
-def default_call_effect(interp: Interp, variant: Variant, ev: CallEvent) -> None:
+def default_call_effect(interp: Interp, variant: Variant, ev: Event) -> None:
     """Unknown callee: taint pointer arguments, result overwrites dst."""
     for var_id in ev.args:
         if var_id is None:
@@ -507,8 +489,26 @@ def default_call_effect(interp: Interp, variant: Variant, ev: CallEvent) -> None
         sym = interp.cfg.stream.var(var_id)
         if sym is None or sym.is_pointer:
             interp.taint(variant, var_id, seen_only=True)
-    if ev.dst is not None and ev.dst != RETURN_SLOT:
-        interp.repoint(variant, ev.dst, ev.line, "reassigned from a call result")
+    if ev.var is not None and ev.var != RETURN_SLOT:
+        interp.repoint(variant, ev.var, ev.line, "reassigned from a call result")
+
+
+# How the walk runs each kind of branch or loop.
+_BRANCHES = {"if": Interp._run_if, "switch": Interp._run_switch,
+             "while": Interp._run_loop, "for": Interp._run_loop,
+             "dowhile": Interp._run_loop}
+
+# What each kind of event does to a variant.
+_EFFECTS: Dict[str, Callable[[Interp, Variant, Event], None]] = {
+    "alloc": lambda interp, v, ev: interp.allocate(v, ev.var, ev.fn, ev.line),
+    "free": Interp._do_free,
+    "assign": Interp._do_assign,
+    "null": lambda interp, v, ev: interp.repoint(v, ev.var, ev.line, "set to null"),
+    "arith": Interp._do_arith,
+    "return": Interp._do_return,
+    "call": lambda interp, v, ev: (interp.call_handler or default_call_effect)(
+        interp, v, ev),
+}
 
 
 def explore(cfg: Cfg, catalog: Union[Catalog, Sequence[DefectPattern]],

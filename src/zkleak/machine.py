@@ -27,10 +27,9 @@ that leaves the machine with a finding is a snapshot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .defects import DefectKind, PathCond
+from .defects import DefectKind, PathCond, Record
 
 from enum import Enum
 
@@ -61,37 +60,42 @@ FREE_MATCH: Dict[str, FrozenSet[str]] = {
 }
 
 
-@dataclass
 class AllocRecord:
-    line: int
-    fn: str  # malloc | calloc | realloc | new | new_array
-    owner: int  # var id assigned at the allocation
+    __slots__ = ("line", "fn", "owner")
+
+    def __init__(self, line: int, fn: str, owner: int) -> None:
+        self.line = line
+        self.fn = fn  # malloc | calloc | realloc | new | new_array
+        self.owner = owner  # var id assigned at the allocation
 
 
-@dataclass(frozen=True)
-class FreeRecord:
-    line: int
-    fn: str  # free | delete | delete_array
+class FreeRecord(Record):
+    __slots__ = ("line", "fn")
+
+    def __init__(self, line: int, fn: str) -> None:
+        self.line, self.fn = line, fn  # fn: free | delete | delete_array
 
 
-@dataclass(frozen=True)
 class MachineError:
-    kind: DefectKind
-    line: int
-    message: str
+    __slots__ = ("kind", "line", "message")
+
+    def __init__(self, kind: DefectKind, line: int, message: str) -> None:
+        self.kind, self.line, self.message = kind, line, message
 
 
-@dataclass
 class Machine:
-    id: int
-    alloc: AllocRecord
-    state: MemState = MemState.START
-    owners: FrozenSet[int] = frozenset()
-    frees: Tuple[FreeRecord, ...] = ()
-    trace: Tuple[str, ...] = ()
-    escaped: bool = False
-    tainted: bool = False
-    partial_path: Optional[Tuple[PathCond, ...]] = None
+    __slots__ = ("id", "alloc", "state", "owners", "frees", "trace",
+                 "escaped", "tainted", "partial_path")
+
+    def __init__(self, id: int, alloc: AllocRecord, state: MemState = MemState.START,
+                 owners: FrozenSet[int] = frozenset(),
+                 frees: Tuple[FreeRecord, ...] = (), trace: Tuple[str, ...] = (),
+                 escaped: bool = False, tainted: bool = False,
+                 partial_path: Optional[Tuple[PathCond, ...]] = None) -> None:
+        self.id, self.alloc, self.state = id, alloc, state
+        self.owners, self.frees, self.trace = owners, frees, trace
+        self.escaped, self.tainted = escaped, tainted
+        self.partial_path = partial_path
 
     def clone(self) -> "Machine":
         return Machine(self.id, self.alloc, self.state, self.owners,

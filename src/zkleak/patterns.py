@@ -31,9 +31,9 @@ only abstractions) is tried at every position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
+from .defects import Record
 from .tokens import TokenKind, TokenStream, TYPE_KEYWORDS
 
 
@@ -46,25 +46,32 @@ class BadPatternUnit(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Literal:
-    text: str
+class Literal(Record):
+    __slots__ = ("text",)
+
+    def __init__(self, text: str) -> None:
+        self.text = text
 
 
-@dataclass(frozen=True)
-class CharClass:
-    chars: FrozenSet[str]
+class CharClass(Record):
+    __slots__ = ("chars",)
+
+    def __init__(self, chars: FrozenSet[str]) -> None:
+        self.chars = chars
 
 
-@dataclass(frozen=True)
-class Alternation:
-    choices: Tuple[str, ...]
-    allows_empty: bool = False
+class Alternation(Record):
+    __slots__ = ("choices", "allows_empty")
+
+    def __init__(self, choices: Tuple[str, ...], allows_empty: bool = False) -> None:
+        self.choices, self.allows_empty = choices, allows_empty
 
 
-@dataclass(frozen=True)
-class Abstract:
-    kind: str  # one of ABSTRACT_KINDS
+class Abstract(Record):
+    __slots__ = ("kind",)
+
+    def __init__(self, kind: str) -> None:
+        self.kind = kind  # one of ABSTRACT_KINDS
 
 
 PatternUnit = Union[Literal, CharClass, Alternation, Abstract]
@@ -77,24 +84,25 @@ ABSTRACT_KINDS = frozenset([
 COMPARISON_TEXTS = frozenset(["<", ">", "<=", ">=", "==", "!="])
 
 
-@dataclass(frozen=True)
-class DefectPattern:
-    units: Tuple[PatternUnit, ...]
-    source: str
-    label: str = ""
-    # (offset, texts): the token at *offset* in every match has one of
-    # *texts*.  None makes the matcher try every position.
-    anchor: Optional[Tuple[int, FrozenSet[str]]] = None
+class DefectPattern(Record):
+    __slots__ = ("units", "source", "label", "anchor")
+
+    def __init__(self, units: Tuple[PatternUnit, ...], source: str, label: str = "",
+                 anchor: Optional[Tuple[int, FrozenSet[str]]] = None) -> None:
+        self.units, self.source, self.label = units, source, label
+        # (offset, texts): the token at *offset* in every match has one of
+        # *texts*.  None makes the matcher try every position.
+        self.anchor = anchor
 
 
-@dataclass
 class MatchSpan:
     """Half-open token index range, and the index of the token each
     abstract unit bound, by unit position."""
 
-    first_p: int
-    end_p: int
-    bindings: Dict[int, int] = field(default_factory=dict)
+    __slots__ = ("first_p", "end_p", "bindings")
+
+    def __init__(self, first_p: int, end_p: int, bindings: Dict[int, int]) -> None:
+        self.first_p, self.end_p, self.bindings = first_p, end_p, bindings
 
 
 def compile_pattern(text: str, label: str = "") -> DefectPattern:

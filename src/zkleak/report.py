@@ -22,10 +22,9 @@ import json
 import re
 import time
 from collections import deque
-from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
-from .defects import Defect, DefectKind, dedup_and_sort
+from .defects import Defect, DefectKind, Record, dedup_and_sort
 from .detect import FileUnit, load_source, special_check
 from .graphs import Fcg, build_fcg
 from .patterns import Catalog, DefectPattern, compile_catalog
@@ -58,12 +57,13 @@ def compute_fnr(actual: int, claims: int) -> float:
 # Annotations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Annotation:
-    file: str
-    line: int
-    kind: str
-    expect_fp: bool = False
+class Annotation(Record):
+    __slots__ = ("file", "line", "kind", "expect_fp")
+
+    def __init__(self, file: str, line: int, kind: str,
+                 expect_fp: bool = False) -> None:
+        self.file, self.line = file, line
+        self.kind, self.expect_fp = kind, expect_fp
 
 
 _ANN_RE = re.compile(r"//\s*EXPECT-(LEAK|FP):\s*([A-Za-z]+)")
@@ -98,15 +98,14 @@ def load_annotation_file(path: str) -> List[Annotation]:
 # Scoring
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Metrics:
-    claims: int
-    false_claims: int
-    actual: int
-    matched: int
-    missed: int
-    fpr: Optional[float]
-    fnr: Optional[float]
+class Metrics(Record):
+    __slots__ = ("claims", "false_claims", "actual", "matched", "missed",
+                 "fpr", "fnr")
+
+    def __init__(self, claims: int, false_claims: int, actual: int, matched: int,
+                 missed: int, fpr: Optional[float], fnr: Optional[float]) -> None:
+        self.claims, self.false_claims, self.actual = claims, false_claims, actual
+        self.matched, self.missed, self.fpr, self.fnr = matched, missed, fpr, fnr
 
     def to_json(self) -> dict:
         return {"C": self.claims, "FC": self.false_claims,
@@ -158,30 +157,23 @@ def score(defects: Sequence[Defect], annotations: Sequence[Annotation]) -> Metri
 # Full runs
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FileStat:
-    path: str
-    loc: int
-    token_count: int
-
-
-@dataclass
 class Report:
-    files: List[FileStat]
-    defects: List[Defect]
-    warnings: List[Defect]
-    metrics: Optional[Metrics]
-    phases: Dict[str, float]
-    total_ms: float
-    units: List[FileUnit]
-    fcg: Fcg
-    summary_run: SummaryRun
+    __slots__ = ("defects", "warnings", "metrics", "phases", "total_ms",
+                 "units", "fcg", "summary_run")
+
+    def __init__(self, defects: List[Defect], warnings: List[Defect],
+                 metrics: Optional[Metrics], phases: Dict[str, float],
+                 total_ms: float, units: List[FileUnit], fcg: Fcg,
+                 summary_run: SummaryRun) -> None:
+        self.defects, self.warnings, self.metrics = defects, warnings, metrics
+        self.phases, self.total_ms = phases, total_ms
+        self.units, self.fcg, self.summary_run = units, fcg, summary_run
 
     def to_json(self) -> dict:
         doc = {
             "version": VERSION,
-            "files": [{"path": f.path, "loc": f.loc,
-                       "tokenCount": f.token_count} for f in self.files],
+            "files": [{"path": u.stream.file, "loc": u.stream.loc_count,
+                       "tokenCount": len(u.stream)} for u in self.units],
             "defects": [_defect_json(d) for d in self.defects],
             "warnings": [_defect_json(d) for d in self.warnings],
             "timing": {"phases": {k: max(round(v, 3), 0.001)
@@ -204,8 +196,8 @@ class Report:
             lines.append(f"metrics: claims={m.claims} false={m.false_claims} "
                          f"actual={m.actual} matched={m.matched} "
                          f"missed={m.missed} fpr={fpr} fnr={fnr}")
-        total_loc = sum(f.loc for f in self.files)
-        lines.append(f"checked {len(self.files)} file(s), {total_loc} lines: "
+        total_loc = sum(u.stream.loc_count for u in self.units)
+        lines.append(f"checked {len(self.units)} file(s), {total_loc} lines: "
                      f"{len(self.defects)} defect(s), "
                      f"{len(self.warnings)} warning(s)")
         return "\n".join(lines)
@@ -261,10 +253,7 @@ def run(sources: Sequence[Tuple[str, str]],
             all_annotations.extend(parse_annotations(text, path))
     metrics = score(defects, all_annotations) if all_annotations else None
 
-    files = [FileStat(u.stream.file, u.stream.loc_count, len(u.stream))
-             for u in units]
     return Report(
-        files=files,
         defects=[d for d in defects if not d.is_warning()],
         warnings=[d for d in defects if d.is_warning()],
         metrics=metrics,

@@ -19,7 +19,6 @@ builtin type word or a name already known to be a class or typedef.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
@@ -58,30 +57,31 @@ _ELABORATION = frozenset(["struct", "class", "union", "enum"])
 _ACCESS_WORDS = frozenset(["public", "protected", "private"])
 
 
-@dataclass(slots=True)
 class SymbolEntry:
-    name: str
-    var_id: int
-    type_text: str
-    is_pointer: bool
-    is_member: bool = False
-    is_global_or_static: bool = False
-    decl_index: int = -1
+    __slots__ = ("name", "var_id", "type_text", "is_pointer", "is_member",
+                 "is_global_or_static", "decl_index")
+
+    def __init__(self, name: str, var_id: int, type_text: str, is_pointer: bool,
+                 is_member: bool = False, is_global_or_static: bool = False,
+                 decl_index: int = -1) -> None:
+        self.name, self.var_id, self.type_text = name, var_id, type_text
+        self.is_pointer, self.is_member = is_pointer, is_member
+        self.is_global_or_static, self.decl_index = is_global_or_static, decl_index
 
     def __repr__(self) -> str:
         return f"SymbolEntry({self.name!r}, id={self.var_id}, type={self.type_text!r})"
 
 
-@dataclass
 class DeclaredFunc:
     """A prototype seen without a body; enough for call resolution."""
 
-    name: str
-    arity: int
-    class_name: str
-    file: str
-    is_virtual: bool = False
-    param_text: str = ""
+    __slots__ = ("name", "arity", "class_name", "file", "is_virtual",
+                 "param_text")
+
+    def __init__(self, name: str, arity: int, class_name: str, file: str,
+                 is_virtual: bool = False, param_text: str = "") -> None:
+        self.name, self.arity, self.class_name = name, arity, class_name
+        self.file, self.is_virtual, self.param_text = file, is_virtual, param_text
 
 
 # The symbols of every scope that declares nothing.  It is read-only, so a
@@ -89,7 +89,6 @@ class DeclaredFunc:
 _NO_SYMBOLS: Mapping[str, List[SymbolEntry]] = MappingProxyType({})
 
 
-@dataclass(eq=False, slots=True)
 class ScopeNode:
     """One lexical scope, ``[token_begin, token_end)`` in the stream.
 
@@ -100,25 +99,27 @@ class ScopeNode:
     here writes them; every later reader only reads.
     """
 
-    kind: ScopeKind
-    name: str = ""
-    parent: Optional["ScopeNode"] = None
-    token_begin: int = 0
-    token_end: int = 0
-    children: Sequence["ScopeNode"] = ()
-    symbols: Mapping[str, List[SymbolEntry]] = field(default_factory=lambda: _NO_SYMBOLS)
-    # Function-only metadata.
-    params: Sequence[SymbolEntry] = ()
-    owner_class: str = ""
-    is_virtual: bool = False
-    # Class-like only: token indices of the name and of the keyword.
-    name_index: int = -1
-    header_index: int = -1
-    # Root-only registries, None on every other scope.
-    class_scopes: Optional[Dict[str, "ScopeNode"]] = None
-    function_scopes: Optional[List["ScopeNode"]] = None
-    declared_funcs: Optional[List[DeclaredFunc]] = None
-    pointer_typedefs: Optional[Set[str]] = None
+    __slots__ = ("kind", "name", "parent", "token_begin", "token_end",
+                 "children", "symbols", "params", "owner_class", "is_virtual",
+                 "name_index", "header_index", "class_scopes",
+                 "function_scopes", "declared_funcs", "pointer_typedefs")
+
+    def __init__(self, kind: ScopeKind, name: str = "", parent: Optional[ScopeNode] = None,
+                 token_begin: int = 0, token_end: int = 0) -> None:
+        self.kind, self.name, self.parent = kind, name, parent
+        self.token_begin, self.token_end = token_begin, token_end
+        self.children: Sequence[ScopeNode] = ()
+        self.symbols: Mapping[str, List[SymbolEntry]] = _NO_SYMBOLS
+        # Function-only metadata.
+        self.params: Sequence[SymbolEntry] = ()
+        self.owner_class, self.is_virtual = "", False
+        # Class-like only: token indices of the name and of the keyword.
+        self.name_index = self.header_index = -1
+        # Root-only registries, None on every other scope.
+        self.class_scopes: Optional[Dict[str, ScopeNode]] = None
+        self.function_scopes: Optional[List[ScopeNode]] = None
+        self.declared_funcs: Optional[List[DeclaredFunc]] = None
+        self.pointer_typedefs: Optional[Set[str]] = None
 
     def add_symbol(self, entry: SymbolEntry) -> None:
         if not self.symbols:
@@ -137,17 +138,18 @@ class ScopeNode:
         return f"ScopeNode({self.kind.value}, {self.name!r}, [{self.token_begin}..{self.token_end}))"
 
 
-@dataclass
 class ClassInfo:
-    name: str
-    line: int
-    bases: List[str] = field(default_factory=list)
-    pointer_members: List[SymbolEntry] = field(default_factory=list)
-    ctors: List[Tuple[int, int]] = field(default_factory=list)
-    dtor: Optional[Tuple[int, int]] = None
-    dtor_is_virtual: bool = False
-    copy_ctor: Optional[Tuple[int, int]] = None
-    assign_op: Optional[Tuple[int, int]] = None
+    __slots__ = ("name", "line", "bases", "pointer_members", "ctors", "dtor",
+                 "dtor_is_virtual", "copy_ctor", "assign_op")
+
+    def __init__(self, name: str, line: int) -> None:
+        self.name, self.line = name, line
+        self.bases: List[str] = []
+        self.pointer_members: List[SymbolEntry] = []
+        # Body spans (token_begin, token_end); None when there is none.
+        self.ctors: List[Tuple[int, int]] = []
+        self.dtor = self.copy_ctor = self.assign_op = None
+        self.dtor_is_virtual = False
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +167,9 @@ def build_scope_tree(stream: TokenStream) -> ScopeNode:
     """
     _pair_brackets(stream)
 
-    root = ScopeNode(ScopeKind.GLOBAL, "", None, 0, len(stream),
-                     class_scopes={}, function_scopes=[], declared_funcs=[],
-                     pointer_typedefs=set())
+    root = ScopeNode(ScopeKind.GLOBAL, "", None, 0, len(stream))
+    root.class_scopes, root.function_scopes = {}, []
+    root.declared_funcs, root.pointer_typedefs = [], set()
     _collect_types(stream, root)
 
     # Scope creation walk.  Each stack entry is (scope, token_end, whether
@@ -457,9 +459,18 @@ def _parse_parameters(stream: TokenStream, open_idx: int, close_idx: int,
 
 def _param_groups(stream: TokenStream, open_idx: int,
                   close_idx: int) -> List[Tuple[int, int]]:
-    """The parameters between two parens; ``( )`` and ``( void )`` have none."""
-    return [(begin, end) for begin, end in split_top_level(stream, open_idx + 1, close_idx)
-            if begin < end and not (end - begin == 1 and stream.text[begin] == "void")]
+    """The parameters between two parens; ``( )`` and ``( void )`` have none.
+    A comma inside template arguments, which a declarator reads past, does
+    not split two parameters."""
+    texts = stream.text
+    groups: List[Tuple[int, int]] = []
+    for begin, end in split_top_level(stream, open_idx + 1, close_idx):
+        if groups and _read_declarator(stream, groups[-1][0], close_idx,
+                                       set())[3] > groups[-1][1]:
+            begin = groups.pop()[0]
+        groups.append((begin, end))
+    return [(begin, end) for begin, end in groups
+            if begin < end and not (end - begin == 1 and texts[begin] == "void")]
 
 
 # Tokens that end a declarator: an initializer, the next declarator, the
@@ -478,7 +489,8 @@ def _read_declarator(stream: TokenStream, begin: int, end: int,
     typedef (among *specifiers* or the other tokens) makes it a pointer;
     whether an array suffix follows the name; and the index where it ends,
     at an ``=``, ``,``, ``;``, a function's parameter list or a token no
-    declarator holds.  ``[[...]]`` attributes are skipped.
+    declarator holds.  ``[[...]]`` attributes and template arguments are
+    skipped.
     """
     texts, kinds, partner = stream.text, stream.kind, stream.partner
     name, pointer, array = -1, False, False
@@ -499,7 +511,12 @@ def _read_declarator(stream: TokenStream, begin: int, end: int,
                 break  # a function's parameter list
             i = close + 1
             continue
-        if text == "*":
+        if text == "<":  # template arguments hold no name, star or stop
+            depth = 1
+            while depth and i + 1 < end:
+                i += 1
+                depth += (texts[i] == "<") - (texts[i] == ">")
+        elif text == "*":
             pointer = True
         elif text in ("~", "operator") and i + 1 < end:
             name = i

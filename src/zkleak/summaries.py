@@ -27,7 +27,6 @@ defects, and callers see the summary of the body ``fcg.defined`` keeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .defects import Defect, DefectKind, PathCond
@@ -36,7 +35,7 @@ from .graphs import (Cfg, Fcg, FuncId, build_cfg, defined_successors,
 from .interp import (ExploreOutcome, Interp, OwnerRef, REF_GLOBAL,
                      REF_PARAM, REF_RETURN, Variant,
                      default_call_effect, explore, finish_variants, outlives)
-from .events import CallEvent, RETURN_SLOT
+from .events import Event, RETURN_SLOT
 from .machine import AllocRecord, Machine, MemState
 from .patterns import Catalog, DefectPattern, compile_catalog
 from .scopes import ScopeNode
@@ -46,11 +45,12 @@ ACTION_ALLOC = "alloc_to_extern"
 ACTION_FREE = "extern_to_free"
 ACTION_UNKNOWN = "unknown"
 
-@dataclass(frozen=True)
 class BehaviorAction:
-    kind: str  # ACTION_ALLOC | ACTION_FREE | ACTION_UNKNOWN
-    fn: str = ""
-    complete: bool = True
+    __slots__ = ("kind", "fn", "complete")
+
+    def __init__(self, kind: str, fn: str = "", complete: bool = True) -> None:
+        self.kind = kind  # ACTION_ALLOC | ACTION_FREE | ACTION_UNKNOWN
+        self.fn, self.complete = fn, complete
 
     def render(self) -> str:
         if self.kind == ACTION_ALLOC:
@@ -61,18 +61,20 @@ class BehaviorAction:
         return "unknown"
 
 
-@dataclass
 class SummaryEntry:
-    owner: OwnerRef
-    action: BehaviorAction
-    path: Tuple[PathCond, ...] = ()
+    __slots__ = ("owner", "action", "path")
+
+    def __init__(self, owner: OwnerRef, action: BehaviorAction,
+                 path: Tuple[PathCond, ...] = ()) -> None:
+        self.owner, self.action, self.path = owner, action, path
 
 
-@dataclass
 class FunctionSummary:
-    func: FuncId
-    entries: List[SummaryEntry] = field(default_factory=list)
-    ring_member: bool = False
+    __slots__ = ("func", "entries", "ring_member")
+
+    def __init__(self, func: FuncId, entries: List[SummaryEntry],
+                 ring_member: bool = False) -> None:
+        self.func, self.entries, self.ring_member = func, entries, ring_member
 
 
 def ring_summary(func: FuncId, scope: ScopeNode) -> FunctionSummary:
@@ -86,7 +88,7 @@ def ring_summary(func: FuncId, scope: ScopeNode) -> FunctionSummary:
 # Applying a summary at a call site
 # ---------------------------------------------------------------------------
 
-def apply_summary(interp: Interp, variant: Variant, ev: CallEvent,
+def apply_summary(interp: Interp, variant: Variant, ev: Event,
                   summary: FunctionSummary) -> None:
     dst_handled = False
     same_file = ev.callee.file_name == interp.cfg.stream.file
@@ -96,7 +98,7 @@ def apply_summary(interp: Interp, variant: Variant, ev: CallEvent,
     for entry in sorted(summary.entries, key=lambda e: order[e.action.kind]):
         ref, action = entry.owner, entry.action
         if ref.kind == REF_RETURN:
-            var = ev.dst
+            var = ev.var
             if var is None:
                 # result dropped on the floor: block with no owner at all
                 machine = Machine(interp.new_machine_id(),
@@ -120,11 +122,11 @@ def apply_summary(interp: Interp, variant: Variant, ev: CallEvent,
             interp.taint(variant, var)
         else:
             _release(interp, variant, ev, var, entry)
-    if ev.dst is not None and ev.dst != RETURN_SLOT and not dst_handled:
-        interp.repoint(variant, ev.dst, ev.line, "reassigned from a call result")
+    if ev.var is not None and ev.var != RETURN_SLOT and not dst_handled:
+        interp.repoint(variant, ev.var, ev.line, "reassigned from a call result")
 
 
-def _release(interp: Interp, variant: Variant, ev: CallEvent, var: int,
+def _release(interp: Interp, variant: Variant, ev: Event, var: int,
              entry: SummaryEntry) -> None:
     if not entry.action.complete:
         machines = variant.machines.owning(var)
@@ -140,7 +142,7 @@ def _release(interp: Interp, variant: Variant, ev: CallEvent, var: int,
 
 
 def make_call_handler(summaries: Dict[FuncId, FunctionSummary]):
-    def handler(interp: Interp, variant: Variant, ev: CallEvent) -> None:
+    def handler(interp: Interp, variant: Variant, ev: Event) -> None:
         summary = summaries.get(ev.callee)
         if summary is None:
             default_call_effect(interp, variant, ev)
@@ -198,17 +200,19 @@ def extract_entries(outcome: ExploreOutcome) -> List[SummaryEntry]:
 # Whole-program worklist
 # ---------------------------------------------------------------------------
 
-@dataclass
 class SummaryRun:
     """What ``update_all`` leaves: every summary, the walk's defects, the
     call rings, and the walked CFG of each member function, the bodies
     the class-shape rules read.  Any other body's CFG is dropped after its
     walk; ``build_cfg(scope, stream)`` builds it again."""
 
-    summaries: Dict[FuncId, FunctionSummary]
-    defects: List[Defect]
-    rings: List[List[FuncId]]
-    cfgs: List[Cfg]  # member-function bodies, in walk order
+    __slots__ = ("summaries", "defects", "rings", "cfgs")
+
+    def __init__(self, summaries: Dict[FuncId, FunctionSummary],
+                 defects: List[Defect], rings: List[List[FuncId]],
+                 cfgs: List[Cfg]) -> None:
+        self.summaries, self.defects, self.rings = summaries, defects, rings
+        self.cfgs = cfgs  # member-function bodies, in walk order
 
 
 def update_all(units: List[Tuple[ScopeNode, TokenStream]], fcg: Fcg,

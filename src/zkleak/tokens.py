@@ -14,16 +14,15 @@ are physical lines and columns, kept by counting the line breaks each
 match spans.
 
 Preprocessing is deliberately shallow: directive lines are skipped whole,
-comments are stripped, and backslash-newline splices are honoured.  Macro
-expansion is out of scope; unexpanded macro names simply lex as
-identifiers.
+comments and GNU ``__attribute__((...))`` specifiers are stripped, and
+backslash-newline splices are honoured.  Macro expansion is out of scope;
+unexpanded macro names simply lex as identifiers.
 """
 
 from __future__ import annotations
 
 import re
 from array import array
-from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, List, Optional, Set
 
@@ -83,15 +82,15 @@ _IDENT_START = frozenset(
 _DIGITS = frozenset("0123456789")
 
 
-@dataclass
 class Diagnostic:
     """A recoverable problem noticed while scanning or later passes."""
 
-    code: str
-    message: str
-    file: str
-    line: int
-    column: int
+    __slots__ = ("code", "message", "file", "line", "column")
+
+    def __init__(self, code: str, message: str, file: str, line: int,
+                 column: int) -> None:
+        self.code, self.message, self.file = code, message, file
+        self.line, self.column = line, column
 
     def render(self) -> str:
         return f"{self.file}:{self.line}:{self.column}: {self.code}: {self.message}"
@@ -186,13 +185,15 @@ def classify_text(text: str) -> TokenKind:
 # words, numbers, line comments and directives, kept inside literals
 # (CRLF as LF) and a separator anywhere else.  A literal escape takes the
 # next character, a splice or nothing at the end of the text; a bare line
-# break leaves the literal unterminated.
+# break leaves the literal unterminated.  A GNU "__attribute__((...))", its
+# parens nested one level at most, is skipped: "p __attribute__((x)) = q" is "p = q".
 _SPLICE = r"(?:\\\r?\n)"
 _OPERATORS = "|".join(map(re.escape, OPERATOR_TEXTS))
 _MASTER = re.compile(rf"""[ \t\r\f\v]*(?:
     (?P<punct>[()\[\]{{}};,])
   | (?P<literal>(?P<prefix>(?:u{_SPLICE}*8|[LUu]){_SPLICE}*)?(?P<quote>["'])
         (?:[^"'\\\n]+|\\(?:\r?\n|[^\n])?|(?!(?P=quote))["'])*(?P<close>(?P=quote))?)
+  | (?P<attribute>__attribute__\s*\(\s*\((?:[^()]|\([^()]*\))*\)\s*\))
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*(?:{_SPLICE}+[A-Za-z0-9_]+)*)
   | (?P<number>\.?[0-9](?:{_SPLICE}*(?:[eEpP](?:{_SPLICE}*[+-])?|[A-Za-z0-9_.]))*)
   | (?P<nl>\n)
@@ -287,8 +288,8 @@ def tokenize(source: str, file: str = "<memory>") -> TokenStream:
             add_line(line)
             add_col(col)
             at_line_start = False
-        # Splices, line comments and directives are skipped and leave the
-        # line start as it was.
+        # Splices, line comments, directives and attributes are skipped and
+        # leave the line start as it was.
 
         if kind is None or len(text) < end - pos:  # may span lines
             newlines = source.count("\n", pos, end)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import fields
-
 from zkleak.detect import special_check
 from zkleak.defects import DefectKind, dedup_and_sort
 from zkleak.graphs import build_cfg
@@ -500,7 +498,7 @@ def test_the_merge_key_covers_every_field_the_walk_reads():
         "partial_path": (("a", "then"),),
     }
     # state() pairs each key with the machine's id, which fixes alloc.
-    assert ({f.name for f in fields(Machine)}
+    assert (set(Machine.__slots__)
             == set(machine_changes) | {"id", "alloc"})
 
     def machine(mid: int = 1, **change) -> Machine:
@@ -521,7 +519,7 @@ def test_the_merge_key_covers_every_field_the_walk_reads():
         "settled": frozenset({2}),
     }
     # Merging drops the path and order and adds up paths and earliest.
-    assert ({f.name for f in fields(Variant)}
+    assert (set(Variant.__slots__)
             == set(variant_changes) | {"path", "order", "paths", "earliest"})
 
     base = Variant(holding(machine()), {}, ())

@@ -25,16 +25,10 @@ from pathlib import Path
 
 from zkleak.graphs import (
     MAX_NESTING,
-    BreakStmt,
-    ContinueStmt,
     FcgEdge,
     Fcg,
     FuncId,
-    IfStruct,
-    LoopStruct,
-    ReturnStmt,
-    SeqStmt,
-    SwitchStruct,
+    PlanItem,
     build_cfg,
     build_fcg,
     dump_cfg,
@@ -65,7 +59,8 @@ def _cfg(source: str, name: str = "cfg.c", which: int = 0):
 # Plan shapes
 # ---------------------------------------------------------------------------
 
-_LEAVES = {SeqStmt: "s", ReturnStmt: "ret", BreakStmt: "brk", ContinueStmt: "cont"}
+_LEAVES = {"seq": "s", "return": "ret", "break": "brk", "continue": "cont"}
+_LOOPS = ("while", "for", "dowhile")
 
 
 def _shape(items: list) -> list:
@@ -74,14 +69,15 @@ def _shape(items: list) -> list:
     ("switch", {tag: arm})."""
     out = []
     for item in items:
-        if type(item) in _LEAVES:
-            out.append(_LEAVES[type(item)])
-        elif isinstance(item, IfStruct):
+        if item.kind in _LEAVES:
+            out.append(_LEAVES[item.kind])
+        elif item.kind == "if":
             (_, then), (_, other) = item.arms
             out.append(("if", _shape(then), _shape(other)))
-        elif isinstance(item, LoopStruct):
-            trailer = (_shape(item.trailer),) if item.trailer else ()
-            out.append((item.style, _shape(item.body)) + trailer)
+        elif item.kind in _LOOPS:
+            arms = dict(item.arms)
+            trailer = (_shape(arms["trailer"]),) if arms.get("trailer") else ()
+            out.append((item.kind, _shape(arms["body"])) + trailer)
         else:
             out.append(("switch", {tag: _shape(arm) for tag, arm in item.arms}))
     return out
@@ -132,13 +128,10 @@ def _plan_nodes(items: list):
     work = list(reversed(items))
     while work:
         item = work.pop()
-        if type(item) in _LEAVES:
+        if item.kind in _LEAVES:
             yield item.node, False
-        elif isinstance(item, LoopStruct):
-            yield item.head, True
-            work.extend(reversed(item.body + item.trailer))
         else:
-            yield item.branch, True
+            yield item.node, True
             work.extend(reversed([x for _tag, arm in item.arms for x in arm]))
 
 
@@ -196,7 +189,7 @@ def test_every_identifier_of_a_body_lies_in_exactly_one_node():
 
 def test_straight_line_shape():
     cfg = _cfg("void f ( ) {\n int a ;\n a = 1 ;\n a = 2 ;\n}")
-    assert cfg.structure == [SeqStmt(0), SeqStmt(1), SeqStmt(2)]
+    assert cfg.structure == [PlanItem("seq", 0), PlanItem("seq", 1), PlanItem("seq", 2)]
     assert [(n.span, n.line) for n in cfg.nodes] == [((5, 8), 2), ((8, 12), 3),
                                                       ((12, 16), 4)]
     assert (cfg.entry_line, cfg.exit_line) == (1, 5)
@@ -216,17 +209,19 @@ def test_if_else_shape_and_guard():
     assert cfg.node(0).guard_text == "c < 3"
     # A catch forks like an if with an empty else arm.
     cfg = _cfg("void f ( ) {\n try { g ( ) ; }\n catch ( E e ) { h ( ) ; }\n}")
-    assert cfg.structure == [SeqStmt(0), IfStruct(1, [("then", [SeqStmt(2)]), ("else", [])])]
+    assert cfg.structure == [PlanItem("seq", 0), PlanItem(
+        "if", 1, [("then", [PlanItem("seq", 2)]), ("else", [])])]
     assert [(n.span, n.line, n.guard_text) for n in cfg.nodes] == [
         ((7, 11), 2, ""), ((14, 16), 3, "catch E e"), ((18, 22), 3, "")]
 
 
 def test_loop_body_is_nested_under_its_head():
     cfg = _cfg("void f ( int c ) { while ( c ) { c -- ; } }")
-    assert cfg.structure == [LoopStruct(0, [SeqStmt(1)], "while")]
+    assert cfg.structure == [PlanItem("while", 0, [("body", [PlanItem("seq", 1)])])]
     assert cfg.node(0).guard_text == "c"
     cfg = _cfg("void f ( ) {\n for ( int i = 0 ; i < 3 ; i ++ ) {\n  i = i ;\n }\n}")
-    assert cfg.structure == [SeqStmt(0), LoopStruct(1, [SeqStmt(2)], "for", [SeqStmt(3)])]
+    assert cfg.structure == [PlanItem("seq", 0), PlanItem("for", 1, [
+        ("body", [PlanItem("seq", 2)]), ("trailer", [PlanItem("seq", 3)])])]
     assert dump_cfg(cfg) == (
         "Entry 1\n"
         "2 Statement\n"
@@ -245,7 +240,7 @@ def test_statements_after_a_do_while_follow_it():
     cfg = _cfg("void f ( int n ) { do { n -- ; } while ( n ) ; "
                "if ( n ) { n = 1 ; } n = 2 ; }")
     assert _shape(cfg.structure) == [("dowhile", ["s"]), ("if", ["s"], []), "s"]
-    assert cfg.node(cfg.structure[0].head).guard_text == "n"
+    assert cfg.node(cfg.structure[0].node).guard_text == "n"
 
 
 def test_a_do_with_no_while_ends_with_its_body():
@@ -277,13 +272,14 @@ def test_a_label_in_a_bare_block_of_a_switch_body_opens_an_arm():
 
 def test_return_in_the_then_arm_and_the_exit_line():
     cfg = _cfg("void f ( int c ) {\n if ( c ) { return ; }\n c = 1 ;\n}")
-    assert cfg.structure == [IfStruct(0, [("then", [ReturnStmt(1)]), ("else", [])]),
-                             SeqStmt(2)]
+    assert cfg.structure == [PlanItem("if", 0, [("then", [PlanItem("return", 1)]),
+                                                ("else", [])]),
+                             PlanItem("seq", 2)]
     assert [n.line for n in cfg.nodes] == [2, 2, 3]
     assert (cfg.entry_line, cfg.exit_line) == (1, 4)
     # An unclosed body runs to the last token, which gives the exit line.
     cfg = _cfg("int g ;\nvoid f ( ) {\n return ;")
-    assert cfg.structure == [ReturnStmt(0)]
+    assert cfg.structure == [PlanItem("return", 0)]
     assert (cfg.entry_line, cfg.exit_line) == (2, 3)
 
 
@@ -293,7 +289,7 @@ def test_goto_degrades_to_a_chain():
     root = build_scope_tree(stream)
     cfg = build_cfg(root.function_scopes[0], stream)
     assert _shape(cfg.structure) == ["s"] * 4
-    assert all(isinstance(item, SeqStmt) for item in cfg.structure)
+    assert all(item.kind == "seq" for item in cfg.structure)
     assert any(d.code == "MalformedControlFlow" for d in stream.diagnostics)
 
 
@@ -344,16 +340,19 @@ def _golden_plan(cfg, items: list) -> list:
     a guard node's text appended."""
     out: list = []
     for item in items:
-        if type(item) in _LEAVES:
-            out.append([_LEAVES[type(item)], _row(cfg, item.node)])
-        elif isinstance(item, IfStruct):
-            out.append(["if", _row(cfg, item.branch, True),
+        if item.kind in _LEAVES:
+            out.append([_LEAVES[item.kind], _row(cfg, item.node)])
+        elif item.kind == "if":
+            out.append(["if", _row(cfg, item.node, True),
                         [[tag, _golden_plan(cfg, arm)] for tag, arm in item.arms]])
-        elif isinstance(item, LoopStruct):
-            out.append(["loop", item.style, _row(cfg, item.head, True),
-                        _golden_plan(cfg, item.body), _golden_plan(cfg, item.trailer)])
+        elif item.kind in _LOOPS:
+            arms = dict(item.arms)
+            out.append(["loop", item.kind, _row(cfg, item.node, True),
+                        _golden_plan(cfg, arms["body"]),
+                        _golden_plan(cfg, arms.get("trailer", []))])
         else:
-            out.append(["switch", _row(cfg, item.branch, True), item.has_default,
+            has_default = any(tag == "default" for tag, _arm in item.arms)
+            out.append(["switch", _row(cfg, item.node, True), has_default,
                         [[tag, _golden_plan(cfg, arm)] for tag, arm in item.arms]])
     return out
 

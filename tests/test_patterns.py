@@ -10,7 +10,6 @@ identical span sets.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 
 import pytest
@@ -296,7 +295,7 @@ def test_dispatched_extraction_equals_a_full_scan_on_the_corpus(corpus_paths):
     # Stripping the anchors makes every pattern scan every position, the
     # way the matcher worked before the dispatch table.
     dispatched = compile_catalog(None)
-    full_scan = Catalog([dataclasses.replace(p, anchor=None)
+    full_scan = Catalog([DefectPattern(p.units, p.source, p.label, anchor=None)
                          for p in dispatched.patterns])
     report = run([(str(p), p.read_text()) for p in corpus_paths])
     cfgs = [build_cfg(scope, unit.stream) for unit in report.units

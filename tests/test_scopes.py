@@ -273,6 +273,13 @@ def test_array_and_pointer_typedef_parameters_are_pointers():
     ("class K { char * op ( int n ) ; } ;\n"
      "char * K :: op ( int n ) { return 0 ; }", [("n", False)]),
     ("struct S { unsigned flags : 3 ; char * p ; } ;", [("p", True)]),
+    # a comma or a star inside template arguments splits and points nothing;
+    # past a parameter's "=", a "<" compares
+    ("void f ( std :: map < int , char * > m , char * p ) { }",
+     [("m", False), ("p", True)]),
+    ("void f ( std :: map < int , std :: pair < char * , int > > m , char * p ) { }",
+     [("m", False), ("p", True)]),
+    ("void f ( int a = n < m , char * p ) { }", [("a", False), ("p", True)]),
 ])
 def test_one_reader_names_each_declarator(source, declared):
     stream = tokenize(source, "decl.cc")

@@ -102,6 +102,19 @@ def test_a_declaration_the_reader_names_keeps_its_leak(source):
     assert claims(run(source)) == [("MissingRelease", 1)]
 
 
+@pytest.mark.parametrize("source", [
+    "void g(void) { char *p __attribute__((unused)) = malloc(4); }",
+    "void g ( void ) { char * p __attribute__ ( ( unused ) ) ; p = malloc ( 4 ) ; }",
+])
+def test_a_gnu_attribute_after_a_declarator_keeps_its_leak(source):
+    # The lexer drops the attribute, so "p = malloc (" matches and no
+    # prototype named __attribute__ is recorded.
+    stream = tokenize(source, "s.c")
+    assert build_scope_tree(stream).declared_funcs == []
+    assert [(v.name, v.is_pointer) for v in stream.vars[1:]] == [("p", True)]
+    assert claims(run(source)) == [("MissingRelease", 1)]
+
+
 def test_balanced_local_pair_summarizes_to_nothing():
     result = run("void ok ( ) { char * p ; p = malloc ( 8 ) ; free ( p ) ; }")
     assert rendered(result, "ok") == []
