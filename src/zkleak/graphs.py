@@ -202,20 +202,8 @@ class _CfgBuilder:
             if text == ";":
                 return [], i + 1
 
-            if text == "if":
-                return self._parse_if(i)
-            if text == "while":
-                return self._parse_while(i)
-            if text == "for":
-                return self._parse_for(i)
-            if text == "do":
-                return self._parse_do(i)
-            if text == "switch":
-                return self._parse_switch(i)
-            if text == "try":
-                # The try body runs unconditionally; catch arms conservatively
-                # fork like an if whose guard never constrains anything.
-                return self._parse_try(i)
+            if text in ("if", "while", "for", "do", "switch", "try"):
+                return getattr(self, "_parse_" + text)(i)  # _parse_if, ...
 
             stmt_end = self.statement_end(i)
             kind = text if text in ("return", "break", "continue") else "seq"
@@ -323,6 +311,8 @@ class _CfgBuilder:
         return [PlanItem("switch", branch, arms)], body_close + 1
 
     def _parse_try(self, i: int):
+        """The try body runs unconditionally; catch arms conservatively
+        fork like an if whose guard never constrains anything."""
         items, after = self.parse_one(i + 1)
         while after < self.end and self.text[after] == "catch":
             span, close = self._guard_span(after)

@@ -439,9 +439,8 @@ def _parse_parameters(stream: TokenStream, open_idx: int, close_idx: int,
     """Declare each parameter of *func*; an array parameter is a pointer."""
     texts = stream.text
     params: List[SymbolEntry] = []
-    for begin, end in _param_groups(stream, open_idx, close_idx):
-        name_at, is_pointer, is_array, stop = _read_declarator(
-            stream, begin, end, pointer_typedefs)
+    for begin, (name_at, is_pointer, is_array, stop) in _param_groups(
+            stream, open_idx, close_idx, pointer_typedefs):
         entry = SymbolEntry(
             name=texts[name_at] if name_at >= 0 else f"<unnamed{len(params)}>",
             var_id=len(stream.vars),
@@ -457,25 +456,30 @@ def _parse_parameters(stream: TokenStream, open_idx: int, close_idx: int,
         func.params = params
 
 
-def _param_groups(stream: TokenStream, open_idx: int,
-                  close_idx: int) -> List[Tuple[int, int]]:
-    """The parameters between two parens; ``( )`` and ``( void )`` have none.
-    A comma inside template arguments, which a declarator reads past, does
-    not split two parameters."""
+def _param_groups(stream: TokenStream, open_idx: int, close_idx: int,
+                  pointer_typedefs: Set[str]) -> List[Tuple[int, tuple]]:
+    """The parameters between two parens, each as its first token and its
+    declarator; ``( )`` and ``( void )`` have none.  A parameter runs to the
+    first top-level comma at or past its declarator's end, so a comma inside
+    template arguments, which the declarator reads past, splits nothing."""
     texts = stream.text
-    groups: List[Tuple[int, int]] = []
-    for begin, end in split_top_level(stream, open_idx + 1, close_idx):
-        if groups and _read_declarator(stream, groups[-1][0], close_idx,
-                                       set())[3] > groups[-1][1]:
-            begin = groups.pop()[0]
-        groups.append((begin, end))
-    return [(begin, end) for begin, end in groups
-            if begin < end and not (end - begin == 1 and texts[begin] == "void")]
+    params: List[Tuple[int, tuple]] = []
+    begin, declarator = open_idx + 1, None
+    for _, end in split_top_level(stream, open_idx + 1, close_idx):
+        declarator = declarator or _read_declarator(stream, begin, close_idx,
+                                                    pointer_typedefs)
+        if end < declarator[3]:
+            continue
+        if begin < end and not (end - begin == 1 and texts[begin] == "void"):
+            params.append((begin, declarator))
+        begin, declarator = end + 1, None
+    return params
 
 
 # Tokens that end a declarator: an initializer, the next declarator, the
 # statement's end, a bit-field width, a body, or a bracket closing around it.
 _DECLARATOR_ENDS = frozenset(["=", ",", ";", ":", "{", "}", ")", "]"])
+_ANGLES = {"<": 1, ">": -1, ">>": -2}  # a ">>" left whole closes two templates
 
 
 def _read_declarator(stream: TokenStream, begin: int, end: int,
@@ -512,10 +516,12 @@ def _read_declarator(stream: TokenStream, begin: int, end: int,
             i = close + 1
             continue
         if text == "<":  # template arguments hold no name, star or stop
-            depth = 1
-            while depth and i + 1 < end:
-                i += 1
-                depth += (texts[i] == "<") - (texts[i] == ">")
+            depth, j = 1, i
+            while depth > 0 and j + 1 < end and texts[j + 1] not in _STMT_ENDERS:
+                j += 1
+                depth += _ANGLES.get(texts[j], 0)
+            if depth <= 0:  # else a "<" that closes nowhere compares
+                i = j
         elif text == "*":
             pointer = True
         elif text in ("~", "operator") and i + 1 < end:
@@ -693,7 +699,7 @@ def _parse_declaration(stream: TokenStream, start: int, scope: ScopeNode,
             if j < n and texts[j] == ";":
                 cls = scope.enclosing(*_CLASSY)
                 root.declared_funcs.append(DeclaredFunc(
-                    name=name, arity=len(_param_groups(stream, i, close)),
+                    name=name, arity=len(_param_groups(stream, i, close, set())),
                     class_name=cls.name if cls is not None else "",
                     file=stream.file, is_virtual=virtual_seen,
                     param_text=" ".join(texts[i + 1:close])))

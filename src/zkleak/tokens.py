@@ -187,13 +187,15 @@ def classify_text(text: str) -> TokenKind:
 # next character, a splice or nothing at the end of the text; a bare line
 # break leaves the literal unterminated.  A GNU "__attribute__((...))", its
 # parens nested one level at most, is skipped: "p __attribute__((x)) = q" is "p = q".
+# One naming "cleanup" is kept, as the walk has no model of a cleanup function.
 _SPLICE = r"(?:\\\r?\n)"
 _OPERATORS = "|".join(map(re.escape, OPERATOR_TEXTS))
 _MASTER = re.compile(rf"""[ \t\r\f\v]*(?:
     (?P<punct>[()\[\]{{}};,])
   | (?P<literal>(?P<prefix>(?:u{_SPLICE}*8|[LUu]){_SPLICE}*)?(?P<quote>["'])
         (?:[^"'\\\n]+|\\(?:\r?\n|[^\n])?|(?!(?P=quote))["'])*(?P<close>(?P=quote))?)
-  | (?P<attribute>__attribute__\s*\(\s*\((?:[^()]|\([^()]*\))*\)\s*\))
+  | (?P<attribute>__attribute__\s*\(\s*\((?!(?:[^()]|\([^()]*\))*\b(?:__)?cleanup(?:__)?\b)
+        (?:[^()]|\([^()]*\))*\)\s*\))
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*(?:{_SPLICE}+[A-Za-z0-9_]+)*)
   | (?P<number>\.?[0-9](?:{_SPLICE}*(?:[eEpP](?:{_SPLICE}*[+-])?|[A-Za-z0-9_.]))*)
   | (?P<nl>\n)

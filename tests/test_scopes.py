@@ -280,6 +280,16 @@ def test_array_and_pointer_typedef_parameters_are_pointers():
     ("void f ( std :: map < int , std :: pair < char * , int > > m , char * p ) { }",
      [("m", False), ("p", True)]),
     ("void f ( int a = n < m , char * p ) { }", [("a", False), ("p", True)]),
+    # a ">>" after a ")" inside template arguments closes two of them, and
+    # a "<" that closes before no ";" leaves the rest of the file alone
+    ("void f ( std :: vector < std :: function < void ( int ) >> cbs , char * p ) { }",
+     [("cbs", False), ("p", True)]),
+    ("typedef std :: vector < std :: function < void ( int ) >> V ;\n"
+     "struct S { int a ; } ; void f ( V v ) { S * s ; }",
+     [("v", False), ("a", False), ("s", True)]),
+    ("typedef char * str ; using V = std :: vector < std :: function < void ( int ) >> ;\n"
+     "void f ( V v , str s ) { }", [("v", False), ("s", True)]),
+    ("typedef char * str ; typedef int a < b ; void f ( str s ) { }", [("s", True)]),
 ])
 def test_one_reader_names_each_declarator(source, declared):
     stream = tokenize(source, "decl.cc")

@@ -97,6 +97,11 @@ def test_a_call_through_a_function_pointer_parameter_links_to_no_definition():
     "void f ( ) { [ [ maybe_unused ] ] char * p ; p = malloc ( 8 ) ; }",
     # a pointer typedef named after the first comma of a typedef
     "typedef struct _F { int a ; } F , * PF ; void g ( ) { PF p ; p = malloc ( 4 ) ; }",
+    # a parameter and a type named past a ">>" after a ")" in template arguments
+    "void f ( std :: vector < std :: function < void ( int ) >> cbs , char * p ) { "
+    "p = malloc ( 4 ) ; }",
+    "typedef std :: vector < std :: function < void ( int ) >> V ; struct S { int a ; } ; "
+    "void g ( ) { S * p ; p = malloc ( 4 ) ; }",
 ])
 def test_a_declaration_the_reader_names_keeps_its_leak(source):
     assert claims(run(source)) == [("MissingRelease", 1)]
@@ -113,6 +118,17 @@ def test_a_gnu_attribute_after_a_declarator_keeps_its_leak(source):
     assert build_scope_tree(stream).declared_funcs == []
     assert [(v.name, v.is_pointer) for v in stream.vars[1:]] == [("p", True)]
     assert claims(run(source)) == [("MissingRelease", 1)]
+
+
+@pytest.mark.parametrize("source", [
+    "void rel(char **q); void f(void) { char *p __attribute__((cleanup(rel))) = malloc(4); }",
+    "void rel(char **q); void f(void) {\n"
+    "  char *p __attribute__((unused, __cleanup__(rel))) = malloc(4); }",
+])
+def test_a_cleanup_attribute_reports_no_leak(source):
+    # The compiler releases p through rel, which the walk does not model,
+    # so the attribute is kept and hides the declaration.
+    assert claims(run(source)) == []
 
 
 def test_balanced_local_pair_summarizes_to_nothing():
