@@ -45,8 +45,9 @@ class FuncId(Record):
         self.func_name, self.arity = func_name, arity
 
     def __lt__(self, other: FuncId):
-        if other.__class__ is FuncId:
-            return self._fields(self) < other._fields(other)
+        if other.__class__ is FuncId:  # spelled out: sorting is hot in find_rings
+            return ((self.file_name, self.class_name, self.func_name, self.arity)
+                    < (other.file_name, other.class_name, other.func_name, other.arity))
         return NotImplemented
 
     def render(self) -> str:
